@@ -32,6 +32,13 @@ from .errors import FeasibilityError, SolverFailureError
 
 GAP_TOL = 1e-12
 KKT_TOL = 1e-7
+# projected gradient stops after STALL_STEPS iterations in a row that
+# lower the objective by less than STALL_REL_TOL (relative); MAX_ITER
+# only guards against a loop that never settles
+STALL_REL_TOL = 1e-12
+STALL_STEPS = 10
+MAX_ITER = 1000000
+PATIENCE = 6  # exit-prefix candidates past the best, see solve_step
 
 
 class ChainProjector:
@@ -276,8 +283,7 @@ def step_objective(q, p, D, tau, ds):
     return float(((D.fn(q) + move * move / (2.0 * tau)) * ds).sum())
 
 
-def minimize_free(projector, q_prev, m, D, tau, *, rel_tol=1e-12, stall=10,
-                  max_iter=1000000, warm=None):
+def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     """Projected gradient minimization with the pinned prefix ``m``.
 
     Returns the full position array.  The start is the previous
@@ -292,20 +298,20 @@ def minimize_free(projector, q_prev, m, D, tau, *, rel_tol=1e-12, stall=10,
     ds = projector.ds
     best = step_objective(q, q_prev, D, tau, ds)
     stalled = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad = D.grad(q) + (q - q_prev) / tau
         target = q - eta * grad
         q_new = projector.project(target, m)
         if np.array_equal(q_new[m:], q[m:]):
             return q_new
         val = step_objective(q_new, q_prev, D, tau, ds)
-        if val > best - rel_tol * max(1.0, abs(best)):
+        if val > best - STALL_REL_TOL * max(1.0, abs(best)):
             stalled += 1
         else:
             stalled = 0
         if val < best:
             best, q = val, q_new
-        if stalled >= stall:
+        if stalled >= STALL_STEPS:
             return q
     raise SolverFailureError(
         "projected gradient iteration did not converge",
@@ -314,12 +320,12 @@ def minimize_free(projector, q_prev, m, D, tau, *, rel_tol=1e-12, stall=10,
     )
 
 
-def solve_step(projector, q_prev, m_prev, D, tau, *, patience=6):
+def solve_step(projector, q_prev, m_prev, D, tau):
     """One congested step: scan the exit prefix and minimize.
 
     On exit domains the absorbed prefix ``m`` is chosen by evaluating the
     full objective for each candidate ``m >= m_prev`` until it has
-    increased ``patience`` times past the best value seen; pinning is
+    increased ``PATIENCE`` times past the best value seen; pinning is
     irreversible, which makes the scan cheap and the no-return property
     structural.
 
@@ -345,6 +351,6 @@ def solve_step(projector, q_prev, m_prev, D, tau, *, patience=6):
             worse = 0
         else:
             worse += 1
-            if worse >= patience:
+            if worse >= PATIENCE:
                 break
     return best_q, best_m, best_val

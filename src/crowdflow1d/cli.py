@@ -132,11 +132,22 @@ class ScenarioConfig:
 
     def validate(self):
         """Build every library object once, so bad values fail here."""
+        _require_positive([self.tau], "tau")
+        _require_positive([] if self.T is None else [self.T], "T")
+        _require_positive([self.study_T], "study T")
+        _require_positive(self.snapshots, "snapshots")
+        _require_positive(self.taus, "taus")
+        if self.n_samples < 2:
+            raise ConfigError(
+                f"n_samples must be at least 2, got {self.n_samples}", field="n_samples"
+            )
+        if self.n_cells < 1:
+            raise ConfigError(
+                f"n_cells must be at least 1, got {self.n_cells}", field="n_cells"
+            )
         dom = self.domain()
         self.initial(n_cells=64)
         self.potential()
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be positive, got {self.tau}", field="tau")
         if self.T is not None:
             _align_times([self.T], self.tau, "T")
         if self.snapshots:
@@ -146,6 +157,12 @@ class ScenarioConfig:
                 )
             _align_times(self.snapshots, self.tau, "snapshots")
         return dom
+
+
+def _require_positive(values, field):
+    for v in values:
+        if not (np.isfinite(v) and v > 0.0):
+            raise ConfigError(f"{field} must be finite and positive, got {v}", field=field)
 
 
 def _align_times(times, tau, field):

@@ -14,7 +14,6 @@ pressure/zone structure of a step, absorbing-exit monotonicity).
 import csv
 import dataclasses
 import io
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from . import corridor
 from .corridor import RadialProfile, fig4_preset, ode_b_exit, step_b_no_exit
 from .errors import CrowdflowError, FeasibilityError
 from .jko import DOOR_BALANCE_MARGIN, PotentialD, momentum_discrepancy, run_flow
-from .measures import Domain1D, Measure1D
+from .measures import Domain1D, Measure1D, _csv_file
 from .transport import (
     exit_mass_stability_constant,
     w2_1d,
@@ -85,16 +84,11 @@ class SweepReport:
 
     def to_csv(self, path_or_buf):
         """Rows ``tau,err_b,err_w2`` (repr floats, bit-exact round trip)."""
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["tau", "err_b", "err_w2"])
             for tau, eb, ew in zip(self.taus, self.err_b, self.err_w2):
                 wr.writerow([repr(float(tau)), repr(float(eb)), repr(float(ew))])
-        finally:
-            if own:
-                f.close()
 
     def to_csv_string(self):
         buf = io.StringIO()
@@ -175,7 +169,7 @@ def _exit_errors(scenario, tau, T, prof_ref, n_cells):
     return err_b, err_w2
 
 
-def convergence_study(scenario, taus, T, n_cells=2048, workers=1):
+def convergence_study(scenario, taus, T, n_cells=2048):
     """Final-time error sweep over a halving sequence of time steps.
 
     For exit scenarios each tau runs the generic sampled scheme and the
@@ -195,11 +189,7 @@ def convergence_study(scenario, taus, T, n_cells=2048, workers=1):
         except CrowdflowError as e:
             raise type(e)(f"tau={tau}: {e}") from e
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pairs = list(pool.map(one, taus))
-    else:
-        pairs = [one(tau) for tau in taus]
+    pairs = [one(tau) for tau in taus]
     err_b = tuple(p[0] for p in pairs)
     err_w2 = tuple(p[1] for p in pairs)
     order_b, r2_b = fit_order(taus, err_b)
@@ -228,20 +218,15 @@ class MomentumRateReport:
         return f"order={self.fitted_order:.4f} r2={self.r_squared:.4f}"
 
     def to_csv(self, path_or_buf):
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["tau", "momentum_gap"])
             for tau, d in zip(self.taus, self.discrepancies):
                 wr.writerow([repr(float(tau)), repr(float(d))])
-        finally:
-            if own:
-                f.close()
 
 
 def momentum_rate_study(scenario=None, taus=(0.1, 0.05, 0.025, 0.0125, 0.00625),
-                        T=3.0, n_samples=4096, n_cells=2048, workers=1):
+                        T=3.0, n_samples=4096, n_cells=2048):
     """Fit the decay of the momentum-interpolant gap in the step size.
 
     The gap integrates the difference between the piecewise-constant and
@@ -264,11 +249,7 @@ def momentum_rate_study(scenario=None, taus=(0.1, 0.05, 0.025, 0.0125, 0.00625),
         except CrowdflowError as e:
             raise type(e)(f"tau={tau}: {e}") from e
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            gaps = tuple(pool.map(one, taus))
-    else:
-        gaps = tuple(one(tau) for tau in taus)
+    gaps = tuple(one(tau) for tau in taus)
     order, r2 = fit_order(taus, gaps)
     return MomentumRateReport(
         taus=tuple(taus), discrepancies=gaps, fitted_order=order, r_squared=r2

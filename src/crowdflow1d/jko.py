@@ -21,15 +21,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._solver import ChainProjector, minimize_free, solve_step, step_objective
-from .errors import FeasibilityError
+from .errors import FeasibilityError, SolverFailureError
 from .measures import (
     Measure1D,
     QuantileFn,
+    _csv_file,
     bin_quantiles_to_cells,
     density_of,
     quantile_of,
 )
-from .transport import Potential1D, kantorovich_potential
+from .transport import kantorovich_potential  # noqa: F401  (patched by perfbench/tracer.py)
 
 SATURATION_TOL = 1e-6
 PRESSURE_FLOOR = 1e-6
@@ -96,10 +97,10 @@ class PotentialD:
                 raise FeasibilityError("D must be minimal at the exit")
 
 
-def step_size_cap(D, cap_factor=1.0):
-    """Largest admissible time step, ``cap/(4 |lam|)`` for concave parts."""
+def step_size_cap(D):
+    """Largest admissible time step, ``1/(4 |lam|)`` for concave parts."""
     if D.lam < 0.0:
-        return cap_factor / (4.0 * abs(D.lam))
+        return 1.0 / (4.0 * abs(D.lam))
     return np.inf
 
 
@@ -139,7 +140,6 @@ class JkoStepResult:
     pressure: np.ndarray = field(repr=False)
     velocity: np.ndarray = field(repr=False)
     big_f: np.ndarray = field(repr=False)
-    kant_potential: Potential1D = field(repr=False, default=None)
     m_exit: int = 0
     q_prev: np.ndarray = field(repr=False, default=None)
     q_next: np.ndarray = field(repr=False, default=None)
@@ -198,8 +198,7 @@ def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
     return grid, v_map, big_f, level, pressure, door_level
 
 
-def jko_step(prev, D, tau, n_samples=4096, n_cells=2048, cap_factor=1.0,
-             patience=6):
+def jko_step(prev, D, tau, n_samples=4096, n_cells=2048):
     """Advance one step from ``prev``.
 
     Parameters
@@ -217,21 +216,25 @@ def jko_step(prev, D, tau, n_samples=4096, n_cells=2048, cap_factor=1.0,
     -------
     JkoStepResult
     """
+    projector, qf = _start(prev, D, tau, n_samples)
+    return _assemble(projector, qf.q, qf.exit_plateau, D, tau, n_cells)
+
+
+def _start(rho, D, tau, n_samples):
+    """Check the step size and potential; sample ``rho`` for the solver."""
     if tau <= 0.0:
         raise FeasibilityError("tau must be positive")
-    if tau > step_size_cap(D, cap_factor):
+    if tau > step_size_cap(D):
         raise FeasibilityError("tau exceeds the admissible step cap")
-    D.validate_for(prev.domain)
-    qf = quantile_of(prev, n_samples)
-    projector = ChainProjector(prev.domain, n_samples)
-    return _assemble(projector, qf.q, qf.exit_plateau, D, tau, n_cells, patience)
+    D.validate_for(rho.domain)
+    qf = quantile_of(rho, n_samples)
+    return ChainProjector(rho.domain, n_samples), qf
 
 
-def _assemble(projector, q_prev, m_prev, D, tau, n_cells, patience):
+def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
     domain = projector.domain
     ds = projector.ds
-    q_next, m_next, obj = solve_step(projector, q_prev, m_prev, D, tau,
-                                     patience=patience)
+    q_next, m_next, obj = solve_step(projector, q_prev, m_prev, D, tau)
     fields = _grid_fields(
         domain, D, tau, q_prev, q_next, m_next, m_next * ds, n_cells
     )
@@ -253,11 +256,8 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells, patience):
     grid, velocity, big_f, level, pressure, _ = fields
     u_free = -np.asarray(D.grad(grid), dtype=float)
     velocity = np.where(rho_next.rho > 0.0, velocity, u_free)
-    pot = None
-    if m_next < projector.n:
-        pot = kantorovich_potential(
-            QuantileFn(domain, q_next, m_next), QuantileFn(domain, q_prev, m_prev)
-        )
+    # the next step keeps this array as its q_prev, so neither may write it
+    q_next.flags.writeable = False
     disc_energy = float((np.asarray(D.fn(q_next), dtype=float) * ds).sum())
     return JkoStepResult(
         rho_next=rho_next,
@@ -269,9 +269,8 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells, patience):
         pressure=pressure,
         velocity=velocity,
         big_f=big_f,
-        kant_potential=pot,
         m_exit=m_next,
-        q_prev=q_prev.copy(),
+        q_prev=q_prev,
         q_next=q_next,
         tau=tau,
     )
@@ -298,9 +297,7 @@ class FlowTrajectory:
         """Rows ``k,t,w2_increment,energy,exit_mass,b_estimate``."""
         import csv
 
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["k", "t", "w2_increment", "energy", "exit_mass", "b_estimate"])
             for k, m in enumerate(self.iterates):
@@ -315,41 +312,36 @@ class FlowTrajectory:
                         repr(float(m.interface_estimate())),
                     ]
                 )
-        finally:
-            if own:
-                f.close()
 
 
-def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048, cap_factor=1.0,
-             patience=6):
+def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     """Iterate the scheme from ``rho0`` up to time ``T``.
 
     ``T`` must be an integer multiple of ``tau``.  Energy monotonicity holds
-    exactly for the discrete quantities and is asserted on the fly.
+    exactly for the discrete quantities and is asserted on the fly: a rise
+    raises :class:`SolverFailureError` carrying the step index and the
+    offending iterate.
     """
-    if tau <= 0.0:
-        raise FeasibilityError("tau must be positive")
-    if tau > step_size_cap(D, cap_factor):
-        raise FeasibilityError("tau exceeds the admissible step cap")
+    projector, qf = _start(rho0, D, tau, n_samples)
     n_steps = int(round(T / tau))
     if abs(n_steps * tau - T) > 1e-9 * max(1.0, T):
         raise FeasibilityError("T must be an integer multiple of tau")
-    D.validate_for(rho0.domain)
-    qf = quantile_of(rho0, n_samples)
-    projector = ChainProjector(rho0.domain, n_samples)
     q, m = qf.q, qf.exit_plateau
     ds = projector.ds
     energies = [float((np.asarray(D.fn(q), dtype=float) * ds).sum())]
     iterates = [rho0]
     steps = []
-    for _ in range(n_steps):
-        res = _assemble(projector, q, m, D, tau, n_cells, patience)
+    for k in range(n_steps):
+        res = _assemble(projector, q, m, D, tau, n_cells)
         q, m = res.q_next, res.m_exit
         steps.append(res)
         iterates.append(res.rho_next)
         energies.append(res.energy)
         if energies[-1] > energies[-2] + 1e-9:
-            raise FeasibilityError("energy increased along the flow")
+            rise = energies[-1] - energies[-2]
+            raise SolverFailureError(
+                f"energy increased by {rise:.3e} at step {k}", last_iterate=q, gap=rise
+            )
     times = np.arange(n_steps + 1) * tau
     return FlowTrajectory(
         domain=rho0.domain,
@@ -417,22 +409,6 @@ def pressure_velocity_checks(step, D, rng=None, n_tests=32):
     comp = float(abs((p_prime * step.velocity * rho * dW).sum()))
     dual = _dual_violation(dom, grid, dW, rho, step.velocity, rng, n_tests)
     return DecompositionDiagnostics(dec, comp, dual)
-
-
-def _component_gradient(grid, p):
-    """Gradient of the pressure, one-sided at support-component edges."""
-    out = np.zeros_like(p)
-    pos = p > 0.0
-    if not pos.any():
-        return out
-    idx = np.nonzero(pos)[0]
-    splits = np.nonzero(np.diff(idx) > 1)[0]
-    starts = np.concatenate([[0], splits + 1])
-    ends = np.concatenate([splits, [len(idx) - 1]])
-    for s, e in zip(idx[starts], idx[ends]):
-        if e - s >= 1:
-            out[s : e + 1] = np.gradient(p[s : e + 1], grid[s : e + 1])
-    return out
 
 
 def _dual_violation(dom, grid, dW, rho, velocity, rng, n_tests):

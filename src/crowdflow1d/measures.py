@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +28,17 @@ from .errors import (
 
 MASS_TOL = 1e-12
 DENSITY_TOL = 1e-9
+
+
+@contextmanager
+def _csv_file(path_or_buf, mode="r"):
+    """Open a path (``str``, ``bytes`` or ``os.PathLike``) for CSV rows and
+    close it afterwards; a file-like buffer is used as given and left open."""
+    if isinstance(path_or_buf, (str, bytes, os.PathLike)):
+        with open(path_or_buf, mode, newline="") as f:
+            yield f
+    else:
+        yield path_or_buf
 
 
 @dataclass(frozen=True)
@@ -263,27 +276,17 @@ class Measure1D:
 
         Floats are written with ``repr`` so a round trip is bit-exact.
         """
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, "w", newline="") if own else path_or_buf
-        try:
+        with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["r_left", "r_right", "rho"])
             for lo, hi, rho in zip(self.edges[:-1], self.edges[1:], self.rho):
                 wr.writerow([repr(float(lo)), repr(float(hi)), repr(float(rho))])
             wr.writerow(["exit_mass", repr(float(self.exit_mass)), ""])
-        finally:
-            if own:
-                f.close()
 
     @classmethod
     def from_csv(cls, path_or_buf, domain):
-        own = isinstance(path_or_buf, (str, bytes))
-        f = open(path_or_buf, newline="") if own else path_or_buf
-        try:
+        with _csv_file(path_or_buf) as f:
             rows = list(csv.reader(f))
-        finally:
-            if own:
-                f.close()
         if not rows or rows[0][:3] != ["r_left", "r_right", "rho"]:
             raise FeasibilityError("bad header in measure CSV")
         exit_mass = 0.0
@@ -297,6 +300,8 @@ class Measure1D:
             lefts.append(float(row[0]))
             rights.append(float(row[1]))
             rho.append(float(row[2]))
+        if not rho:
+            raise FeasibilityError("measure CSV has no cell rows")
         edges = np.array(lefts + [rights[-1]])
         if not np.allclose(edges[1:-1], np.array(rights[:-1]), rtol=0, atol=0):
             raise FeasibilityError("cells in CSV are not contiguous")
@@ -335,11 +340,6 @@ class QuantileFn:
     @property
     def s(self):
         return (np.arange(self.n) + 0.5) / self.n
-
-
-def total_mass(m):
-    """Total mass of a measure (exit atom included)."""
-    return m.total_mass()
 
 
 def quantile_of(m, n_samples=4096):

@@ -61,6 +61,28 @@ def test_bad_values_report_their_field(tmp_path):
     assert err.value.field == "has_exit"
 
 
+@pytest.mark.parametrize("command, flags, ini, field", [
+    pytest.param("run", ["--tau", "nan"], "", "tau", id="tau-nan"),
+    pytest.param("run", ["--tau", "inf"], "", "tau", id="tau-inf"),
+    pytest.param("run", ["--tau", "-0.01"], "", "tau", id="tau-negative"),
+    pytest.param("run", ["--T", "nan"], "", "T", id="T-nan"),
+    pytest.param("run", ["--T", "inf"], "", "T", id="T-inf"),
+    pytest.param("run", ["--snapshots", "0.5,nan"], "", "snapshots", id="snapshot-nan"),
+    pytest.param("run", [], "[run]\nn_samples = 1\n", "n_samples", id="n_samples-1"),
+    pytest.param("run", [], "[run]\nn_cells = 0\n", "n_cells", id="n_cells-0"),
+    pytest.param("study", ["--T", "nan"], "", "study T", id="study-T-nan"),
+    pytest.param("study", [], "[study]\ntaus = 0.1 0.05 0.025 -0.0125\n", "taus",
+                 id="taus-negative"),
+])
+def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
+                                                 ini, field):
+    p = tmp_path / "extra.ini"
+    p.write_text(ini)
+    argv = [command, "--preset", "fig4", "--config", str(p), *flags, "--dry-run"]
+    assert main(argv) == 2
+    assert f"(field: {field})" in capsys.readouterr().err
+
+
 def test_dry_run_touches_nothing(tmp_path, capsys):
     out = tmp_path / "never"
     code = main(["run", "--preset", "fig4", "--out", str(out), "--dry-run"])

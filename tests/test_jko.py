@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
+from crowdflow1d import jko
 from crowdflow1d.corridor import chain_interface, fig3_preset, fig4_preset
-from crowdflow1d.errors import FeasibilityError
+from crowdflow1d.errors import FeasibilityError, SolverFailureError
 from crowdflow1d.jko import (
     PotentialD,
     energy,
@@ -94,6 +95,22 @@ def test_step_guards():
         jko_step(m, concave, 10.0 * step_size_cap(concave))
     with pytest.raises(FeasibilityError):
         run_flow(m, D, 0.1, 0.25, n_samples=128, n_cells=64)
+
+
+def test_energy_rise_is_a_solver_failure(monkeypatch):
+    honest = jko.solve_step
+
+    def outward(projector, q_prev, m_prev, D, tau):
+        q, m, obj = honest(projector, q_prev, m_prev, D, tau)
+        return q + 0.5, m, obj
+
+    monkeypatch.setattr(jko, "solve_step", outward)
+    block = _block(0.0, 1.0)
+    D = PotentialD.distance_to_exit(FLAT3)
+    with pytest.raises(SolverFailureError, match="at step 0") as err:
+        run_flow(block, D, 0.1, 0.3, n_samples=128, n_cells=30)
+    assert err.value.last_iterate is not None
+    assert err.value.last_iterate.min() >= 0.5
 
 
 def test_one_step_improves_on_staying():

@@ -167,6 +167,21 @@ def test_csv_roundtrip_bit_exact():
     assert back.to_csv_string() == m.to_csv_string()
 
 
+def test_csv_accepts_path_objects(tmp_path):
+    dom = Domain1D(1.0, 3.0, "flat", None, True)
+    m = Measure1D.random_feasible(dom, 16, np.random.default_rng(4))
+    path = tmp_path / "m.csv"
+    m.to_csv(path)
+    back = Measure1D.from_csv(path, dom)
+    assert back.to_csv_string() == m.to_csv_string()
+
+
+def test_csv_without_cells_is_rejected():
+    dom = Domain1D(1.0, 3.0, "flat", None, True)
+    with pytest.raises(FeasibilityError):
+        Measure1D.from_csv(io.StringIO("r_left,r_right,rho\n"), dom)
+
+
 def test_spill_excess_conserves_mass_and_caps():
     dW = np.full(8, 0.25)
     rho = np.array([1.2, 1.0, 0.9, 0.3, 0.0, 1.1, 0.8, 0.2])
