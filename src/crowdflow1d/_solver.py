@@ -14,13 +14,19 @@ door at ``r = a`` (the absorbed mass); the pinned prefix may only grow.
 The Euclidean projection onto the chain is computed exactly by pooling
 adjacent violators on the shifted variables ``y_j = z_j - j*ds`` (the
 chain becomes isotonicity of ``y``), with a one-dimensional solve per
-pooled block.  The step objective
+pooled block.  Every projection, whether its block partition comes from
+the previous projection or from pooling, is accepted only after a
+multiplier (KKT) certificate.  For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
 
-is then minimized by projected gradient iterations; for potentials with
-constant slope the iteration reaches its fixed point after one
-projection.
+is minimized by projected gradient iterations.  For potentials with
+constant slope the first projection already lands on the minimizer and
+a second one only confirms the fixed point, so a candidate prefix
+usually costs two projections (more when rounding keeps consecutive
+projections from agreeing bit for bit, until the stall counter stops
+the loop).  Pinning makes the admissible set non-convex, so the prefix
+itself is chosen by a scan over candidates, see :func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ KKT_TOL = 1e-7
 STALL_REL_TOL = 1e-12
 STALL_STEPS = 10
 MAX_ITER = 1000000
-PATIENCE = 6  # exit-prefix candidates past the best, see solve_step
 
 
 class ChainProjector:
@@ -107,43 +112,51 @@ class ChainProjector:
         a, R = self.domain.a, self.domain.R
         xc = np.clip(x, a, R)
         singles = np.clip(self.domain.cumweight(xc) - self.offs, self.lb, self.ub)
-        if np.any(np.diff(singles[m:]) < 0.0):
-            out = self._try_hint(singles, x, m)
-            if out is not None:
-                return out
-            lo_s, hi_s, y_s = self._pool(singles, x, m)
-        else:
+        if not np.any(np.diff(singles[m:]) < 0.0):
             # box-clipped targets already satisfy the chain
             idx = np.arange(m, n)
-            lo_s, hi_s, y_s = idx, idx, singles[m:]
-        sizes = hi_s - lo_s + 1
-        q = self._assemble_positions(y_s, sizes, m)
-        bad = self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes)
-        if bad is not None:
-            raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1])
-        multi = sizes > 1
-        self._hint = (lo_s[multi].copy(), hi_s[multi].copy())
-        return q
+            return self._certified(x, m, idx, idx, singles[m:], strict=True)
+        psum = np.concatenate([[0.0], np.cumsum(x - a - self.offs)]) if self.flat else None
+        for lo_h, hi_h in self._hints(m):
+            lo_s, hi_s, y_s = self._hint_blocks(singles, x, m, lo_h, hi_h, psum)
+            if not np.any(np.diff(y_s) < -GAP_TOL):
+                q = self._certified(x, m, lo_s, hi_s, y_s)
+                if q is not None:
+                    return q
+        return self._certified(x, m, *self._pool(singles, x, m, psum), strict=True)
 
-    def _assemble_positions(self, y_s, sizes, m):
+    def _certified(self, x, m, lo_s, hi_s, y_s, strict=False):
+        """Positions of a block partition that passes the certificate.
+
+        A failed certificate returns ``None``, or raises when ``strict``
+        (the partition came from pooling, which has no fallback).  The
+        pooled blocks of an accepted partition become the next hint.
+        """
+        sizes = hi_s - lo_s + 1
         q = np.empty(self.n)
         q[:m] = self.domain.a
         q[m:] = self.domain.inv_cumweight(np.repeat(y_s, sizes) + self.offs[m:])
+        bad = self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes)
+        if bad is not None:
+            if strict:
+                raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1])
+            return None
+        multi = sizes > 1
+        self._hint = (lo_s[multi], hi_s[multi])
         return q
 
-    def _try_hint(self, singles, x, m):
-        """Re-solve the previous block partition and certify it.
+    def _hints(self, m):
+        """Trial partitions from the previous projection's pooled blocks.
 
         Consecutive projections almost always pool the same runs, so the
         last partition is solved block by block (one scalar solve per
-        pooled block instead of one per merge) and accepted only if the
-        resulting configuration passes the full multiplier certificate.
-        The pinned prefix moves between projections, so a variant with
-        the first block stretched down to ``m`` is tried as well.  Any
-        failure falls back to pooling from scratch.
+        pooled block instead of one per merge) and accepted only if it
+        passes the full multiplier certificate.  The pinned prefix moves
+        between projections, so the blocks are first trimmed to ``m``,
+        then tried with the first block stretched down to ``m``.
         """
         if self._hint is None:
-            return None
+            return
         lo_h, hi_h = self._hint
         keep = hi_h >= m + 1
         lo_h = np.maximum(lo_h[keep], m)
@@ -151,50 +164,27 @@ class ChainProjector:
         keep = hi_h > lo_h
         lo_h, hi_h = lo_h[keep], hi_h[keep]
         if len(lo_h) == 0:
-            return None
-        out = self._certified_blocks(singles, x, m, lo_h, hi_h)
-        if out is None and lo_h[0] > m:
+            return
+        yield lo_h, hi_h
+        if lo_h[0] > m:
             stretched = lo_h.copy()
             stretched[0] = m
-            out = self._certified_blocks(singles, x, m, stretched, hi_h)
-        return out
+            yield stretched, hi_h
 
-    def _certified_blocks(self, singles, x, m, lo_h, hi_h):
-        if self.flat:
-            psum = np.concatenate([[0.0], np.cumsum(x - self.domain.a - self.offs)])
-        else:
-            psum = None
-        parts_lo, parts_hi, parts_y = [], [], []
-        prev = m
+    def _hint_blocks(self, singles, x, m, lo_h, hi_h, psum):
+        """Partition with the blocks ``lo_h..hi_h`` and singletons elsewhere."""
+        starts = np.ones(self.n - m, dtype=bool)
         for lo, hi in zip(lo_h, hi_h):
-            lo, hi = int(lo), int(hi)
-            if lo > prev:
-                idx = np.arange(prev, lo)
-                parts_lo.append(idx)
-                parts_hi.append(idx)
-                parts_y.append(singles[prev:lo])
-            parts_lo.append(np.array([lo]))
-            parts_hi.append(np.array([hi]))
-            parts_y.append(np.array([self._solve_block(lo, hi, x, psum)]))
-            prev = hi + 1
-        if prev < self.n:
-            idx = np.arange(prev, self.n)
-            parts_lo.append(idx)
-            parts_hi.append(idx)
-            parts_y.append(singles[prev:])
-        lo_s = np.concatenate(parts_lo)
-        hi_s = np.concatenate(parts_hi)
-        y_s = np.concatenate(parts_y)
-        if np.any(np.diff(y_s) < -GAP_TOL):
-            return None
-        sizes = hi_s - lo_s + 1
-        q = self._assemble_positions(y_s, sizes, m)
-        if self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes) is not None:
-            return None
-        self._hint = (lo_h, hi_h)
-        return q
+            starts[lo + 1 - m : hi + 1 - m] = False
+        lo_s = np.flatnonzero(starts) + m
+        hi_s = np.append(lo_s[1:] - 1, self.n - 1)
+        y_s = singles[lo_s]
+        y_s[np.searchsorted(lo_s, lo_h)] = [
+            self._solve_block(int(lo), int(hi), x, psum) for lo, hi in zip(lo_h, hi_h)
+        ]
+        return lo_s, hi_s, y_s
 
-    def _pool(self, singles, x, m):
+    def _pool(self, singles, x, m, psum):
         """Pool adjacent violators; returns block arrays (lo, hi, value).
 
         Pooling is order-online, so the clean run before the first
@@ -203,10 +193,6 @@ class ChainProjector:
         the remaining targets are isotone above the stack top.
         """
         n = self.n
-        if self.flat:
-            psum = np.concatenate([[0.0], np.cumsum(x - self.domain.a - self.offs)])
-        else:
-            psum = None
         d = np.diff(singles[m:]) >= 0.0
         # iso[j - m] says singles[j:] is already in order
         iso = np.concatenate([d[::-1].cumprod()[::-1].astype(bool), [True]])
@@ -286,9 +272,9 @@ def step_objective(q, p, D, tau, ds):
 def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     """Projected gradient minimization with the pinned prefix ``m``.
 
-    Returns the full position array.  The start is the previous
-    configuration (or ``warm``) with the new prefix pinned, which is
-    always feasible.
+    Returns ``(q, value)``: the full position array and its step
+    objective.  The start is the previous configuration (or ``warm``)
+    with the new prefix pinned, which is always feasible.
     """
     a = projector.domain.a
     q = (warm if warm is not None else q_prev).copy()
@@ -303,7 +289,7 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
         target = q - eta * grad
         q_new = projector.project(target, m)
         if np.array_equal(q_new[m:], q[m:]):
-            return q_new
+            return q_new, best
         val = step_objective(q_new, q_prev, D, tau, ds)
         if val > best - STALL_REL_TOL * max(1.0, abs(best)):
             stalled += 1
@@ -312,7 +298,7 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
         if val < best:
             best, q = val, q_new
         if stalled >= STALL_STEPS:
-            return q
+            return q, best
     raise SolverFailureError(
         "projected gradient iteration did not converge",
         last_iterate=q,
@@ -321,36 +307,32 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
 
 
 def solve_step(projector, q_prev, m_prev, D, tau):
-    """One congested step: scan the exit prefix and minimize.
+    """One congested step: choose the absorbed prefix and minimize.
 
-    On exit domains the absorbed prefix ``m`` is chosen by evaluating the
-    full objective for each candidate ``m >= m_prev`` until it has
-    increased ``PATIENCE`` times past the best value seen; pinning is
-    irreversible, which makes the scan cheap and the no-return property
-    structural.
+    With an exit the admissible set is not convex in quantile
+    coordinates, so the absorbed prefix ``m`` is scanned rather than
+    solved for: each candidate ``m = m_prev, m_prev + 1, ...`` is
+    minimized with ``m`` samples pinned on the door, warm-started from
+    the previous candidate, and the scan stops at the first candidate
+    that does not lower the objective.  Pinning is irreversible, which
+    makes the no-return property structural.
 
     Returns ``(q, m, objective)``.
     """
-    ds = projector.ds
     if not projector.domain.has_exit:
-        q = minimize_free(projector, q_prev, 0, D, tau)
-        return q, 0, step_objective(q, q_prev, D, tau, ds)
+        q, val = minimize_free(projector, q_prev, 0, D, tau)
+        return q, 0, val
     n = projector.n
-    best_q, best_m, best_val = None, m_prev, np.inf
-    worse = 0
-    warm = None
+    best = None
     for m in range(m_prev, n + 1):
         if m == n:
             q = np.full(n, projector.domain.a)
+            val = step_objective(q, q_prev, D, tau, projector.ds)
         else:
-            q = minimize_free(projector, q_prev, m, D, tau, warm=warm)
-        warm = q  # each candidate seeds the next, pinning one more sample
-        val = step_objective(q, q_prev, D, tau, ds)
-        if val < best_val - 1e-15:
-            best_q, best_m, best_val = q, m, val
-            worse = 0
-        else:
-            worse += 1
-            if worse >= PATIENCE:
-                break
-    return best_q, best_m, best_val
+            # the previous candidate, with one more sample pinned, is the start
+            warm = None if best is None else best[0]
+            q, val = minimize_free(projector, q_prev, m, D, tau, warm=warm)
+        if best is not None and not val < best[2] - 1e-15:
+            break
+        best = (q, m, val)
+    return best

@@ -145,6 +145,18 @@ class ScenarioConfig:
             raise ConfigError(
                 f"n_cells must be at least 1, got {self.n_cells}", field="n_cells"
             )
+        if not (np.isfinite(self.a) and self.a >= 0.0):
+            raise ConfigError(f"a must be finite and >= 0, got {self.a}", field="a")
+        if not (np.isfinite(self.R) and self.R > self.a):
+            raise ConfigError(f"R must be finite and > a, got {self.R}", field="R")
+        if self.weight_kind == "radial":
+            if not np.isfinite(self.R * self.R):
+                raise ConfigError(f"R = {self.R} is too large for a radial weight", field="R")
+            h = self.resolved_half_angle()
+            if not (np.isfinite(h) and h > 0.0):
+                raise ConfigError(
+                    f"half_angle must be finite and positive, got {h}", field="half_angle"
+                )
         dom = self.domain()
         self.initial(n_cells=64)
         self.potential()

@@ -327,10 +327,9 @@ def _mixed_cut_balance(r_e, b_prev, k, tau, a, R, rho0, exit_mass_prev):
     image of the old interface.
     """
     t_prev = (k - 1) * tau
-    t = k * tau
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, exit_mass_prev)
     shed = float(prof_prev.cummass(r_e))
-    b_new, _ = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
+    b_new = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
     if not np.isfinite(b_new):
         return -np.inf
     b1 = np.sqrt(max(b_prev**2 - r_e**2 + a * a, a * a)) if r_e <= b_prev else a
@@ -351,7 +350,7 @@ def _mixed_cut_balance(r_e, b_prev, k, tau, a, R, rho0, exit_mass_prev):
 def _mixed_interface(b_prev, k, tau, a, R, rho0, shed):
     """New interface from mass balance after shedding ``shed``.
 
-    Returns ``(b, pure_block)`` with ``b = nan`` when no admissible
+    Returns the new interface ``b``, or ``nan`` when no admissible
     profile carries the remaining mass.
     """
     alpha = 1.0 / (rho0 * (R**2 - a**2))
@@ -360,22 +359,22 @@ def _mixed_interface(b_prev, k, tau, a, R, rho0, shed):
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, 0.0)
     m_new = prof_prev.interior_mass() - shed
     if m_new < -1e-12:
-        return np.nan, False
+        return np.nan
     if rho0 >= 1.0:
-        return float(np.sqrt(a * a + max(m_new, 0.0) / alpha)), True
+        return float(np.sqrt(a * a + max(m_new, 0.0) / alpha))
     disc = rho0**2 * t**2 + (1.0 - rho0) * (
         a * a + m_new / alpha - rho0 * R * R + rho0 * t * t)
     if disc < 0.0 and disc > -1e-13 * max(1.0, R * R):
         disc = 0.0
     if disc < 0.0:
-        return np.nan, False
+        return np.nan
     b = (rho0 * t + np.sqrt(disc)) / (1.0 - rho0)
     if b < a - 1e-12:
-        return np.nan, False
+        return np.nan
     b = max(float(b), a)
     if b > R - t:  # rarefaction fully absorbed
-        return float(np.sqrt(a * a + m_new / alpha)), True
-    return b, False
+        return float(np.sqrt(a * a + m_new / alpha))
+    return b
 
 
 def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
@@ -391,7 +390,6 @@ def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
         raise FeasibilityError("draining corridor needs a door radius a > 0")
     if b_prev <= a:
         b_prev = a
-    alpha = 1.0 / (rho0 * (R**2 - a**2))
     t_prev = (k - 1) * tau
     pure_block = b_prev >= R - t_prev - 1e-12
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, exit_mass_prev)
@@ -401,7 +399,7 @@ def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
         if pure_block:
             b = float(np.sqrt(max(b_prev**2 - (r_e**2 - a * a), a * a)))
         else:
-            b, _ = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
+            b = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
             if not np.isfinite(b):
                 raise FeasibilityError("forced cut sheds more mass than allowed")
         return b, r_e, shed
@@ -423,7 +421,7 @@ def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
     if pure_block:
         b = float(np.sqrt(max(b_prev**2 - (r_e**2 - a * a), a * a)))
     else:
-        b, _ = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
+        b = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
     return float(b), r_e, shed
 
 
@@ -470,7 +468,7 @@ def candidate_step_objective(b_prev, k, tau, a, R, rho0, exit_mass_prev, r_e,
     t_prev = (k - 1) * tau
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, exit_mass_prev)
     shed = float(prof_prev.cummass(r_e))
-    b, _ = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
+    b = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
     if not np.isfinite(b):
         return np.inf
     prof_new = RadialProfile(t=k * tau, a=a, R=R, rho0=rho0, b=b,
@@ -505,7 +503,7 @@ def _one_step_objective(prof_prev, prof_new, tau, n_probe):
     return float(np.mean(qn + move * move / (2.0 * tau)))
 
 
-def chain_interface(preset, T, step_fn=None):
+def chain_interface(preset, T):
     """Iterate the per-step interface recurrence up to time ``T``.
 
     Returns arrays ``(times, b, exit_mass)`` including the initial state.

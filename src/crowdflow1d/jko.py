@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._solver import ChainProjector, minimize_free, solve_step, step_objective
+from ._solver import ChainProjector, minimize_free, solve_step
+from ._solver import step_objective  # noqa: F401  (patched by perfbench/tracer.py)
 from .errors import FeasibilityError, SolverFailureError
 from .measures import (
     Measure1D,
@@ -126,9 +127,9 @@ def energy(m, D):
 class JkoStepResult:
     """One minimizing-movement step with its recovered fields.
 
-    ``pressure``, ``velocity`` and ``big_f`` are sampled at ``grid`` (the
-    cell midpoints of ``rho_next``); ``level_l`` is the Lagrange level of
-    the saturation constraint.
+    ``pressure`` and ``velocity`` are sampled at ``grid`` (the cell
+    midpoints of ``rho_next``); ``level_l`` is the Lagrange level of the
+    saturation constraint.
     """
 
     rho_next: Measure1D
@@ -139,11 +140,9 @@ class JkoStepResult:
     grid: np.ndarray = field(repr=False)
     pressure: np.ndarray = field(repr=False)
     velocity: np.ndarray = field(repr=False)
-    big_f: np.ndarray = field(repr=False)
     m_exit: int = 0
     q_prev: np.ndarray = field(repr=False, default=None)
     q_next: np.ndarray = field(repr=False, default=None)
-    tau: float = 0.0
 
 
 def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
@@ -242,8 +241,7 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
         level, door_level = fields[3], fields[5]
         if door_level >= level - DOOR_BALANCE_MARGIN * max(1.0, abs(level)):
             break
-        q_try = minimize_free(projector, q_prev, m_next + 1, D, tau, warm=q_next)
-        val = step_objective(q_try, q_prev, D, tau, ds)
+        q_try, val = minimize_free(projector, q_prev, m_next + 1, D, tau, warm=q_next)
         if val > obj + DOOR_TIE_TOL * max(1.0, abs(obj)):
             break
         q_next, m_next, obj = q_try, m_next + 1, val
@@ -253,7 +251,7 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
     rho_next = density_of(QuantileFn(domain, q_next, m_next), n_cells)
     diff = q_next - q_prev
     w2_inc = float(np.sqrt((diff * diff).sum() * ds))
-    grid, velocity, big_f, level, pressure, _ = fields
+    grid, velocity, _, level, pressure, _ = fields
     u_free = -np.asarray(D.grad(grid), dtype=float)
     velocity = np.where(rho_next.rho > 0.0, velocity, u_free)
     # the next step keeps this array as its q_prev, so neither may write it
@@ -268,11 +266,9 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
         grid=grid,
         pressure=pressure,
         velocity=velocity,
-        big_f=big_f,
         m_exit=m_next,
         q_prev=q_prev,
         q_next=q_next,
-        tau=tau,
     )
 
 

@@ -73,6 +73,12 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("study", ["--T", "nan"], "", "study T", id="study-T-nan"),
     pytest.param("study", [], "[study]\ntaus = 0.1 0.05 0.025 -0.0125\n", "taus",
                  id="taus-negative"),
+    pytest.param("run", [], "[domain]\na = nan\n", "a", id="a-nan"),
+    pytest.param("run", [], "[domain]\na = -1\n", "a", id="a-negative"),
+    pytest.param("run", [], "[domain]\nR = inf\n", "R", id="R-inf"),
+    pytest.param("run", [], "[domain]\nR = 1e300\n", "R", id="R-overflow"),
+    pytest.param("run", [], "[domain]\nhalf_angle = nan\n", "half_angle",
+                 id="half_angle-nan"),
 ])
 def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
                                                  ini, field):

@@ -1,10 +1,17 @@
+import copy
+
 import numpy as np
 from scipy.optimize import minimize
 
-from crowdflow1d._solver import ChainProjector
-from crowdflow1d.measures import Domain1D
+from crowdflow1d import jko
+from crowdflow1d._solver import ChainProjector, minimize_free, step_objective
+from crowdflow1d.harness import _rand_domain
+from crowdflow1d.jko import PotentialD, run_flow
+from crowdflow1d.measures import Domain1D, Measure1D
 
 N_INSTANCES = 200
+N_DISTANCE_FLOWS = 60
+N_TABLE_FLOWS = 10
 
 
 def _instance(rng):
@@ -86,3 +93,68 @@ def test_projection_matches_a_generic_constrained_solver():
             problems.append(f"instance {i}: positions differ by {gap:.2e}")
     assert not problems, problems
     assert compared >= 0.9 * N_INSTANCES
+
+
+def _every_candidate(projector, q_prev, m_prev, D, tau):
+    """Objective of every prefix ``m_prev..n`` along the scan's warm chain."""
+    n = projector.n
+    vals, warm = [], None
+    for m in range(m_prev, n + 1):
+        if m == n:
+            q = np.full(n, projector.domain.a)
+            val = step_objective(q, q_prev, D, tau, projector.ds)
+        else:
+            q, val = minimize_free(projector, q_prev, m, D, tau, warm=warm)
+        vals.append(val)
+        warm = q
+    return np.array(vals)
+
+
+def _convex_table(rng, dom):
+    """Random convex piecewise-linear potential, minimal on the door."""
+    k = int(rng.integers(2, 6))
+    radii = np.concatenate([[dom.a], np.sort(rng.uniform(dom.a, dom.R, k - 1)), [dom.R]])
+    slopes = np.sort(rng.uniform(0.1, 3.0, k))
+    values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(radii))])
+    return PotentialD.from_table(radii, values)
+
+
+def test_exit_prefix_objective_is_unimodal(monkeypatch):
+    """The prefix scan stops at the first candidate that does not lower
+    the objective; that is exact only if the objective is unimodal in
+    the prefix.  Every candidate of every step is evaluated here, each
+    from the same projector state and warm start the scan uses."""
+    honest = jko.solve_step
+    problems, steps = [], []
+
+    def checked(projector, q_prev, m_prev, D, tau):
+        probe = copy.copy(projector)  # same pooling hint as the scan starts with
+        q, m, val = honest(projector, q_prev, m_prev, D, tau)
+        vals = _every_candidate(probe, q_prev, m_prev, D, tau)
+        k = m - m_prev
+        where = f"flow {len(steps) - 1}, m_prev={m_prev}, m={m}"
+        if val != step_objective(q, q_prev, D, tau, projector.ds):
+            problems.append(f"{where}: returned value is not the objective of q")
+        if not (k + 1 == len(vals) or not vals[k + 1] < vals[k] - 1e-15):
+            problems.append(f"{where}: the scan stopped before a lower candidate")
+        if not np.all(vals[1 : k + 1] < vals[:k] - 1e-15):
+            problems.append(f"{where}: the scan passed a non-improving candidate")
+        if vals[k:].min() < vals[k] - 1e-15:
+            problems.append(f"{where}: a later candidate is lower by "
+                            f"{vals[k] - vals[k:].min():.2e}")
+        steps[-1] += 1
+        return q, m, val
+
+    monkeypatch.setattr(jko, "solve_step", checked)
+    cases = [(i, False, 128) for i in range(N_DISTANCE_FLOWS)]
+    cases += [(i, True, 64) for i in range(N_TABLE_FLOWS)]
+    for i, table, n in cases:
+        rng = np.random.default_rng([17, int(table), i])
+        dom = _rand_domain(rng, has_exit=True)
+        rho0 = Measure1D.random_feasible(dom, 64, rng, exit_mass=float(rng.uniform(0.02, 0.3)))
+        D = _convex_table(rng, dom) if table else PotentialD.distance_to_exit(dom)
+        tau = float(rng.uniform(0.04, 0.15))
+        steps.append(0)
+        run_flow(rho0, D, tau, 4 * tau, n_samples=n, n_cells=64)
+    assert not problems, problems
+    assert sum(steps) == 4 * len(cases)
