@@ -13,10 +13,16 @@ door at ``r = a`` (the absorbed mass); the pinned prefix may only grow.
 
 The Euclidean projection onto the chain is computed exactly by pooling
 adjacent violators on the shifted variables ``y_j = z_j - j*ds`` (the
-chain becomes isotonicity of ``y``), with a one-dimensional solve per
-pooled block.  Every projection, whether its block partition comes from
-the previous projection or from pooling, is accepted only after a
-multiplier (KKT) certificate.  For a fixed prefix the step objective
+chain becomes isotonicity of ``y``).  A block partition is settled by
+one scalar solve per pooled block: a closed form on flat domains and,
+on radial ones, Newton's method (``brentq`` for a block with a negative
+target, where the block equation loses its concavity).  Trial
+partitions come first: the previous projection's blocks and, on radial
+domains, a pooling on a closed-form weighted-mean surrogate, in O(1) per
+merge (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000).
+Every partition is accepted only if its block values are in chain order
+and pass a multiplier (KKT) certificate; when no trial does, pooling runs
+again with an exact solve per merge.  For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
 
@@ -75,6 +81,19 @@ class ChainProjector:
         return float((2.0 * (q - x[lo : hi + 1]) / w).sum())
 
     def _solve_block(self, lo, hi, x, psum):
+        """Value of the pooled block ``lo..hi``.
+
+        The block value minimizes ``sum (Q_i(y) - x_i)^2`` over
+        ``lb[lo] <= y <= ub[hi]``.  Flat domains have a closed form.  On
+        radial domains with targets ``x_i >= 0`` stationarity reads
+        ``f(y) = k - sum x_i / q_i(y) = 0`` with
+        ``q_i(y) = sqrt(a^2 + (y + i*ds)/h)`` and ``h`` the half angle;
+        ``f`` is increasing and concave, so Newton's method started at the
+        lower bound climbs monotonically onto the root, and a tangent root
+        past the upper bound means the root is past it too.  A negative
+        target (apex domains) breaks concavity, so such a block is solved
+        by ``brentq`` between the bounds.
+        """
         ylo = self.lb[lo]
         yhi = self.ub[hi]
         if ylo > yhi + 1e-15:
@@ -83,6 +102,26 @@ class ChainProjector:
             # closed form: y* = mean of (x_i - a - i*ds)
             s = psum[hi + 1] - psum[lo]
             return min(max(s / (hi - lo + 1), ylo), yhi)
+        xtol, rtol = 1e-15, 4.0 * np.finfo(float).eps
+        xs = x[lo : hi + 1]
+        if xs.min() >= 0.0:
+            a, h = self.domain.a, self.domain.half_angle
+            offs = self.offs[lo : hi + 1]
+            y = ylo
+            # converges quadratically; the cap only guards the loop,
+            # brentq below takes over if it is ever reached
+            for _ in range(100):
+                q = np.sqrt(a * a + (y + offs) / h)
+                r = xs / q
+                f = (hi - lo + 1) - float(r.sum())
+                if f >= 0.0:
+                    return y
+                step = -2.0 * h * f / float((r / (q * q)).sum())
+                if y + step >= yhi:
+                    return yhi
+                y += step
+                if step <= xtol + rtol * abs(y):
+                    return y
         glo = self._grad_sum(ylo, lo, hi, x)
         if glo >= 0.0:
             return ylo
@@ -93,10 +132,31 @@ class ChainProjector:
             lambda y: self._grad_sum(y, lo, hi, x),
             ylo,
             yhi,
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
+            xtol=xtol,
+            rtol=rtol,
             maxiter=200,
         )
+
+    def _surrogate(self, singles):
+        """Closed-form block values for pooling on radial domains.
+
+        Near its own optimum ``s_j`` (the entry of ``singles``) a sample's
+        term is ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``, so a
+        merged block takes the weighted mean of its singles, clamped to
+        its box, in O(1) from prefix sums.  The partition this pooling
+        yields is only a trial: its blocks are solved exactly and the
+        result passes the certificate or is discarded.
+        """
+        wt = self.domain.weight(self.domain.inv_cumweight(singles + self.offs)) ** -2.0
+        cw = np.concatenate([[0.0], np.cumsum(wt)])
+        cs = np.concatenate([[0.0], np.cumsum(wt * singles)])
+        lb, ub = self.lb, self.ub
+
+        def merged(lo, hi):
+            mean = (cs[hi + 1] - cs[lo]) / (cw[hi + 1] - cw[lo])
+            return min(max(mean, lb[lo]), ub[hi])
+
+        return merged
 
     # -- projection ------------------------------------------------------
 
@@ -117,80 +177,98 @@ class ChainProjector:
             idx = np.arange(m, n)
             return self._certified(x, m, idx, idx, singles[m:], strict=True)
         psum = np.concatenate([[0.0], np.cumsum(x - a - self.offs)]) if self.flat else None
-        for lo_h, hi_h in self._hints(m):
-            lo_s, hi_s, y_s = self._hint_blocks(singles, x, m, lo_h, hi_h, psum)
-            if not np.any(np.diff(y_s) < -GAP_TOL):
-                q = self._certified(x, m, lo_s, hi_s, y_s)
-                if q is not None:
-                    return q
-        return self._certified(x, m, *self._pool(singles, x, m, psum), strict=True)
+
+        def solve(lo, hi):
+            return self._solve_block(lo, hi, x, psum)
+
+        for lo_t, hi_t in self._trials(singles, m):
+            q = self._certified(x, m, *self._partition(singles, m, lo_t, hi_t, solve))
+            if q is not None:
+                return q
+        return self._certified(x, m, *self._pool(singles, m, solve), strict=True)
 
     def _certified(self, x, m, lo_s, hi_s, y_s, strict=False):
         """Positions of a block partition that passes the certificate.
 
-        A failed certificate returns ``None``, or raises when ``strict``
-        (the partition came from pooling, which has no fallback).  The
+        The certificate asks for block values in chain order and for
+        nonnegative multipliers (:meth:`_kkt_violation`).  A failed
+        certificate returns ``None``, or raises when ``strict`` (targets
+        already in order, or exact pooling: neither has a fallback).  The
         pooled blocks of an accepted partition become the next hint.
         """
+        order = float(np.diff(y_s).min(initial=0.0))
+        if order < -GAP_TOL and not strict:
+            return None
         sizes = hi_s - lo_s + 1
         q = np.empty(self.n)
         q[:m] = self.domain.a
         q[m:] = self.domain.inv_cumweight(np.repeat(y_s, sizes) + self.offs[m:])
-        bad = self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes)
+        if order < -GAP_TOL:
+            bad = ("projection certificate failed: block values out of chain order", order)
+        else:
+            bad = self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes)
         if bad is not None:
             if strict:
-                raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1])
+                raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
             return None
         multi = sizes > 1
         self._hint = (lo_s[multi], hi_s[multi])
         return q
 
-    def _hints(self, m):
-        """Trial partitions from the previous projection's pooled blocks.
+    def _trials(self, singles, m):
+        """Trial partitions, each given by its pooled blocks ``(lo, hi)``.
 
         Consecutive projections almost always pool the same runs, so the
-        last partition is solved block by block (one scalar solve per
-        pooled block instead of one per merge) and accepted only if it
-        passes the full multiplier certificate.  The pinned prefix moves
-        between projections, so the blocks are first trimmed to ``m``,
-        then tried with the first block stretched down to ``m``.
+        previous projection's blocks come first.  The pinned prefix
+        moves between projections, so they are trimmed to ``m``, then
+        tried with the first block stretched down to ``m``.  On radial
+        domains the last trial pools on the closed-form surrogate
+        (:meth:`_surrogate`).  A trial costs one block solve per pooled
+        block instead of one per merge.
         """
-        if self._hint is None:
-            return
-        lo_h, hi_h = self._hint
-        keep = hi_h >= m + 1
-        lo_h = np.maximum(lo_h[keep], m)
-        hi_h = hi_h[keep]
-        keep = hi_h > lo_h
-        lo_h, hi_h = lo_h[keep], hi_h[keep]
-        if len(lo_h) == 0:
-            return
-        yield lo_h, hi_h
-        if lo_h[0] > m:
-            stretched = lo_h.copy()
-            stretched[0] = m
-            yield stretched, hi_h
+        if self._hint is not None:
+            lo_h, hi_h = self._hint
+            keep = hi_h >= m + 1
+            lo_h = np.maximum(lo_h[keep], m)
+            hi_h = hi_h[keep]
+            keep = hi_h > lo_h
+            lo_h, hi_h = lo_h[keep], hi_h[keep]
+            if len(lo_h):
+                yield lo_h, hi_h
+                if lo_h[0] > m:
+                    stretched = lo_h.copy()
+                    stretched[0] = m
+                    yield stretched, hi_h
+        if not self.flat:
+            lo_s, hi_s, _ = self._pool(singles, m, self._surrogate(singles))
+            multi = hi_s > lo_s
+            yield lo_s[multi], hi_s[multi]
 
-    def _hint_blocks(self, singles, x, m, lo_h, hi_h, psum):
-        """Partition with the blocks ``lo_h..hi_h`` and singletons elsewhere."""
+    def _partition(self, singles, m, lo_b, hi_b, solve):
+        """Partition with the blocks ``lo_b..hi_b`` and singletons elsewhere."""
         starts = np.ones(self.n - m, dtype=bool)
-        for lo, hi in zip(lo_h, hi_h):
+        for lo, hi in zip(lo_b, hi_b):
             starts[lo + 1 - m : hi + 1 - m] = False
         lo_s = np.flatnonzero(starts) + m
         hi_s = np.append(lo_s[1:] - 1, self.n - 1)
         y_s = singles[lo_s]
-        y_s[np.searchsorted(lo_s, lo_h)] = [
-            self._solve_block(int(lo), int(hi), x, psum) for lo, hi in zip(lo_h, hi_h)
+        y_s[np.searchsorted(lo_s, lo_b)] = [
+            solve(int(lo), int(hi)) for lo, hi in zip(lo_b, hi_b)
         ]
         return lo_s, hi_s, y_s
 
-    def _pool(self, singles, x, m, psum):
+    def _pool(self, singles, m, solve):
         """Pool adjacent violators; returns block arrays (lo, hi, value).
 
-        Pooling is order-online, so the clean run before the first
-        violation stays on an implicit stack of singletons (popped only
-        if a merge reaches back into it) and the loop stops early once
-        the remaining targets are isotone above the stack top.
+        ``solve(lo, hi)`` gives the value of a merged block.  On radial
+        domains :meth:`project` pools first on :meth:`_surrogate`, then
+        solves each pooled block once and certifies the partition; only
+        if that fails does it pool again with an exact block solve per
+        merge, whose partition must pass.  Pooling is order-online, so
+        the clean run before the first violation stays on an implicit
+        stack of singletons (popped only if a merge reaches back into
+        it) and the loop stops early once the remaining targets are
+        isotone above the stack top.
         """
         n = self.n
         d = np.diff(singles[m:]) >= 0.0
@@ -217,7 +295,7 @@ class ChainProjector:
                     lo = pre_end
                 else:
                     break
-                y = self._solve_block(lo, hi, x, psum)
+                y = solve(lo, hi)
             lo_s.append(lo)
             hi_s.append(hi)
             y_s.append(y)
@@ -303,6 +381,7 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
         "projected gradient iteration did not converge",
         last_iterate=q,
         gap=float(np.max(np.abs(grad))),
+        m=m,
     )
 
 

@@ -25,14 +25,16 @@ class FeasibilityError(CrowdflowError, ValueError):
 class SolverFailureError(CrowdflowError, RuntimeError):
     """Inner minimization did not converge.
 
-    Carries the last iterate and the final objective gap so callers can
-    inspect what happened.
+    Carries the last iterate, the final objective gap and the pinned
+    prefix ``m`` (samples absorbed by the door) so callers can inspect
+    what happened.
     """
 
-    def __init__(self, message, last_iterate=None, gap=None):
+    def __init__(self, message, last_iterate=None, gap=None, m=None):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.gap = gap
+        self.m = m
 
 
 class RegimeEndError(CrowdflowError, ValueError):

@@ -315,8 +315,8 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
 
     ``T`` must be an integer multiple of ``tau``.  Energy monotonicity holds
     exactly for the discrete quantities and is asserted on the fly: a rise
-    raises :class:`SolverFailureError` carrying the step index and the
-    offending iterate.
+    raises :class:`SolverFailureError` carrying the step index, the
+    offending iterate and its absorbed prefix.
     """
     projector, qf = _start(rho0, D, tau, n_samples)
     n_steps = int(round(T / tau))
@@ -336,7 +336,7 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
         if energies[-1] > energies[-2] + 1e-9:
             rise = energies[-1] - energies[-2]
             raise SolverFailureError(
-                f"energy increased by {rise:.3e} at step {k}", last_iterate=q, gap=rise
+                f"energy increased by {rise:.3e} at step {k}", last_iterate=q, gap=rise, m=m
             )
     times = np.arange(n_steps + 1) * tau
     return FlowTrajectory(

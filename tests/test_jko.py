@@ -113,6 +113,32 @@ def test_energy_rise_is_a_solver_failure(monkeypatch):
     assert err.value.last_iterate.min() >= 0.5
 
 
+def test_energy_rise_carries_the_absorbed_prefix(monkeypatch):
+    honest_step, honest_assemble = jko.solve_step, jko._assemble
+    prefixes = []
+
+    def outward(projector, q_prev, m_prev, D, tau):
+        q, m, obj = honest_step(projector, q_prev, m_prev, D, tau)
+        q = q.copy()
+        q[m:] += 0.5
+        return q, m, obj
+
+    def recorded(*args):
+        res = honest_assemble(*args)
+        prefixes.append(res.m_exit)
+        return res
+
+    monkeypatch.setattr(jko, "solve_step", outward)
+    monkeypatch.setattr(jko, "_assemble", recorded)
+    door = Domain1D(0.0, 3.0, "flat", None, True)
+    block = Measure1D(door, np.linspace(0.0, 3.0, 31), np.where(np.arange(30) < 10, 1.0, 0.0))
+    D = PotentialD.distance_to_exit(door)
+    with pytest.raises(SolverFailureError, match="at step 0") as err:
+        run_flow(block, D, 0.1, 0.3, n_samples=128, n_cells=30)
+    assert prefixes[-1] > 0
+    assert err.value.m == prefixes[-1]
+
+
 def test_one_step_improves_on_staying():
     preset = fig4_preset()
     m = preset.initial(n_cells=512)

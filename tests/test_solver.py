@@ -1,15 +1,18 @@
 import copy
 
 import numpy as np
-from scipy.optimize import minimize
+import pytest
+from scipy.optimize import brentq, minimize
 
-from crowdflow1d import jko
+from crowdflow1d import _solver, jko
 from crowdflow1d._solver import ChainProjector, minimize_free, step_objective
+from crowdflow1d.errors import SolverFailureError
 from crowdflow1d.harness import _rand_domain
 from crowdflow1d.jko import PotentialD, run_flow
 from crowdflow1d.measures import Domain1D, Measure1D
 
 N_INSTANCES = 200
+N_BLOCKS = 300
 N_DISTANCE_FLOWS = 60
 N_TABLE_FLOWS = 10
 
@@ -93,6 +96,128 @@ def test_projection_matches_a_generic_constrained_solver():
             problems.append(f"instance {i}: positions differ by {gap:.2e}")
     assert not problems, problems
     assert compared >= 0.9 * N_INSTANCES
+
+
+def test_projection_falls_back_when_the_surrogate_pools_wrongly(monkeypatch):
+    """A surrogate that puts every merged block on its lower bound stops
+    merging too early; the certificate must reject the partitions that
+    come out wrong and exact pooling must still give the projection."""
+    expected = []
+    for i in range(N_INSTANCES):
+        dom, m, x = _instance(np.random.default_rng([11, i]))
+        expected.append(ChainProjector(dom, x.size).project(x, m))
+    honest_pool = ChainProjector._pool
+    pools = []
+
+    def counted(self, singles, m, solve):
+        pools[-1] += 1
+        return honest_pool(self, singles, m, solve)
+
+    def at_lower_bound(self, singles):
+        return lambda lo, hi: self.lb[lo]
+
+    monkeypatch.setattr(ChainProjector, "_surrogate", at_lower_bound)
+    monkeypatch.setattr(ChainProjector, "_pool", counted)
+    problems, fallbacks = [], 0
+    for i in range(N_INSTANCES):
+        dom, m, x = _instance(np.random.default_rng([11, i]))
+        pools.append(0)
+        q = ChainProjector(dom, x.size).project(x, m)
+        gap = float(np.abs(q - expected[i]).max())
+        if gap > 1e-12 * max(1.0, dom.R):
+            problems.append(f"instance {i}: {gap:.2e} from the exact projection")
+        if pools[-1] < 2:
+            continue
+        fallbacks += 1
+        ok, q_ref, _ = _slsqp(dom, m, x)
+        if ok and float(np.abs(q[m:] - q_ref).max()) > 1e-6:
+            problems.append(f"instance {i}: fallback differs from SLSQP")
+    assert not problems, problems
+    assert fallbacks >= 10
+
+
+def _reference_block(projector, lo, hi, x):
+    """The radial block solve by endpoint tests and ``brentq``."""
+    ylo, yhi = projector.lb[lo], projector.ub[hi]
+
+    def grad(y):
+        return projector._grad_sum(y, lo, hi, x)
+
+    if grad(ylo) >= 0.0:
+        return ylo
+    if grad(yhi) <= 0.0:
+        return yhi
+    return brentq(grad, ylo, yhi, xtol=1e-15, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+
+
+def _radial_block(rng):
+    """Radial domain (apex or not), block ``lo..hi`` and its targets."""
+    n = int(rng.integers(2, 41))
+    al = float(rng.uniform(0.05, 0.5))
+    a = 0.0 if rng.uniform() < 0.3 else float(rng.uniform(0.1, 2.0))
+    cap = float(rng.uniform(1.0, 3.0))
+    dom = Domain1D(a, float(np.sqrt(a * a + cap / al)), "radial", al, True)
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n))
+    kind = rng.uniform()
+    if kind < 0.2:  # near the door: clamps at the lower bound
+        x = rng.uniform(0.0, dom.a + 0.01, size=n)
+    elif kind < 0.4:  # past the far wall: clamps at the upper bound
+        x = rng.uniform(dom.R, 2.0 * dom.R, size=n)
+    else:
+        x = np.sort(rng.uniform(dom.a, dom.R, size=n))[::-1].copy()
+    return ChainProjector(dom, n), lo, hi, x
+
+
+def test_newton_block_solve_matches_brentq(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return brentq(*args, **kwargs)
+
+    monkeypatch.setattr(_solver, "brentq", counting)
+    problems, where = [], {"lower": 0, "upper": 0, "inside": 0}
+    for i in range(N_BLOCKS):
+        projector, lo, hi, x = _radial_block(np.random.default_rng([13, i]))
+        y = projector._solve_block(lo, hi, x, None)
+        ref = _reference_block(projector, lo, hi, x)
+        if abs(y - ref) > 1e-13 * max(1.0, abs(ref)):
+            problems.append(f"block {i}: {y!r} against brentq's {ref!r}")
+        if ref == projector.lb[lo]:
+            where["lower"] += 1
+        elif ref == projector.ub[hi]:
+            where["upper"] += 1
+        else:
+            where["inside"] += 1
+    assert not problems, problems
+    assert min(where.values()) >= 30, where
+    assert not calls
+    # a negative target breaks concavity; that block goes to brentq
+    dom = Domain1D(0.0, 3.0, "radial", 0.3, False)
+    projector = ChainProjector(dom, 4)
+    x = np.array([-0.1, 2.5, 2.5, 2.5])
+    y = projector._solve_block(0, 3, x, None)
+    assert calls
+    assert projector.lb[0] < y < projector.ub[3]
+    assert y == _reference_block(projector, 0, 3, x)
+
+
+def test_certificate_checks_chain_order():
+    """Singletons at their own targets have zero gradient, so only the
+    order check can reject them when the targets violate the chain."""
+    dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
+    n, m = 6, 1
+    projector = ChainProjector(dom, n)
+    x = np.array([1.0, 3.0, 2.9, 2.8, 3.5, 3.6])
+    y_s = (dom.cumweight(x) - projector.offs)[m:]
+    assert np.all((y_s > projector.lb[m:]) & (y_s < projector.ub[m:]))
+    assert np.any(np.diff(y_s) < 0.0)
+    idx = np.arange(m, n)
+    assert projector._certified(x, m, idx, idx, y_s) is None
+    with pytest.raises(SolverFailureError, match="chain order") as err:
+        projector._certified(x, m, idx, idx, y_s, strict=True)
+    assert err.value.m == m
 
 
 def _every_candidate(projector, q_prev, m_prev, D, tau):
