@@ -26,13 +26,13 @@ again with an exact solve per merge.  For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
 
-is minimized by projected gradient iterations.  For potentials with
-constant slope the first projection already lands on the minimizer and
-a second one only confirms the fixed point, so a candidate prefix
-usually costs two projections (more when rounding keeps consecutive
-projections from agreeing bit for bit, until the stall counter stops
-the loop).  Pinning makes the admissible set non-convex, so the prefix
-itself is chosen by a scan over candidates, see :func:`solve_step`.
+is minimized by projected gradient iterations that stop at an exact
+fixed point.  For an affine potential, such as the distance to the door,
+the objective is a squared distance to ``p - tau*D'``: the first
+projection is the minimizer and the next target repeats the first bit
+for bit, so a candidate prefix costs one projection.  Pinning makes the
+admissible set non-convex, so the prefix itself is chosen by a scan over
+candidates, see :func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -44,11 +44,8 @@ from .errors import FeasibilityError, SolverFailureError
 
 GAP_TOL = 1e-12
 KKT_TOL = 1e-7
-# projected gradient stops after STALL_STEPS iterations in a row that
-# lower the objective by less than STALL_REL_TOL (relative); MAX_ITER
-# only guards against a loop that never settles
-STALL_REL_TOL = 1e-12
-STALL_STEPS = 10
+# projected gradient stops on an exact fixed point; MAX_ITER only guards
+# against a loop that never settles
 MAX_ITER = 1000000
 
 
@@ -352,35 +349,36 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
 
     Returns ``(q, value)``: the full position array and its step
     objective.  The start is the previous configuration (or ``warm``)
-    with the new prefix pinned, which is always feasible.
+    with the new prefix pinned, which is always feasible.  The loop stops
+    when a projection returns its start or does not lower the objective,
+    or when the next target equals the last one bit for bit: given the
+    pooling hint it left, a projection repeats itself, so going on would
+    only repeat it.  The step ``theta*tau`` is ``1/lip``; ``theta`` is
+    exactly 1.0 for an affine ``D``, whose targets then do not move.
     """
     a = projector.domain.a
     q = (warm if warm is not None else q_prev).copy()
     q[:m] = a
-    lip = 1.0 / tau + max(D.curv_ub, 0.0, -min(D.lam, 0.0))
-    eta = 1.0 / lip
+    theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
+    eta = theta * tau
     ds = projector.ds
     best = step_objective(q, q_prev, D, tau, ds)
-    stalled = 0
+    target = None
     for _ in range(MAX_ITER):
-        grad = D.grad(q) + (q - q_prev) / tau
-        target = q - eta * grad
+        prev, target = target, q_prev + (1.0 - theta) * (q - q_prev) - eta * D.grad(q)
+        if prev is not None and np.array_equal(target, prev):
+            return q, best
         q_new = projector.project(target, m)
         if np.array_equal(q_new[m:], q[m:]):
             return q_new, best
         val = step_objective(q_new, q_prev, D, tau, ds)
-        if val > best - STALL_REL_TOL * max(1.0, abs(best)):
-            stalled += 1
-        else:
-            stalled = 0
-        if val < best:
-            best, q = val, q_new
-        if stalled >= STALL_STEPS:
+        if not val < best:
             return q, best
+        best, q = val, q_new
     raise SolverFailureError(
         "projected gradient iteration did not converge",
         last_iterate=q,
-        gap=float(np.max(np.abs(grad))),
+        gap=float(np.max(np.abs(D.grad(q) + (q - q_prev) / tau))),
         m=m,
     )
 

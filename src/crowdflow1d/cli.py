@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .corridor import CorridorPreset
-from .errors import ConfigError, CrowdflowError
+from .errors import ConfigError, CrowdflowError, FeasibilityError
 from .harness import convergence_study
 from .jko import PotentialD, pressure_velocity_checks, run_flow
 from .measures import Domain1D, Measure1D
@@ -126,8 +126,11 @@ class ScenarioConfig:
         if self.potential_kind == "distance_to_exit":
             return PotentialD.distance_to_exit(dom)
         rows = np.asarray(self.potential_table, dtype=float)
-        D = PotentialD.from_table(rows[:, 0], rows[:, 1])
-        D.validate_for(dom)
+        try:
+            D = PotentialD.from_table(rows[:, 0], rows[:, 1])
+            D.validate_for(dom)
+        except FeasibilityError as e:
+            raise ConfigError(str(e), field="potential table") from e
         return D
 
     def validate(self):
@@ -237,7 +240,12 @@ def _parse_table(raw, field):
             raise ConfigError(
                 f"{field} rows need 'r value', got {line.strip()!r}", field=field
             )
-        rows.append((_parse_float(parts[0], field), _parse_float(parts[1], field)))
+        row = (_parse_float(parts[0], field), _parse_float(parts[1], field))
+        if not np.all(np.isfinite(row)):
+            raise ConfigError(
+                f"{field} entries must be finite, got {line.strip()!r}", field=field
+            )
+        rows.append(row)
     if len(rows) < 1:
         raise ConfigError(f"{field} table is empty", field=field)
     return tuple(rows)

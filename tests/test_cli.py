@@ -79,6 +79,16 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("run", [], "[domain]\nR = 1e300\n", "R", id="R-overflow"),
     pytest.param("run", [], "[domain]\nhalf_angle = nan\n", "half_angle",
                  id="half_angle-nan"),
+    pytest.param("run", [], "[domain]\nweight_kind = flat\n[density]\ntable = 1 nan\n",
+                 "density table", id="density-table-nan"),
+    pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  5 nan\n  10 9\n",
+                 "potential table", id="potential-table-nan"),
+    pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  5 inf\n  10 9\n",
+                 "potential table", id="potential-table-inf"),
+    pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  5 4\n  5 6\n",
+                 "potential table", id="potential-radii-repeat"),
+    pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  10 -9\n",
+                 "potential table", id="potential-not-minimal-at-door"),
 ])
 def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
                                                  ini, field):

@@ -1,4 +1,6 @@
 import copy
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,13 +10,15 @@ from crowdflow1d import _solver, jko
 from crowdflow1d._solver import ChainProjector, minimize_free, step_objective
 from crowdflow1d.errors import SolverFailureError
 from crowdflow1d.harness import _rand_domain
-from crowdflow1d.jko import PotentialD, run_flow
+from crowdflow1d.jko import PotentialD, run_flow, step_size_cap
 from crowdflow1d.measures import Domain1D, Measure1D
 
 N_INSTANCES = 200
 N_BLOCKS = 300
 N_DISTANCE_FLOWS = 60
 N_TABLE_FLOWS = 10
+N_REPEATS = 400
+N_AFFINE_FLOWS = 20
 
 
 def _instance(rng):
@@ -283,3 +287,202 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
         run_flow(rho0, D, tau, 4 * tau, n_samples=n, n_cells=64)
     assert not problems, problems
     assert sum(steps) == 4 * len(cases)
+
+
+def _repeat_instance(rng):
+    """Instance with a warm-up target that leaves a pooling hint.
+
+    Exit domains pin a prefix; domains without one start at a wall or
+    at the apex, where targets may be negative.  The warm-up target is
+    the target perturbed slightly (its blocks usually carry over) or
+    shuffled (they usually do not).
+    """
+    n = int(rng.integers(2, 41))
+    has_exit = bool(rng.uniform() < 0.5)
+    m = int(rng.integers(0, n)) if has_exit else 0
+    cap = (n - m) / n * float(rng.uniform(1.0, 3.0))
+    if rng.uniform() < 0.5:
+        a = float(rng.uniform(0.0, 2.0)) if has_exit else 0.0
+        dom = Domain1D(a, a + cap, "flat", None, has_exit)
+    else:
+        al = float(rng.uniform(0.05, 0.5))
+        a = float(rng.uniform(0.1, 1.5)) if has_exit else 0.0
+        dom = Domain1D(a, float(np.sqrt(a * a + cap / al)), "radial", al, has_exit)
+    span = dom.R - dom.a
+    if rng.uniform() < 0.5:
+        x = rng.uniform(dom.a, dom.R) + 0.05 * span * rng.normal(size=n)
+    else:
+        x = rng.uniform(dom.a - 0.5 * span, dom.R + 0.5 * span, size=n)
+    if has_exit:
+        x = np.maximum(x, 0.0)
+    if rng.uniform() < 0.5:
+        warm_up = x + 1e-6 * span * rng.normal(size=n)
+    else:
+        warm_up = rng.permutation(x)
+    return dom, m, x, warm_up
+
+
+@pytest.mark.parametrize("surrogate", ["honest", "at lower bound"])
+def test_projection_is_repeatable(monkeypatch, surrogate):
+    """Projecting a target a second time, with the hint its first
+    projection left, returns the same bits.  Projected gradient stops
+    when a projection does not lower the objective because repeating it
+    could only give the same projection again.  The surrogate that puts
+    every merged block on its lower bound forces the exact fallback."""
+    events = []
+    honest_certified = ChainProjector._certified
+    honest_pool = ChainProjector._pool
+    honest_surrogate = ChainProjector._surrogate
+
+    def certified(self, x, m, lo_s, hi_s, y_s, strict=False):
+        q = honest_certified(self, x, m, lo_s, hi_s, y_s, strict=strict)
+        if q is not None:
+            events.append("strict" if strict else "trial")
+        return q
+
+    def pool(self, singles, m, solve):
+        events.append("pool")
+        return honest_pool(self, singles, m, solve)
+
+    def counted_surrogate(self, singles):
+        events.append("surrogate")
+        if surrogate == "honest":
+            return honest_surrogate(self, singles)
+        return lambda lo, hi: self.lb[lo]
+
+    monkeypatch.setattr(ChainProjector, "_certified", certified)
+    monkeypatch.setattr(ChainProjector, "_pool", pool)
+    monkeypatch.setattr(ChainProjector, "_surrogate", counted_surrogate)
+    problems, paths, kinds = [], Counter(), Counter()
+    for i in range(N_REPEATS):
+        dom, m, x, warm_up = _repeat_instance(np.random.default_rng([23, i]))
+        projector = ChainProjector(dom, x.size)
+        projector.project(warm_up, m)
+        events.clear()
+        first = projector.project(x, m)
+        if events.count("pool") > events.count("surrogate"):
+            path = "exact pooling"
+        elif "surrogate" in events:
+            path = "surrogate"
+        else:
+            path = "in order" if events[-1] == "strict" else "hint"
+        paths[path, dom.weight_kind] += 1
+        kinds[dom.weight_kind, dom.has_exit] += 1
+        if not np.array_equal(projector.project(x, m), first):
+            problems.append(f"instance {i} ({path}): a second projection differs")
+    assert not problems, problems
+    assert min(kinds[kind] for kind in product(("flat", "radial"), (False, True))) >= 50, kinds
+    assert paths["hint", "flat"] + paths["hint", "radial"] >= 50, paths
+    if surrogate == "honest":
+        assert paths["surrogate", "radial"] >= 10, paths
+    assert paths["exact pooling", "radial"] >= (10 if surrogate == "honest" else 20), paths
+
+
+def _dyadic_exit_domain(rng):
+    """Exit domain whose door sits on a multiple of 1/4."""
+    if rng.uniform() < 0.5:
+        a = float(rng.integers(0, 9)) / 4.0
+        return Domain1D(a, a + float(rng.uniform(1.5, 4.0)), "flat", None, True)
+    al = float(rng.uniform(0.05, 0.5))
+    a = float(rng.integers(1, 7)) / 4.0
+    return Domain1D(a, float(np.sqrt(a * a + rng.uniform(1.5, 3.0) / al)), "radial", al, True)
+
+
+def _equal_slope_table(rng, dom):
+    """Table with 2-6 knots and one slope over the domain.
+
+    Knots are spaced by a power of two from a door on a multiple of 1/4
+    and the slope is a multiple of 1/4, so every knot, value and slope is
+    exact: the table is affine with curvature bounds 0.
+    """
+    k = int(rng.integers(1, 6))
+    h = 2.0 ** np.ceil(np.log2((dom.R - dom.a) / k))
+    radii = dom.a + h * np.arange(k + 1)
+    return PotentialD.from_table(radii, float(rng.integers(1, 13)) / 4.0 * (radii - dom.a))
+
+
+def test_affine_potential_costs_one_projection(monkeypatch):
+    """For an affine ``D`` the step objective is a squared distance to
+    ``q_prev - tau*D'``, so one projection is the exact minimizer and
+    the unchanged next target ends the loop without a second one."""
+    honest_project = ChainProjector.project
+    honest_minimize = _solver.minimize_free
+    projections, problems, calls = [0], [], [0]
+
+    def counted(self, x, m=0):
+        projections[0] += 1
+        return honest_project(self, x, m)
+
+    def checked(projector, q_prev, m, D, tau, *, warm=None):
+        expected = copy.copy(projector).project(q_prev - tau * D.grad(q_prev), m)
+        projections[0] = 0
+        q, val = honest_minimize(projector, q_prev, m, D, tau, warm=warm)
+        where = f"flow {flow}, m={m}"
+        if projections[0] != 1:
+            problems.append(f"{where}: {projections[0]} projections")
+        if not np.array_equal(q, expected):
+            problems.append(f"{where}: not the projection of q_prev - tau*D'")
+        calls[0] += 1
+        return q, val
+
+    monkeypatch.setattr(ChainProjector, "project", counted)
+    monkeypatch.setattr(_solver, "minimize_free", checked)
+    monkeypatch.setattr(jko, "minimize_free", checked)
+    for flow in range(N_AFFINE_FLOWS):
+        rng = np.random.default_rng([29, flow])
+        dom = _dyadic_exit_domain(rng)
+        if flow % 2:
+            D = _equal_slope_table(rng, dom)
+            assert D.lam == 0.0 and D.curv_ub == 0.0
+        else:
+            D = PotentialD.distance_to_exit(dom)
+        rho0 = Measure1D.random_feasible(dom, 64, rng, exit_mass=float(rng.uniform(0.02, 0.3)))
+        tau = float(rng.uniform(0.04, 0.15))
+        run_flow(rho0, D, tau, 4 * tau, n_samples=128, n_cells=64)
+    assert not problems, problems
+    assert calls[0] >= 10 * N_AFFINE_FLOWS
+
+
+def _concave_table(rng, dom):
+    """Random concave piecewise-linear potential, minimal on the door."""
+    k = int(rng.integers(2, 6))
+    radii = np.concatenate([[dom.a], np.sort(rng.uniform(dom.a, dom.R, k - 1)), [dom.R]])
+    slopes = np.sort(rng.uniform(0.1, 3.0, k))[::-1]
+    values = np.concatenate([[0.0], np.cumsum(slopes * np.diff(radii))])
+    return PotentialD.from_table(radii, values)
+
+
+def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
+    """One more projected-gradient step from what ``minimize_free``
+    returns, on the projector as the call left it, either gives the same
+    bits or does not lower the objective."""
+    honest = _solver.minimize_free
+    problems, outcomes = [], {"same": 0, "not lower": 0}
+
+    def checked(projector, q_prev, m, D, tau, *, warm=None):
+        q, val = honest(projector, q_prev, m, D, tau, warm=warm)
+        # the step as minimize_free takes it, operation for operation
+        theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
+        target = q_prev + (1.0 - theta) * (q - q_prev) - theta * tau * D.grad(q)
+        q_next = copy.copy(projector).project(target, m)
+        if np.array_equal(q_next, q):
+            outcomes["same"] += 1
+        elif not step_objective(q_next, q_prev, D, tau, projector.ds) < val:
+            outcomes["not lower"] += 1
+        else:
+            problems.append(f"flow {flow}, m={m}: one more step lowers the objective")
+        return q, val
+
+    monkeypatch.setattr(_solver, "minimize_free", checked)
+    monkeypatch.setattr(jko, "minimize_free", checked)
+    for flow in range(2 * N_TABLE_FLOWS):
+        rng = np.random.default_rng([31, flow])
+        dom = _rand_domain(rng, has_exit=bool(flow % 4 < 2))
+        rho0 = Measure1D.random_feasible(
+            dom, 64, rng, exit_mass=float(rng.uniform(0.02, 0.3)) if dom.has_exit else None
+        )
+        D = _convex_table(rng, dom) if flow % 2 else _concave_table(rng, dom)
+        tau = min(float(rng.uniform(0.04, 0.15)), 0.9 * step_size_cap(D))
+        run_flow(rho0, D, tau, 4 * tau, n_samples=64, n_cells=64)
+    assert not problems, problems
+    assert sum(outcomes.values()) >= 200, outcomes
