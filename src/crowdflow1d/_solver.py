@@ -11,18 +11,19 @@ together with the half-sample boxes ``ds/2 <= z_j <= W(R) - ds/2``.  On
 exit domains a prefix of ``m`` samples may in addition be pinned on the
 door at ``r = a`` (the absorbed mass); the pinned prefix may only grow.
 
-The Euclidean projection onto the chain is computed exactly by pooling
-adjacent violators on the shifted variables ``y_j = z_j - j*ds`` (the
-chain becomes isotonicity of ``y``).  A block partition is settled by
-one scalar solve per pooled block: a closed form on flat domains and,
-on radial ones, Newton's method (``brentq`` for a block with a negative
-target, where the block equation loses its concavity).  Trial
-partitions come first: the previous projection's blocks and, on radial
-domains, a pooling on a closed-form weighted-mean surrogate, in O(1) per
-merge (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000).
-Every partition is accepted only if its block values are in chain order
-and pass a multiplier (KKT) certificate; when no trial does, pooling runs
-again with an exact solve per merge.  For a fixed prefix the step objective
+The Euclidean projection onto the chain is an isotonic regression on
+the shifted variables ``y_j = z_j - j*ds`` (the chain becomes
+isotonicity of ``y``).  A block partition is settled by one scalar
+solve per pooled block: a closed form on flat domains and, on radial
+ones, Newton's method (``brentq`` for a block with a negative target,
+where the block equation loses its concavity).  The trial partition
+comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
+violators) clipped to the two box bounds that an isotone ``y`` can meet
+(after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
+domains it is exact.  A partition is accepted only if its block values
+are in chain order and pass a multiplier (KKT) certificate; when the
+trial does not, pooling runs again with an exact solve per merge.
+For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
 
@@ -38,7 +39,7 @@ candidates, see :func:`solve_step`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq, isotonic_regression
 
 from .errors import FeasibilityError, SolverFailureError
 
@@ -62,9 +63,6 @@ class ChainProjector:
         self.lb = 0.5 * self.ds - self.offs
         self.ub = (self.cap - 0.5 * self.ds) - self.offs
         self.flat = domain.weight_kind == "flat"
-        # pooled blocks of the last projection, reused as a trial
-        # partition (verified by the certificate before acceptance)
-        self._hint = None
 
     # -- scalar helpers -------------------------------------------------
 
@@ -134,34 +132,15 @@ class ChainProjector:
             maxiter=200,
         )
 
-    def _surrogate(self, singles):
-        """Closed-form block values for pooling on radial domains.
-
-        Near its own optimum ``s_j`` (the entry of ``singles``) a sample's
-        term is ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``, so a
-        merged block takes the weighted mean of its singles, clamped to
-        its box, in O(1) from prefix sums.  The partition this pooling
-        yields is only a trial: its blocks are solved exactly and the
-        result passes the certificate or is discarded.
-        """
-        wt = self.domain.weight(self.domain.inv_cumweight(singles + self.offs)) ** -2.0
-        cw = np.concatenate([[0.0], np.cumsum(wt)])
-        cs = np.concatenate([[0.0], np.cumsum(wt * singles)])
-        lb, ub = self.lb, self.ub
-
-        def merged(lo, hi):
-            mean = (cs[hi + 1] - cs[lo]) / (cw[hi + 1] - cw[lo])
-            return min(max(mean, lb[lo]), ub[hi])
-
-        return merged
-
     # -- projection ------------------------------------------------------
 
     def project(self, x, m=0):
         """Positions closest to ``x`` among admissible configurations.
 
         Samples ``0..m-1`` are pinned on the door and excluded; ``x`` is
-        the full-length target array.  Returns the full position array.
+        the full-length target array.  Returns the full position array,
+        a function of ``(x, m)`` alone: the projector keeps no state
+        between calls.
         """
         n, ds = self.n, self.ds
         if (n - m) * ds > self.cap + 1e-12:
@@ -178,11 +157,10 @@ class ChainProjector:
         def solve(lo, hi):
             return self._solve_block(lo, hi, x, psum)
 
-        for lo_t, hi_t in self._trials(singles, m):
-            q = self._certified(x, m, *self._partition(singles, m, lo_t, hi_t, solve))
-            if q is not None:
-                return q
-        return self._certified(x, m, *self._pool(singles, m, solve), strict=True)
+        q = self._certified(x, m, *self._trial(x, singles, m, solve))
+        if q is None:
+            q = self._certified(x, m, *self._pool(singles, m, solve), strict=True)
+        return q
 
     def _certified(self, x, m, lo_s, hi_s, y_s, strict=False):
         """Positions of a block partition that passes the certificate.
@@ -190,8 +168,7 @@ class ChainProjector:
         The certificate asks for block values in chain order and for
         nonnegative multipliers (:meth:`_kkt_violation`).  A failed
         certificate returns ``None``, or raises when ``strict`` (targets
-        already in order, or exact pooling: neither has a fallback).  The
-        pooled blocks of an accepted partition become the next hint.
+        already in order, or exact pooling: neither has a fallback).
         """
         order = float(np.diff(y_s).min(initial=0.0))
         if order < -GAP_TOL and not strict:
@@ -208,101 +185,53 @@ class ChainProjector:
             if strict:
                 raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
             return None
-        multi = sizes > 1
-        self._hint = (lo_s[multi], hi_s[multi])
         return q
 
-    def _trials(self, singles, m):
-        """Trial partitions, each given by its pooled blocks ``(lo, hi)``.
+    def _trial(self, x, singles, m, solve):
+        """Trial partition from one isotonic regression: (lo, hi, value) arrays.
 
-        Consecutive projections almost always pool the same runs, so the
-        previous projection's blocks come first.  The pinned prefix
-        moves between projections, so they are trimmed to ``m``, then
-        tried with the first block stretched down to ``m``.  On radial
-        domains the last trial pools on the closed-form surrogate
-        (:meth:`_surrogate`).  A trial costs one block solve per pooled
-        block instead of one per merge.
+        In ``y`` both boxes decrease with the index, so an isotone ``y``
+        can only meet ``lb[m]`` and ``ub[n-1]``, and the box-constrained
+        regression is the unconstrained one clipped to them.  On flat
+        domains the regression of ``x - a - j*ds`` is the projection
+        itself.  On radial domains it runs on the singles with weights
+        ``1/w(Q(single))^2``: near its optimum ``s_j`` a sample's term is
+        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Runs of equal
+        clipped values are the blocks (runs at a bound merged), each
+        solved exactly once; the partition must still pass the
+        certificate.
         """
-        if self._hint is not None:
-            lo_h, hi_h = self._hint
-            keep = hi_h >= m + 1
-            lo_h = np.maximum(lo_h[keep], m)
-            hi_h = hi_h[keep]
-            keep = hi_h > lo_h
-            lo_h, hi_h = lo_h[keep], hi_h[keep]
-            if len(lo_h):
-                yield lo_h, hi_h
-                if lo_h[0] > m:
-                    stretched = lo_h.copy()
-                    stretched[0] = m
-                    yield stretched, hi_h
-        if not self.flat:
-            lo_s, hi_s, _ = self._pool(singles, m, self._surrogate(singles))
-            multi = hi_s > lo_s
-            yield lo_s[multi], hi_s[multi]
-
-    def _partition(self, singles, m, lo_b, hi_b, solve):
-        """Partition with the blocks ``lo_b..hi_b`` and singletons elsewhere."""
-        starts = np.ones(self.n - m, dtype=bool)
-        for lo, hi in zip(lo_b, hi_b):
-            starts[lo + 1 - m : hi + 1 - m] = False
-        lo_s = np.flatnonzero(starts) + m
+        if self.flat:
+            fit = isotonic_regression(x[m:] - self.domain.a - self.offs[m:]).x
+        else:
+            q = self.domain.inv_cumweight(singles[m:] + self.offs[m:])
+            fit = isotonic_regression(singles[m:], weights=self.domain.weight(q) ** -2.0).x
+        fit = np.clip(fit, self.lb[m], self.ub[-1])
+        lo_s = np.flatnonzero(np.concatenate([[True], np.diff(fit) != 0.0])) + m
         hi_s = np.append(lo_s[1:] - 1, self.n - 1)
         y_s = singles[lo_s]
-        y_s[np.searchsorted(lo_s, lo_b)] = [
-            solve(int(lo), int(hi)) for lo, hi in zip(lo_b, hi_b)
-        ]
+        for k in np.flatnonzero(hi_s > lo_s):
+            y_s[k] = solve(int(lo_s[k]), int(hi_s[k]))
         return lo_s, hi_s, y_s
 
     def _pool(self, singles, m, solve):
-        """Pool adjacent violators; returns block arrays (lo, hi, value).
+        """Exact pooling of adjacent violators; block arrays (lo, hi, value).
 
-        ``solve(lo, hi)`` gives the value of a merged block.  On radial
-        domains :meth:`project` pools first on :meth:`_surrogate`, then
-        solves each pooled block once and certifies the partition; only
-        if that fails does it pool again with an exact block solve per
-        merge, whose partition must pass.  Pooling is order-online, so
-        the clean run before the first violation stays on an implicit
-        stack of singletons (popped only if a merge reaches back into
-        it) and the loop stops early once the remaining targets are
-        isotone above the stack top.
+        ``solve(lo, hi)`` gives the value of a merged block and runs on
+        every merge.  This is the fallback for a trial partition that
+        fails the certificate; its own partition must pass.
         """
-        n = self.n
-        d = np.diff(singles[m:]) >= 0.0
-        # iso[j - m] says singles[j:] is already in order
-        iso = np.concatenate([d[::-1].cumprod()[::-1].astype(bool), [True]])
-        j0 = m + int(np.argmin(d)) + 1  # first index needing a merge
-        pre_end = j0  # implicit singleton blocks on [m, pre_end)
-        lo_s, hi_s, y_s = [], [], []
-        tail = n
-        for j in range(j0, n):
-            y = float(singles[j])
-            top = y_s[-1] if lo_s else (singles[pre_end - 1] if pre_end > m else None)
-            if iso[j - m] and (top is None or top <= y + GAP_TOL):
-                tail = j
-                break
-            lo, hi = j, j
-            while True:
-                if lo_s and y_s[-1] > y + GAP_TOL:
-                    lo = lo_s.pop()
-                    hi_s.pop()
-                    y_s.pop()
-                elif pre_end > m and singles[pre_end - 1] > y + GAP_TOL:
-                    pre_end -= 1
-                    lo = pre_end
-                else:
-                    break
-                y = solve(lo, hi)
+        lo_s, y_s = [], []
+        for j in range(m, self.n):
+            lo, y = j, float(singles[j])
+            while y_s and y_s[-1] > y + GAP_TOL:
+                lo = lo_s.pop()
+                y_s.pop()
+                y = solve(lo, j)
             lo_s.append(lo)
-            hi_s.append(hi)
             y_s.append(y)
-        pre = np.arange(m, pre_end)
-        post = np.arange(tail, n)
-        lo_arr = np.concatenate([pre, np.asarray(lo_s, dtype=int), post])
-        hi_arr = np.concatenate([pre, np.asarray(hi_s, dtype=int), post])
-        y_arr = np.concatenate([singles[m:pre_end], np.asarray(y_s, dtype=float),
-                                singles[tail:]])
-        return lo_arr, hi_arr, y_arr
+        lo_s = np.asarray(lo_s, dtype=int)
+        return lo_s, np.append(lo_s[1:] - 1, self.n - 1), np.asarray(y_s, dtype=float)
 
     def _kkt_violation(self, q, x, m, lo_s, hi_s, y_s, sizes):
         """Multiplier nonnegativity certificate for the projection.
@@ -351,9 +280,9 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     objective.  The start is the previous configuration (or ``warm``)
     with the new prefix pinned, which is always feasible.  The loop stops
     when a projection returns its start or does not lower the objective,
-    or when the next target equals the last one bit for bit: given the
-    pooling hint it left, a projection repeats itself, so going on would
-    only repeat it.  The step ``theta*tau`` is ``1/lip``; ``theta`` is
+    or when the next target equals the last one bit for bit: a projection
+    is a function of its target, so going on would only repeat it.  The
+    step ``theta*tau`` is ``1/lip``; ``theta`` is
     exactly 1.0 for an affine ``D``, whose targets then do not move.
     """
     a = projector.domain.a

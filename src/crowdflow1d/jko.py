@@ -75,6 +75,10 @@ class PotentialD:
         v = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
             raise FeasibilityError("potential table needs matching 1d arrays")
+        if not np.isfinite(r).all():
+            raise FeasibilityError("potential table radii must be finite")
+        if not np.isfinite(v).all():
+            raise FeasibilityError("potential table values must be finite")
         if np.any(np.diff(r) <= 0):
             raise FeasibilityError("potential table radii must increase")
         slopes = np.diff(v) / np.diff(r)

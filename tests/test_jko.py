@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from crowdflow1d import jko
+from crowdflow1d.cli import ScenarioConfig
 from crowdflow1d.corridor import chain_interface, fig3_preset, fig4_preset
-from crowdflow1d.errors import FeasibilityError, SolverFailureError
+from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
 from crowdflow1d.jko import (
     PotentialD,
     energy,
@@ -66,6 +67,21 @@ def test_table_potential_validation():
     dipped = PotentialD.from_table([1.0, 2.0, 3.0], [1.0, 0.5, 2.0])
     with pytest.raises(FeasibilityError):
         dipped.validate_for(dom)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("column", ["radii", "values"])
+def test_table_potential_rejects_non_finite_entries(column, bad):
+    radii, values = [1.0, 5.0, 10.0], [0.0, 4.0, 9.0]
+    (radii if column == "radii" else values)[1] = bad
+    with pytest.raises(FeasibilityError, match=column):
+        PotentialD.from_table(radii, values)
+    cfg = ScenarioConfig(a=1.0, R=10.0, weight_kind="flat", has_exit=True, rho0_value=0.1,
+                         potential_kind="table",
+                         potential_table=tuple(zip(radii, values)))
+    with pytest.raises(ConfigError, match=column) as err:
+        cfg.potential()
+    assert err.value.field == "potential table"
 
 
 def test_energy_hand_values():

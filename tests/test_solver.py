@@ -1,4 +1,3 @@
-import copy
 from collections import Counter
 from itertools import product
 
@@ -102,10 +101,15 @@ def test_projection_matches_a_generic_constrained_solver():
     assert compared >= 0.9 * N_INSTANCES
 
 
-def test_projection_falls_back_when_the_surrogate_pools_wrongly(monkeypatch):
-    """A surrogate that puts every merged block on its lower bound stops
-    merging too early; the certificate must reject the partitions that
-    come out wrong and exact pooling must still give the projection."""
+def _on_lower_bound(self, x, singles, m, solve):
+    """A wrong trial partition: every sample in one block on its lower bound."""
+    return np.array([m]), np.array([self.n - 1]), np.array([self.lb[m]])
+
+
+def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
+    """A trial partition that puts every sample in one block on its
+    lower bound is wrong on most instances; the certificate must reject
+    it and exact pooling must still give the projection."""
     expected = []
     for i in range(N_INSTANCES):
         dom, m, x = _instance(np.random.default_rng([11, i]))
@@ -117,10 +121,7 @@ def test_projection_falls_back_when_the_surrogate_pools_wrongly(monkeypatch):
         pools[-1] += 1
         return honest_pool(self, singles, m, solve)
 
-    def at_lower_bound(self, singles):
-        return lambda lo, hi: self.lb[lo]
-
-    monkeypatch.setattr(ChainProjector, "_surrogate", at_lower_bound)
+    monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     monkeypatch.setattr(ChainProjector, "_pool", counted)
     problems, fallbacks = [], 0
     for i in range(N_INSTANCES):
@@ -130,7 +131,7 @@ def test_projection_falls_back_when_the_surrogate_pools_wrongly(monkeypatch):
         gap = float(np.abs(q - expected[i]).max())
         if gap > 1e-12 * max(1.0, dom.R):
             problems.append(f"instance {i}: {gap:.2e} from the exact projection")
-        if pools[-1] < 2:
+        if not pools[-1]:
             continue
         fallbacks += 1
         ok, q_ref, _ = _slsqp(dom, m, x)
@@ -252,14 +253,13 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
     """The prefix scan stops at the first candidate that does not lower
     the objective; that is exact only if the objective is unimodal in
     the prefix.  Every candidate of every step is evaluated here, each
-    from the same projector state and warm start the scan uses."""
+    from the same warm start the scan uses."""
     honest = jko.solve_step
     problems, steps = [], []
 
     def checked(projector, q_prev, m_prev, D, tau):
-        probe = copy.copy(projector)  # same pooling hint as the scan starts with
         q, m, val = honest(projector, q_prev, m_prev, D, tau)
-        vals = _every_candidate(probe, q_prev, m_prev, D, tau)
+        vals = _every_candidate(projector, q_prev, m_prev, D, tau)
         k = m - m_prev
         where = f"flow {len(steps) - 1}, m_prev={m_prev}, m={m}"
         if val != step_objective(q, q_prev, D, tau, projector.ds):
@@ -290,12 +290,12 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
 
 
 def _repeat_instance(rng):
-    """Instance with a warm-up target that leaves a pooling hint.
+    """Instance with a warm-up target projected before the target.
 
     Exit domains pin a prefix; domains without one start at a wall or
     at the apex, where targets may be negative.  The warm-up target is
-    the target perturbed slightly (its blocks usually carry over) or
-    shuffled (they usually do not).
+    the target perturbed slightly (its blocks are usually the same) or
+    shuffled (they usually are not).
     """
     n = int(rng.integers(2, 41))
     has_exit = bool(rng.uniform() < 0.5)
@@ -322,17 +322,16 @@ def _repeat_instance(rng):
     return dom, m, x, warm_up
 
 
-@pytest.mark.parametrize("surrogate", ["honest", "at lower bound"])
-def test_projection_is_repeatable(monkeypatch, surrogate):
-    """Projecting a target a second time, with the hint its first
-    projection left, returns the same bits.  Projected gradient stops
-    when a projection does not lower the objective because repeating it
-    could only give the same projection again.  The surrogate that puts
-    every merged block on its lower bound forces the exact fallback."""
+@pytest.mark.parametrize("trial", ["honest", "on lower bound"])
+def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
+    """Projecting a target after a warm-up target returns the same bits
+    as a fresh projector.  Projected gradient stops on a repeated target
+    because projecting it again could only give the same projection.
+    The trial that puts every sample in one block on its lower bound
+    forces the exact fallback."""
     events = []
     honest_certified = ChainProjector._certified
     honest_pool = ChainProjector._pool
-    honest_surrogate = ChainProjector._surrogate
 
     def certified(self, x, m, lo_s, hi_s, y_s, strict=False):
         q = honest_certified(self, x, m, lo_s, hi_s, y_s, strict=strict)
@@ -344,38 +343,59 @@ def test_projection_is_repeatable(monkeypatch, surrogate):
         events.append("pool")
         return honest_pool(self, singles, m, solve)
 
-    def counted_surrogate(self, singles):
-        events.append("surrogate")
-        if surrogate == "honest":
-            return honest_surrogate(self, singles)
-        return lambda lo, hi: self.lb[lo]
-
     monkeypatch.setattr(ChainProjector, "_certified", certified)
     monkeypatch.setattr(ChainProjector, "_pool", pool)
-    monkeypatch.setattr(ChainProjector, "_surrogate", counted_surrogate)
+    if trial != "honest":
+        monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     problems, paths, kinds = [], Counter(), Counter()
     for i in range(N_REPEATS):
         dom, m, x, warm_up = _repeat_instance(np.random.default_rng([23, i]))
+        fresh = ChainProjector(dom, x.size).project(x, m)
         projector = ChainProjector(dom, x.size)
         projector.project(warm_up, m)
         events.clear()
-        first = projector.project(x, m)
-        if events.count("pool") > events.count("surrogate"):
-            path = "exact pooling"
-        elif "surrogate" in events:
-            path = "surrogate"
+        warmed = projector.project(x, m)
+        if "pool" in events:
+            path = "fallback"
         else:
-            path = "in order" if events[-1] == "strict" else "hint"
+            path = "trial" if events == ["trial"] else "in order"
         paths[path, dom.weight_kind] += 1
         kinds[dom.weight_kind, dom.has_exit] += 1
-        if not np.array_equal(projector.project(x, m), first):
-            problems.append(f"instance {i} ({path}): a second projection differs")
+        if not np.array_equal(warmed, fresh):
+            problems.append(f"instance {i} ({path}): projection depends on the warm-up")
     assert not problems, problems
     assert min(kinds[kind] for kind in product(("flat", "radial"), (False, True))) >= 50, kinds
-    assert paths["hint", "flat"] + paths["hint", "radial"] >= 50, paths
-    if surrogate == "honest":
-        assert paths["surrogate", "radial"] >= 10, paths
-    assert paths["exact pooling", "radial"] >= (10 if surrogate == "honest" else 20), paths
+    if trial == "honest":
+        assert min(paths["trial", kind] for kind in ("flat", "radial")) >= 50, paths
+        assert paths["fallback", "radial"] >= 10, paths
+    else:
+        assert min(paths["fallback", kind] for kind in ("flat", "radial")) >= 20, paths
+
+
+def test_flat_projections_never_fall_back(monkeypatch):
+    """On flat domains the clipped isotonic regression is the exact
+    projection, so its partition always passes the certificate."""
+    pools, trials = [0], [0]
+    honest_pool = ChainProjector._pool
+    honest_trial = ChainProjector._trial
+
+    def pool(self, singles, m, solve):
+        pools[0] += 1
+        return honest_pool(self, singles, m, solve)
+
+    def trial(self, x, singles, m, solve):
+        trials[0] += 1
+        return honest_trial(self, x, singles, m, solve)
+
+    monkeypatch.setattr(ChainProjector, "_pool", pool)
+    monkeypatch.setattr(ChainProjector, "_trial", trial)
+    for seed, count, make in ((11, N_INSTANCES, _instance), (23, N_REPEATS, _repeat_instance)):
+        for i in range(count):
+            dom, m, x = make(np.random.default_rng([seed, i]))[:3]
+            if dom.weight_kind == "flat":
+                ChainProjector(dom, x.size).project(x, m)
+    assert pools[0] == 0
+    assert trials[0] >= 200
 
 
 def _dyadic_exit_domain(rng):
@@ -414,7 +434,7 @@ def test_affine_potential_costs_one_projection(monkeypatch):
         return honest_project(self, x, m)
 
     def checked(projector, q_prev, m, D, tau, *, warm=None):
-        expected = copy.copy(projector).project(q_prev - tau * D.grad(q_prev), m)
+        expected = projector.project(q_prev - tau * D.grad(q_prev), m)
         projections[0] = 0
         q, val = honest_minimize(projector, q_prev, m, D, tau, warm=warm)
         where = f"flow {flow}, m={m}"
@@ -454,8 +474,7 @@ def _concave_table(rng, dom):
 
 def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
     """One more projected-gradient step from what ``minimize_free``
-    returns, on the projector as the call left it, either gives the same
-    bits or does not lower the objective."""
+    returns either gives the same bits or does not lower the objective."""
     honest = _solver.minimize_free
     problems, outcomes = [], {"same": 0, "not lower": 0}
 
@@ -464,7 +483,7 @@ def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
         # the step as minimize_free takes it, operation for operation
         theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
         target = q_prev + (1.0 - theta) * (q - q_prev) - theta * tau * D.grad(q)
-        q_next = copy.copy(projector).project(target, m)
+        q_next = projector.project(target, m)
         if np.array_equal(q_next, q):
             outcomes["same"] += 1
         elif not step_objective(q_next, q_prev, D, tau, projector.ds) < val:
