@@ -32,11 +32,15 @@ fixed point.  For an affine potential, such as the distance to the door,
 the objective is a squared distance to ``p - tau*D'``: the first
 projection is the minimizer and the next target repeats the first bit
 for bit, so a candidate prefix costs one projection.  Pinning makes the
-admissible set non-convex, so the prefix itself is chosen by a scan over
-candidates, see :func:`solve_step`.
+admissible set non-convex, so the prefix itself is chosen among
+candidates: by a scan for a curved potential, and by a bracketed secant
+search on the discrete slope in ``m`` for an affine one, see
+:func:`solve_step`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
@@ -316,12 +320,27 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     """One congested step: choose the absorbed prefix and minimize.
 
     With an exit the admissible set is not convex in quantile
-    coordinates, so the absorbed prefix ``m`` is scanned rather than
-    solved for: each candidate ``m = m_prev, m_prev + 1, ...`` is
-    minimized with ``m`` samples pinned on the door, warm-started from
-    the previous candidate, and the scan stops at the first candidate
-    that does not lower the objective.  Pinning is irreversible, which
-    makes the no-return property structural.
+    coordinates, so the absorbed prefix ``m`` is searched rather than
+    solved for.  Candidate ``m`` is minimized once with ``m`` samples
+    pinned on the door (``m = n`` pins all of them), warm-started from
+    the nearest candidate below it.  The step takes the smallest
+    ``m >= m_prev`` whose successor does not lower the objective by more
+    than 1e-15: the first stop of a scan ``m_prev, m_prev + 1, ...``,
+    which is the minimizer since no later pair drops (a tested
+    invariant).  Pinning is irreversible, which makes the no-return
+    property structural.
+
+    The search keeps a bracket ``lo < m <= hi``, at first ``m_prev - 1``
+    and ``n``: a probe ``t`` inside it becomes ``lo`` if one more pinned
+    sample lowers the objective there and ``hi`` if not.  A curved ``D``
+    probes ``lo + 1``, which is the scan, warm chain included.  An affine
+    ``D`` (``lam == curv_ub == 0``) has candidates that do not depend on
+    their warm start and a discrete slope ``f(m + 1) - f(m)`` that
+    increases with ``m``.  Once two probes have lowered the objective it
+    probes the zero of the line through their slopes, or through the
+    slopes at ``lo`` and ``hi`` once a probe has closed the bracket,
+    rounded up and clamped into the bracket, and bisects after a probe
+    that fails to halve a closed bracket.
 
     Returns ``(q, m, objective)``.
     """
@@ -329,16 +348,44 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         q, val = minimize_free(projector, q_prev, 0, D, tau)
         return q, 0, val
     n = projector.n
-    best = None
-    for m in range(m_prev, n + 1):
-        if m == n:
-            q = np.full(n, projector.domain.a)
-            val = step_objective(q, q_prev, D, tau, projector.ds)
+    found = {}
+
+    def candidate(m):
+        if m not in found:
+            if m == n:
+                q = np.full(n, projector.domain.a)
+                found[m] = (q, step_objective(q, q_prev, D, tau, projector.ds))
+            else:
+                below = [k for k in found if k < m]
+                warm = found[max(below)][0] if below else None
+                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm)
+        return found[m]
+
+    def slope(m):
+        return candidate(m + 1)[1] - candidate(m)[1]
+
+    affine = D.lam == 0.0 and D.curv_ub == 0.0
+    lo, hi, lowered, stalled = m_prev - 1, n, [], False
+    while hi - lo > 1:
+        t = lo + 1
+        if affine and stalled:
+            t = (lo + hi) // 2
+        elif affine and len(lowered) > 1:
+            # extrapolate from the last two probes that lowered the
+            # objective until a probe closes the bracket, then interpolate
+            a, b = (lo, hi) if hi < n else (lowered[-2], lo)
+            sa, sb = slope(a), slope(b)
+            if sb > sa:
+                zero = b - sb * (b - a) / (sb - sa)
+                t = min(max(math.ceil(zero), lo + 1), hi - 1)
+        width, closed = hi - lo, hi < n
+        # candidate t first: it is the warm start of candidate t + 1
+        before = candidate(t)[1]
+        if candidate(t + 1)[1] < before - 1e-15:
+            lo = t
+            lowered.append(t)
         else:
-            # the previous candidate, with one more sample pinned, is the start
-            warm = None if best is None else best[0]
-            q, val = minimize_free(projector, q_prev, m, D, tau, warm=warm)
-        if best is not None and not val < best[2] - 1e-15:
-            break
-        best = (q, m, val)
-    return best
+            hi = t
+        stalled = closed and 2 * (hi - lo) > width
+    q, val = candidate(hi)
+    return q, hi, val

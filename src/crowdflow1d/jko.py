@@ -35,7 +35,7 @@ from .transport import kantorovich_potential  # noqa: F401  (patched by perfbenc
 
 SATURATION_TOL = 1e-6
 PRESSURE_FLOOR = 1e-6
-# the absorbed prefix is a whole number of samples, so the prefix scan
+# the absorbed prefix is a whole number of samples, so the prefix search
 # can stop with the door marginal still below the interior level; the
 # step then absorbs further among near-tied candidates until the two
 # balance, as they do for the continuum minimizer
@@ -49,7 +49,11 @@ class PotentialD:
 
     ``lam`` is a lower bound on ``D''`` (may be negative), ``curv_ub`` an
     upper bound; both enter the admissible-step-size cap and the gradient
-    step of the inner solver.
+    step of the inner solver.  ``lam == curv_ub == 0`` (the defaults)
+    declares ``D`` affine: the inner solver then takes one projection per
+    candidate prefix and searches the absorbed prefix instead of scanning
+    it, which is exact only for an affine ``D``.  A custom potential must
+    give true bounds.
     """
 
     fn: callable
