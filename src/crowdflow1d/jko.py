@@ -158,9 +158,9 @@ def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
     edges = np.linspace(domain.a, domain.R, n_cells + 1)
     grid = 0.5 * (edges[:-1] + edges[1:])
     dW = domain.cumweight(edges[1:]) - domain.cumweight(edges[:-1])
-    u_free = -np.asarray(D.grad(grid), dtype=float)
     qi, pi = q_next[m:], q_prev[m:]
     if qi.size == 0:
+        u_free = -np.asarray(D.grad(grid), dtype=float)
         big_f = np.asarray(D.fn(grid), dtype=float)
         l_door = float(np.asarray(D.fn(domain.a)))
         return grid, u_free, big_f, l_door, np.zeros_like(grid), l_door

@@ -215,6 +215,8 @@ class Measure1D:
                 raise FeasibilityError("random measure normalization failed")
         for _ in range(200):
             c = 0.5 * (c_lo + c_hi)
+            if c in (c_lo, c_hi):
+                break  # the bracket is two adjacent floats: nothing moves any more
             if mass(c) < target:
                 c_lo = c
             else:
@@ -422,8 +424,8 @@ def density_of(qf, n_cells=2048, domain=None):
     The sampled quantile is read as piecewise linear between samples; the
     plateau at ``a`` (on exit domains) becomes the exit atom.  Binning
     conserves mass exactly, so the result is a probability measure; the
-    density cap can be exceeded only by interpolation slack of order one
-    sample mass per cell, which is clipped and re-absorbed.
+    density cap can be exceeded only by rounding, which
+    :func:`_spill_excess` moves into room nearby.
 
     Returns
     -------
@@ -438,32 +440,29 @@ def density_of(qf, n_cells=2048, domain=None):
     over = np.clip(rho - 1.0, 0.0, None) @ dW
     if over > 1e-6:
         raise FeasibilityError(f"quantile samples overfill cells by {over}")
-    if over > 0.0:
-        # spill interpolation slack into the nearest cells with room
-        rho = _spill_excess(rho, dW)
+    rho = _spill_excess(rho, dW) if over > 0.0 else rho
     return Measure1D(domain, edges, rho, exit_mass)
 
 
 def _spill_excess(rho, dW):
-    rho = rho.copy()
-    excess = np.clip(rho - 1.0, 0.0, None) * dW
-    rho = np.minimum(rho, 1.0)
-    if excess.sum() <= 0.0:
-        return rho
-    room = (1.0 - rho) * dW
-    roomy = np.nonzero(room > 0.0)[0]
-    for i in np.nonzero(excess > 0.0)[0]:
-        need = excess[i]
-        # walk the cells with room nearest first, ties toward the door
-        lt = int(np.searchsorted(roomy, i)) - 1
-        rt = lt + 1
-        while need > 1e-18 and (lt >= 0 or rt < len(roomy)):
-            if rt >= len(roomy) or (lt >= 0 and i - roomy[lt] <= roomy[rt] - i):
-                j, lt = roomy[lt], lt - 1
-            else:
-                j, rt = roomy[rt], rt + 1
-            take = min(need, room[j])
-            rho[j] += take / dW[j]
-            room[j] -= take
-            need -= take
-    return rho
+    """Cap ``rho`` at one, moving excess mass into room in its own run.
+
+    ``g = cumsum(cell_mass - dW)``, i.e. ``F(z) - z`` at the edges, must not
+    increase: in each run of occupied cells, take its running maximum from
+    the right clamped by its value at the run's first edge.  A run with
+    more excess than room passes the rest to the empty cell after it
+    (before it, at ``R``), else raises :class:`FeasibilityError`.
+    """
+    gap = rho * dW - dW
+    occupied = rho > 0.0
+    # room beyond twice the excess is never used; clipping it bounds rounding and walls runs apart
+    wall = 2.0 * np.clip(gap, 0.0, None).sum()
+    g = np.concatenate([[0.0], np.cumsum(np.where(occupied, np.maximum(gap, -wall), -wall))])
+    start = np.append(occupied & ~np.concatenate([[False], occupied[:-1]]), False)
+    pin = np.minimum.accumulate(np.where(start, g, np.inf))
+    capped = np.minimum(np.maximum.accumulate(g[::-1])[::-1], pin)
+    shift = np.maximum(capped, g[-1]) - g
+    out = rho + np.diff(shift) / dW
+    if shift[0] > 0.0 or np.any(out[~occupied] > 1.0):
+        raise FeasibilityError("binned mass exceeds the capacity of the cells it occupies")
+    return np.minimum(out, 1.0)

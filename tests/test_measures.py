@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -96,6 +97,55 @@ def test_random_feasible_is_feasible_and_deterministic(rng):
     assert m1.rho.min() >= 0.0 and m1.rho.max() <= 1.0
 
 
+def _random_feasible_200(domain, n_cells, rng):
+    """``Measure1D.random_feasible`` with all 200 bisection steps (the oracle)."""
+    exit_mass = float(rng.uniform(0.0, 0.3)) if domain.has_exit else 0.0
+    target = 1.0 - exit_mass
+    edges = np.linspace(domain.a, domain.R, n_cells + 1)
+    dW = domain.cumweight(edges[1:]) - domain.cumweight(edges[:-1])
+    raw = rng.uniform(0.05, 1.0, size=n_cells)
+
+    def mass(c):
+        return float(np.clip(raw * c, 0.0, 1.0) @ dW)
+
+    c_lo, c_hi = 0.0, 1.0
+    while mass(c_hi) < target:
+        c_hi *= 2.0
+    for _ in range(200):
+        c = 0.5 * (c_lo + c_hi)
+        if mass(c) < target:
+            c_lo = c
+        else:
+            c_hi = c
+    rho = np.clip(raw * 0.5 * (c_lo + c_hi), 0.0, 1.0)
+    gap = target - float(rho @ dW)
+    for i in np.argsort(dW)[::-1]:
+        room = (1.0 - rho[i]) * dW[i] if gap > 0 else rho[i] * dW[i]
+        take = np.clip(gap, -room, room)
+        rho[i] += take / dW[i]
+        gap -= take
+        if abs(gap) < 1e-15:
+            break
+    return rho, exit_mass
+
+
+def test_random_feasible_bisection_stops_early_with_the_same_result():
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        a = float(rng.uniform(0.0, 2.0))
+        if seed % 2:
+            dom = Domain1D(a, a + float(rng.uniform(1.5, 6.0)), "flat", None, bool(seed % 3))
+        else:
+            dom = Domain1D(a, a + float(rng.uniform(1.0, 4.0)), "radial",
+                           float(rng.uniform(0.3, 2.0)), bool(seed % 3))
+        if dom.total_weight <= 1.0:
+            continue
+        n_cells = int(rng.integers(8, 200))
+        m = Measure1D.random_feasible(dom, n_cells, np.random.default_rng(seed + 1000))
+        rho, exit_mass = _random_feasible_200(dom, n_cells, np.random.default_rng(seed + 1000))
+        assert np.array_equal(m.rho, rho) and m.exit_mass == exit_mass
+
+
 @given(st.integers(0, 10**6))
 def test_quantiles_monotone_within_domain(seed):
     rng = np.random.default_rng(seed)
@@ -190,6 +240,88 @@ def test_spill_excess_conserves_mass_and_caps():
     assert float(out @ dW) == pytest.approx(float(rho @ dW), abs=1e-12)
     # overflow lands in the nearest cells with room
     assert out[2] == pytest.approx(1.0, abs=1e-12)
+
+
+def _walk_spill(rho, dW):
+    """The per-cell spill walk that capped binned densities before the
+    envelope: each cell's excess fills the nearest cells with room, ties
+    toward the door, in any run (kept as the oracle)."""
+    rho = rho.copy()
+    excess = np.clip(rho - 1.0, 0.0, None) * dW
+    rho = np.minimum(rho, 1.0)
+    room = (1.0 - rho) * dW
+    roomy = np.nonzero(room > 0.0)[0]
+    for i in np.nonzero(excess > 0.0)[0]:
+        need = excess[i]
+        lt = int(np.searchsorted(roomy, i)) - 1
+        rt = lt + 1
+        while need > 1e-18 and (lt >= 0 or rt < len(roomy)):
+            if rt >= len(roomy) or (lt >= 0 and i - roomy[lt] <= roomy[rt] - i):
+                j, lt = roomy[lt], lt - 1
+            else:
+                j, rt = roomy[rt], rt + 1
+            take = min(need, room[j])
+            rho[j] += take / dW[j]
+            room[j] -= take
+            need -= take
+    return rho
+
+
+def _binned_runs(rng, slack):
+    """Runs of saturated cells, each value off by up to ``slack``, with a
+    few partly filled cells on one side, separated by empty cells; cell
+    capacities grow outward as on a radial domain."""
+    cells, runs = [], []
+    while len(cells) < 300:
+        sat = list(1.0 + slack * rng.uniform(-1.0, 1.0, int(rng.integers(0, 60))))
+        part = list(rng.uniform(0.05, 0.95, int(rng.integers(1, 5))))
+        run = sat + part if rng.uniform() < 0.5 else part + sat
+        runs.append((len(cells), len(cells) + len(run)))
+        cells += run + [0.0] * int(rng.integers(1, 4))
+    if rng.uniform() < 0.5:  # let the last run end at R
+        cells = cells[: runs[-1][1]]
+    if rng.uniform() < 0.5:  # or the first one start at a
+        cells, runs = cells[runs[1][0]:], [(s - runs[1][0], e - runs[1][0]) for s, e in runs[1:]]
+    dW = np.diff(np.linspace(1.0, float(rng.uniform(1.5, 10.0)), len(cells) + 1) ** 2)
+    return np.array(cells), dW, runs
+
+
+@pytest.mark.parametrize("slack", [1e-15, 5e-13, 1e-9, 1e-6])
+def test_spill_excess_is_a_capped_envelope_within_each_run(slack):
+    for seed in range(25):
+        rho, dW, runs = _binned_runs(np.random.default_rng(seed), slack)
+        out = _spill_excess(rho, dW)
+        assert out.max() <= 1.0  # exactly, before Measure1D clips anything
+        assert np.array_equal(out > 0.0, rho > 0.0)
+        total = math.fsum(rho * dW)
+        assert math.fsum(out * dW) == pytest.approx(total, rel=1e-15, abs=0.0)
+        for s, e in runs:
+            run_mass = math.fsum(rho[s:e] * dW[s:e])
+            assert math.fsum(out[s:e] * dW[s:e]) == pytest.approx(run_mass, rel=1e-15, abs=0.0)
+        # no cell moves by more than all the excess the walk moves
+        excess = math.fsum(np.clip(rho - 1.0, 0.0, None) * dW)
+        assert np.abs((out - _walk_spill(rho, dW)) * dW).max() <= excess
+        # cells below the cap only gain
+        assert np.all(out[rho <= 1.0] >= rho[rho <= 1.0])
+
+
+def test_spill_excess_passes_a_full_runs_rest_past_it():
+    dW = np.full(6, 0.25)
+    # cells 2-4 have no room: they end full, their rest (1e-12) fills cell 5
+    rho = np.array([0.5, 0.0, 1.0 + 2e-12, 1.0, 1.0 + 2e-12, 0.0])
+    out = _spill_excess(rho, dW)
+    assert np.array_equal(out[:5], [0.5, 0.0, 1.0, 1.0, 1.0])
+    assert out[5] * 0.25 == pytest.approx(1e-12, rel=1e-3)
+    assert math.fsum(out * dW) == pytest.approx(math.fsum(rho * dW), rel=1e-15)
+    # a run that ends at R passes its rest to the empty cell before it
+    out = _spill_excess(rho[:5], dW[:5])
+    assert np.array_equal(out[2:], [1.0, 1.0, 1.0]) and out[0] == 0.5
+    assert out[1] * 0.25 == pytest.approx(1e-12, rel=1e-3)
+    # with no empty cell on either side, or one too small, nothing can take it
+    with pytest.raises(FeasibilityError):
+        _spill_excess(rho[2:5], dW[2:5])
+    with pytest.raises(FeasibilityError):
+        _spill_excess(rho, np.array([0.25, 0.25, 0.25, 0.25, 0.25, 1e-13]))
 
 
 def test_measure_arrays_are_frozen():
