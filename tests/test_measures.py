@@ -243,9 +243,8 @@ def test_spill_excess_conserves_mass_and_caps():
 
 
 def _walk_spill(rho, dW):
-    """The per-cell spill walk that capped binned densities before the
-    envelope: each cell's excess fills the nearest cells with room, ties
-    toward the door, in any run (kept as the oracle)."""
+    """Nearest-room spill walk (the oracle): each cell's excess fills the
+    nearest cells with room, in any run, ties toward the door."""
     rho = rho.copy()
     excess = np.clip(rho - 1.0, 0.0, None) * dW
     rho = np.minimum(rho, 1.0)
