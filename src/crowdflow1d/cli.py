@@ -193,14 +193,6 @@ def _align_times(times, tau, field):
 
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
-KNOWN_KEYS = {
-    "domain": {"a", "r", "weight_kind", "half_angle", "has_exit"},
-    "density": {"uniform", "table"},
-    "potential": {"kind", "table"},
-    "run": {"tau", "t", "n_samples", "n_cells", "snapshots"},
-    "study": {"taus", "t"},
-}
-
 
 def _parse_bool(raw, field):
     try:
@@ -221,6 +213,22 @@ def _parse_int(raw, field):
         return int(raw)
     except ValueError:
         raise ConfigError(f"expected an integer for {field}, got {raw!r}", field=field)
+
+
+def _parse_half_angle(raw, field):
+    raw = raw.strip()
+    return "auto" if raw == "auto" else _parse_float(raw, field)
+
+
+def _choice(label, *options):
+    def parse(raw, field):
+        value = raw.strip()
+        if value not in options:
+            raise ConfigError(
+                f"{label} must be {' or '.join(options)}, got {value!r}", field=field
+            )
+        return value
+    return parse
 
 
 def _parse_times(raw, field):
@@ -251,95 +259,76 @@ def _parse_table(raw, field):
     return tuple(rows)
 
 
+# the scenario-file grammar, [section][key] -> (ScenarioConfig field,
+# parser, field named in errors); keys are lower case, as configparser
+# reads them, and are parsed in this order
+SCENARIO_KEYS = {
+    "domain": {
+        "a": ("a", _parse_float, "a"),
+        "r": ("R", _parse_float, "R"),
+        "weight_kind": ("weight_kind", _choice("weight_kind", "radial", "flat"),
+                        "weight_kind"),
+        "half_angle": ("half_angle", _parse_half_angle, "half_angle"),
+        "has_exit": ("has_exit", _parse_bool, "has_exit"),
+    },
+    "density": {
+        "uniform": ("rho0_value", _parse_float, "uniform"),
+        "table": ("rho0_table", _parse_table, "density table"),
+    },
+    "potential": {
+        "kind": ("potential_kind", _choice("potential kind", "distance_to_exit", "table"),
+                 "kind"),
+        "table": ("potential_table", _parse_table, "potential table"),
+    },
+    "run": {
+        "tau": ("tau", _parse_float, "tau"),
+        "t": ("T", _parse_float, "T"),
+        "n_samples": ("n_samples", _parse_int, "n_samples"),
+        "n_cells": ("n_cells", _parse_int, "n_cells"),
+        "snapshots": ("snapshots", _parse_times, "snapshots"),
+    },
+    "study": {
+        "taus": ("taus", _parse_times, "taus"),
+        "t": ("study_T", _parse_float, "study T"),
+    },
+}
+
+
 def load_config(path, base=None):
     """Parse an INI scenario file on top of ``base`` (a ScenarioConfig)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # values are read literally: a '%' is a malformed number, not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():
-        if section not in KNOWN_KEYS:
+        if section not in SCENARIO_KEYS:
             raise ConfigError(f"unknown section [{section}]", field=section)
         for key in parser[section]:
-            if key not in KNOWN_KEYS[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]", field=key
-                )
+            if key not in SCENARIO_KEYS[section]:
+                raise ConfigError(f"unknown key {key!r} in [{section}]", field=key)
     updates = {}
-    dom = parser["domain"] if parser.has_section("domain") else {}
-    if "a" in dom:
-        updates["a"] = _parse_float(dom["a"], "a")
-    if "r" in dom:
-        updates["R"] = _parse_float(dom["r"], "R")
-    if "weight_kind" in dom:
-        kind = dom["weight_kind"].strip()
-        if kind not in ("radial", "flat"):
-            raise ConfigError(
-                f"weight_kind must be radial or flat, got {kind!r}",
-                field="weight_kind",
-            )
-        updates["weight_kind"] = kind
-        if kind == "flat":
-            updates["half_angle"] = None
-    if "half_angle" in dom:
-        raw = dom["half_angle"].strip()
-        updates["half_angle"] = "auto" if raw == "auto" else _parse_float(
-            raw, "half_angle"
-        )
-    if "has_exit" in dom:
-        updates["has_exit"] = _parse_bool(dom["has_exit"], "has_exit")
+    for section, keys in SCENARIO_KEYS.items():
+        found = parser[section] if parser.has_section(section) else {}
+        for key, (name, parse, field) in keys.items():
+            if key in found:
+                updates[name] = parse(found[key], field)
 
-    if parser.has_section("density"):
-        den = parser["density"]
-        if "uniform" in den and "table" in den:
+    if updates.get("weight_kind") == "flat":
+        updates.setdefault("half_angle", None)
+    if "rho0_value" in updates:
+        if "rho0_table" in updates:
             raise ConfigError(
                 "density takes either 'uniform' or 'table', not both",
                 field="density",
             )
-        if "uniform" in den:
-            updates["rho0_value"] = _parse_float(den["uniform"], "uniform")
-            updates["rho0_table"] = None
-        elif "table" in den:
-            updates["rho0_table"] = _parse_table(den["table"], "density table")
-            updates["rho0_value"] = None
-
-    if parser.has_section("potential"):
-        pot = parser["potential"]
-        if "kind" in pot:
-            kind = pot["kind"].strip()
-            if kind not in ("distance_to_exit", "table"):
-                raise ConfigError(
-                    f"potential kind must be distance_to_exit or table, got {kind!r}",
-                    field="kind",
-                )
-            updates["potential_kind"] = kind
-        if "table" in pot:
-            updates["potential_table"] = _parse_table(pot["table"], "potential table")
+        updates["rho0_table"] = None
+    elif "rho0_table" in updates:
+        updates["rho0_value"] = None
     if updates.get("potential_kind") == "table" and not (
         updates.get("potential_table") or (base and base.potential_table)
     ):
         raise ConfigError("potential kind 'table' needs a table", field="table")
-
-    if parser.has_section("run"):
-        sec = parser["run"]
-        if "tau" in sec:
-            updates["tau"] = _parse_float(sec["tau"], "tau")
-        if "t" in sec:
-            updates["T"] = _parse_float(sec["t"], "T")
-        if "n_samples" in sec:
-            updates["n_samples"] = _parse_int(sec["n_samples"], "n_samples")
-        if "n_cells" in sec:
-            updates["n_cells"] = _parse_int(sec["n_cells"], "n_cells")
-        if "snapshots" in sec:
-            updates["snapshots"] = _parse_times(sec["snapshots"], "snapshots")
-
-    if parser.has_section("study"):
-        sec = parser["study"]
-        if "taus" in sec:
-            updates["taus"] = _parse_times(sec["taus"], "taus")
-        if "t" in sec:
-            updates["study_T"] = _parse_float(sec["t"], "study T")
-
     if base is None:
         required = {"a", "R"}
         missing = sorted(required - set(updates))
@@ -348,7 +337,7 @@ def load_config(path, base=None):
                 f"config is missing required key(s): {', '.join(missing)}",
                 field=missing[0],
             )
-        if "rho0_value" not in updates and "rho0_table" not in updates:
+        if "rho0_value" not in updates:
             raise ConfigError(
                 "config needs a [density] section with uniform or table",
                 field="density",
@@ -505,26 +494,13 @@ def run_scenario(cfg, seed=0, dry_run=False, echo=print):
         )
         if k > 0:
             diag = pressure_velocity_checks(traj.steps[k - 1], D, rng=rng)
-            dec = diag.residual_decomposition
-            comp = diag.residual_complementarity
-            if hold_diags:
-                checks.append(
-                    _summary_line(f"decomposition_residual[t={t:g}]",
-                                  dec <= DIAG_TOL, f"{dec:.2e}")
-                )
-                checks.append(
-                    _summary_line(f"complementarity[t={t:g}]",
-                                  comp <= DIAG_TOL, f"{comp:.2e}")
-                )
-            else:
-                checks.append(
-                    f"decomposition_residual[t={t:g}]: info ({dec:.2e}, "
-                    "below default resolution)"
-                )
-                checks.append(
-                    f"complementarity[t={t:g}]: info ({comp:.2e}, "
-                    "below default resolution)"
-                )
+            for name, value in (("decomposition_residual", diag.residual_decomposition),
+                                ("complementarity", diag.residual_complementarity)):
+                label = f"{name}[t={t:g}]"
+                if hold_diags:
+                    checks.append(_summary_line(label, value <= DIAG_TOL, f"{value:.2e}"))
+                else:
+                    checks.append(f"{label}: info ({value:.2e}, below default resolution)")
 
     diffs = np.diff(traj.energy_series)
     checks.insert(0, _summary_line(

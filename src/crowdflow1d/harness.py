@@ -25,7 +25,6 @@ from .measures import Domain1D, Measure1D, _csv_file
 from .transport import (
     exit_mass_stability_constant,
     w2_1d,
-    w2_atoms,
     w2_lp_oracle,
 )
 
@@ -340,7 +339,7 @@ def _check_ot_oracle(rng):
     p /= p.sum()
     q = rng.uniform(0.1, 1.0, size=ny)
     q /= q.sum()
-    fast = w2_atoms(list(zip(x, p)), list(zip(y, q)))
+    fast = w2_1d(list(zip(x, p)), list(zip(y, q))).w2
     exact = w2_lp_oracle(list(zip(x, p)), list(zip(y, q)))
     gap = abs(fast - exact)
     if gap > 1e-9:

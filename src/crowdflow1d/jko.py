@@ -39,6 +39,7 @@ PRESSURE_FLOOR = 1e-6
 # can stop with the door marginal still below the interior level; the
 # step then absorbs further among near-tied candidates until the two
 # balance, as they do for the continuum minimizer
+# criterion 3's O(tau) drain order depends on both knobs (ROADMAP item 2)
 DOOR_BALANCE_MARGIN = 1e-3
 DOOR_TIE_TOL = 3e-7
 
@@ -168,18 +169,14 @@ def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
     keep = np.concatenate([np.diff(qi) > 1e-13 * max(1.0, domain.R), [True]])
     qk, pk = qi[keep], pi[keep]
 
-    def transport_map(r):
-        # beyond the sampled range the map translates with the edge
-        # sample's displacement
-        t = np.interp(r, qk, pk)
-        t = np.where(r < qk[0], r + (pk[0] - qk[0]), t)
-        return np.where(r > qk[-1], r + (pk[-1] - qk[-1]), t)
-
-    t_grid = transport_map(grid)
-    v_map = (grid - t_grid) / tau  # equals the step velocity on the support
-    # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0)
     r_nodes = np.concatenate([[domain.a], grid, [domain.R]])
-    t_nodes = transport_map(r_nodes)
+    # beyond the sampled range the map translates with the edge sample's
+    # displacement
+    t_nodes = np.interp(r_nodes, qk, pk)
+    t_nodes = np.where(r_nodes < qk[0], r_nodes + (pk[0] - qk[0]), t_nodes)
+    t_nodes = np.where(r_nodes > qk[-1], r_nodes + (pk[-1] - qk[-1]), t_nodes)
+    v_map = (grid - t_nodes[1:-1]) / tau  # equals the step velocity on the support
+    # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0)
     dphi = np.clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * np.diff(r_nodes))])
     phi -= phi[-1]

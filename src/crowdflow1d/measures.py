@@ -26,7 +26,6 @@ from .errors import (
     MonotonicityError,
 )
 
-MASS_TOL = 1e-12
 DENSITY_TOL = 1e-9
 
 
@@ -418,7 +417,7 @@ def bin_quantiles_to_cells(domain, q, plateau, n_cells):
     return edges, np.diff(cdf_edges), exit_mass
 
 
-def density_of(qf, n_cells=2048, domain=None):
+def density_of(qf, n_cells=2048):
     """Push the uniform law on [0, 1] through a quantile function.
 
     The sampled quantile is read as piecewise linear between samples; the
@@ -431,7 +430,7 @@ def density_of(qf, n_cells=2048, domain=None):
     -------
     Measure1D
     """
-    domain = domain or qf.domain
+    domain = qf.domain
     edges, cell_mass, exit_mass = bin_quantiles_to_cells(
         domain, qf.q, qf.exit_plateau, n_cells
     )

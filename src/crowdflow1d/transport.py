@@ -89,16 +89,6 @@ def _monotone_segments(x, p, y, q):
     return x[i], y[j], seg[keep]
 
 
-def w2_atoms(src_atoms, dst_atoms):
-    """Exact quadratic distance between two finite atom lists."""
-    x, p = _as_atoms(src_atoms)
-    y, q = _as_atoms(dst_atoms)
-    if abs(p.sum() - q.sum()) > 1e-9 * max(1.0, p.sum()):
-        raise MassMismatchError(f"masses differ: {p.sum()} vs {q.sum()}")
-    xs, ys, m = _monotone_segments(x, p, y, q)
-    return float(np.sqrt(((xs - ys) ** 2 * m).sum()))
-
-
 def w2_lp_oracle(src_atoms, dst_atoms):
     """Quadratic distance by solving the full transport LP.
 

@@ -7,7 +7,6 @@ summary hook in conftest prints one PASS/FAIL line per criterion.
 import time
 
 import numpy as np
-import pytest
 
 from crowdflow1d.corridor import (
     closed_form_b,

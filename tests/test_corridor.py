@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from crowdflow1d.corridor import (
-    CorridorPreset,
     RadialProfile,
     analytic_pressure,
     candidate_step_objective,

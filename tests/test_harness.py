@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crowdflow1d.corridor import fig3_preset, fig4_preset
+from crowdflow1d.corridor import fig3_preset
 from crowdflow1d.errors import FeasibilityError
 from crowdflow1d.harness import (
     MACHINE_ERROR_FLOOR,

@@ -5,7 +5,7 @@ import pytest
 
 from crowdflow1d import jko
 from crowdflow1d.cli import ScenarioConfig
-from crowdflow1d.corridor import chain_interface, fig3_preset, fig4_preset
+from crowdflow1d.corridor import fig3_preset, fig4_preset
 from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
 from crowdflow1d.jko import (
     PotentialD,

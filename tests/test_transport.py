@@ -11,7 +11,6 @@ from crowdflow1d.transport import (
     exit_mass_stability_constant,
     kantorovich_potential,
     w2_1d,
-    w2_atoms,
     w2_lp_oracle,
 )
 
@@ -70,7 +69,7 @@ def test_monotone_matches_lp_oracle(seed):
     p /= p.sum()
     q = rng.uniform(0.1, 1.0, ny)
     q /= q.sum()
-    fast = w2_atoms(list(zip(x, p)), list(zip(y, q)))
+    fast = w2_1d(list(zip(x, p)), list(zip(y, q))).w2
     assert abs(fast - w2_lp_oracle(list(zip(x, p)), list(zip(y, q)))) <= 1e-9
 
 
