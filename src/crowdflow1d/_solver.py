@@ -21,8 +21,12 @@ comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
 violators) clipped to the two box bounds that an isotone ``y`` can meet
 (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
 domains it is exact.  A partition is accepted only if its block values
-are in chain order and pass a multiplier (KKT) certificate; when the
-trial does not, pooling runs again with an exact solve per merge.
+are in chain order and pass a multiplier (KKT) certificate, read off one
+running sum of the per-sample gradients; when the trial does not,
+pooling runs again with an exact solve per merge.  The arrays that
+depend on the target alone (clipped singles, the trial's input, the
+certificate's scale) are kept in a one-entry memo, since every
+candidate prefix of an affine step projects the same target.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -41,6 +45,7 @@ search on the discrete slope in ``m`` for an affine one, see
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
@@ -52,6 +57,13 @@ KKT_TOL = 1e-7
 # projected gradient stops on an exact fixed point; MAX_ITER only guards
 # against a loop that never settles
 MAX_ITER = 1000000
+
+# arrays of one target, read-only: the target itself, its clipped singles,
+# the last index where the singles decrease (-1 if none), the certificate
+# scale max(1, max|x|), the trial's input (x - a - j*ds on flat domains,
+# the weights w(Q(single))**-2 on radial ones) and, on flat domains, the
+# prefix sums of that input
+_Target = namedtuple("_Target", "x singles last_drop scale trial psum")
 
 
 class ChainProjector:
@@ -67,6 +79,7 @@ class ChainProjector:
         self.lb = 0.5 * self.ds - self.offs
         self.ub = (self.cap - 0.5 * self.ds) - self.offs
         self.flat = domain.weight_kind == "flat"
+        self._memo = None
 
     # -- scalar helpers -------------------------------------------------
 
@@ -143,30 +156,55 @@ class ChainProjector:
 
         Samples ``0..m-1`` are pinned on the door and excluded; ``x`` is
         the full-length target array.  Returns the full position array,
-        a function of ``(x, m)`` alone: the projector keeps no state
-        between calls.
+        a function of ``(x, m)`` alone: the only state kept between calls
+        is a one-entry memo of arrays that depend on the target alone
+        (:meth:`_target`).
         """
         n, ds = self.n, self.ds
         if (n - m) * ds > self.cap + 1e-12:
             raise FeasibilityError("interior mass exceeds domain capacity")
-        a, R = self.domain.a, self.domain.R
-        xc = np.clip(x, a, R)
-        singles = np.clip(self.domain.cumweight(xc) - self.offs, self.lb, self.ub)
-        if not np.any(np.diff(singles[m:]) < 0.0):
+        t = self._target(x)
+        if t.last_drop < m:
             # box-clipped targets already satisfy the chain
             idx = np.arange(m, n)
-            return self._certified(x, m, idx, idx, singles[m:], strict=True)
-        psum = np.concatenate([[0.0], np.cumsum(x - a - self.offs)]) if self.flat else None
+            return self._certified(t, m, idx, idx, t.singles[m:], strict=True)
 
         def solve(lo, hi):
-            return self._solve_block(lo, hi, x, psum)
+            return self._solve_block(lo, hi, t.x, t.psum)
 
-        q = self._certified(x, m, *self._trial(x, singles, m, solve))
+        q = self._certified(t, m, *self._trial(t, m, solve))
         if q is None:
-            q = self._certified(x, m, *self._pool(singles, m, solve), strict=True)
+            q = self._certified(t, m, *self._pool(t.singles, m, solve), strict=True)
         return q
 
-    def _certified(self, x, m, lo_s, hi_s, y_s, strict=False):
+    def _target(self, x):
+        """The :data:`_Target` arrays of ``x``, from the memo when it holds ``x``.
+
+        The memo keeps the last target's arrays and is keyed by the
+        target's contents, so a target equal to the last one bit for bit
+        reuses them whatever the prefix.
+        """
+        t = self._memo
+        if t is not None and t.x[-1] == x[-1] and np.array_equal(t.x, x):
+            return t
+        a, R = self.domain.a, self.domain.R
+        x = np.array(x, dtype=float)
+        singles = np.clip(self.domain.cumweight(np.clip(x, a, R)) - self.offs, self.lb, self.ub)
+        drops = np.flatnonzero(np.diff(singles) < 0.0)
+        scale = max(1.0, float(np.max(np.abs(x))))
+        psum = None
+        if self.flat:
+            trial = x - a - self.offs
+            psum = np.concatenate([[0.0], np.cumsum(trial)])
+        else:
+            trial = self.domain.weight(self.domain.inv_cumweight(singles + self.offs)) ** -2.0
+        for arr in (x, singles, trial, psum):
+            if arr is not None:
+                arr.flags.writeable = False
+        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum)
+        return self._memo
+
+    def _certified(self, t, m, lo_s, hi_s, y_s, strict=False):
         """Positions of a block partition that passes the certificate.
 
         The certificate asks for block values in chain order and for
@@ -177,21 +215,20 @@ class ChainProjector:
         order = float(np.diff(y_s).min(initial=0.0))
         if order < -GAP_TOL and not strict:
             return None
-        sizes = hi_s - lo_s + 1
         q = np.empty(self.n)
         q[:m] = self.domain.a
-        q[m:] = self.domain.inv_cumweight(np.repeat(y_s, sizes) + self.offs[m:])
+        q[m:] = self.domain.inv_cumweight(np.repeat(y_s, hi_s - lo_s + 1) + self.offs[m:])
         if order < -GAP_TOL:
             bad = ("projection certificate failed: block values out of chain order", order)
         else:
-            bad = self._kkt_violation(q, x, m, lo_s, hi_s, y_s, sizes)
+            bad = self._kkt_violation(q, t, m, lo_s, hi_s, y_s)
         if bad is not None:
             if strict:
                 raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
             return None
         return q
 
-    def _trial(self, x, singles, m, solve):
+    def _trial(self, t, m, solve):
         """Trial partition from one isotonic regression: (lo, hi, value) arrays.
 
         In ``y`` both boxes decrease with the index, so an isotone ``y``
@@ -206,14 +243,13 @@ class ChainProjector:
         certificate.
         """
         if self.flat:
-            fit = isotonic_regression(x[m:] - self.domain.a - self.offs[m:]).x
+            fit = isotonic_regression(t.trial[m:]).x
         else:
-            q = self.domain.inv_cumweight(singles[m:] + self.offs[m:])
-            fit = isotonic_regression(singles[m:], weights=self.domain.weight(q) ** -2.0).x
+            fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
         fit = np.clip(fit, self.lb[m], self.ub[-1])
         lo_s = np.flatnonzero(np.concatenate([[True], np.diff(fit) != 0.0])) + m
         hi_s = np.append(lo_s[1:] - 1, self.n - 1)
-        y_s = singles[lo_s]
+        y_s = t.singles[lo_s]
         for k in np.flatnonzero(hi_s > lo_s):
             y_s[k] = solve(int(lo_s[k]), int(hi_s[k]))
         return lo_s, hi_s, y_s
@@ -237,20 +273,23 @@ class ChainProjector:
         lo_s = np.asarray(lo_s, dtype=int)
         return lo_s, np.append(lo_s[1:] - 1, self.n - 1), np.asarray(y_s, dtype=float)
 
-    def _kkt_violation(self, q, x, m, lo_s, hi_s, y_s, sizes):
+    def _kkt_violation(self, q, t, m, lo_s, hi_s, y_s):
         """Multiplier nonnegativity certificate for the projection.
 
-        Inside a pooled block the multiplier of the pair ``(j, j+1)`` is
-        the suffix sum of the per-sample gradients beyond ``j`` (plus the
-        upper-box multiplier when the block is clamped there); these must
-        be nonnegative, and the block total must vanish unless a box
-        bound absorbs it.  Returns ``None`` if the certificate holds,
-        else a ``(message, gap)`` pair.
+        With ``c`` the running sum of the per-sample gradients, a block
+        total is the step of ``c`` across the block.  Inside a pooled
+        block ``lo..hi`` the multiplier of the pair ``(j, j+1)`` is the sum
+        of the gradients over ``j+1..hi``, ``c[hi] - c[j]`` (plus the
+        upper-box multiplier ``beta`` when the block is clamped there), so
+        the smallest is ``c[hi] + beta - max(c[lo..hi-1])``; these must be
+        nonnegative, and the block total must vanish unless a box bound
+        absorbs it.  Returns ``None`` if the certificate holds, else a
+        ``(message, gap)`` pair.
         """
-        scale = max(1.0, float(np.max(np.abs(x))))
-        tol = KKT_TOL * scale
-        g = 2.0 * (q[m:] - x[m:]) / self.domain.weight(q[m:])
-        totals = np.add.reduceat(g, lo_s - m) if len(lo_s) else np.zeros(0)
+        tol = KKT_TOL * t.scale
+        g = 2.0 * (q[m:] - t.x[m:]) / self.domain.weight(q[m:])
+        c = np.cumsum(g)
+        totals = np.diff(c[hi_s - m], prepend=0.0)
         at_lb = y_s <= self.lb[lo_s] + GAP_TOL
         at_ub = y_s >= self.ub[hi_s] - GAP_TOL
         ok_end = ((at_lb & (totals >= -tol)) | (at_ub & (totals <= tol))
@@ -259,13 +298,14 @@ class ChainProjector:
             bad = int(np.argmin(ok_end))
             return ("projection certificate failed at a block boundary",
                     float(totals[bad]))
-        if (sizes > 1).any():
-            rev = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
-            hi_rep = np.repeat(hi_s, sizes) - m
-            suffix = rev[: len(g)] - rev[hi_rep + 1]
-            beta = np.repeat(np.where(at_ub, np.maximum(-totals, 0.0), 0.0), sizes)
-            interior = np.arange(len(g)) > np.repeat(lo_s, sizes) - m
-            worst = float((suffix + beta)[interior].min()) if interior.any() else 0.0
+        pooled = hi_s > lo_s
+        if pooled.any():
+            lo_p, hi_p = lo_s[pooled] - m, hi_s[pooled] - m
+            # maxima over c[lo:hi] of each pooled block; the odd entries
+            # span the gaps between blocks
+            peak = np.maximum.reduceat(c, np.column_stack((lo_p, hi_p)).ravel())[::2]
+            beta = np.where(at_ub[pooled], np.maximum(-totals[pooled], 0.0), 0.0)
+            worst = float((c[hi_p] + beta - peak).min())
             if worst < -tol:
                 return ("projection certificate failed inside a block", worst)
         return None

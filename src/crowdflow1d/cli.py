@@ -298,7 +298,17 @@ def load_config(path, base=None):
     """Parse an INI scenario file on top of ``base`` (a ScenarioConfig)."""
     # values are read literally: a '%' is a malformed number, not an interpolation
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.MissingSectionHeaderError as e:
+        raise ConfigError(f"line {e.lineno}: {e.line.strip()!r} comes before any "
+                          "[section] header", field="section") from e
+    except configparser.DuplicateSectionError as e:
+        raise ConfigError(f"line {e.lineno}: section [{e.section}] given twice",
+                          field=e.section) from e
+    except configparser.DuplicateOptionError as e:
+        raise ConfigError(f"line {e.lineno}: key {e.option!r} given twice in [{e.section}]",
+                          field=e.option) from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():

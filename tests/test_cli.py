@@ -89,6 +89,12 @@ def test_bad_values_report_their_field(tmp_path):
                  "potential table", id="potential-radii-repeat"),
     pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  10 -9\n",
                  "potential table", id="potential-not-minimal-at-door"),
+    pytest.param("run", [], "tau = 0.01\n[run]\nT = 1\n", "section",
+                 id="key-before-any-section"),
+    pytest.param("run", [], "[run]\ntau = 0.01\nT = 1\nTau = 0.02\n", "tau",
+                 id="duplicate-key"),
+    pytest.param("run", [], "[run]\ntau = 0.01\n[domain]\na = 1\n[run]\nT = 1\n", "run",
+                 id="duplicate-section"),
 ])
 def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
                                                  ini, field):

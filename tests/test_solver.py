@@ -103,7 +103,7 @@ def test_projection_matches_a_generic_constrained_solver():
     assert compared >= 0.9 * N_INSTANCES
 
 
-def _on_lower_bound(self, x, singles, m, solve):
+def _on_lower_bound(self, t, m, solve):
     """A wrong trial partition: every sample in one block on its lower bound."""
     return np.array([m]), np.array([self.n - 1]), np.array([self.lb[m]])
 
@@ -221,10 +221,71 @@ def test_certificate_checks_chain_order():
     assert np.all((y_s > projector.lb[m:]) & (y_s < projector.ub[m:]))
     assert np.any(np.diff(y_s) < 0.0)
     idx = np.arange(m, n)
-    assert projector._certified(x, m, idx, idx, y_s) is None
+    t = projector._target(x)
+    assert projector._certified(t, m, idx, idx, y_s) is None
     with pytest.raises(SolverFailureError, match="chain order") as err:
-        projector._certified(x, m, idx, idx, y_s, strict=True)
+        projector._certified(t, m, idx, idx, y_s, strict=True)
     assert err.value.m == m
+
+
+def _suffix_sum_certificate(projector, q, x, m, lo_s, hi_s, y_s):
+    """The multiplier certificate from reversed suffix sums, sample by sample."""
+    sizes = hi_s - lo_s + 1
+    tol = _solver.KKT_TOL * max(1.0, float(np.max(np.abs(x))))
+    g = 2.0 * (q[m:] - x[m:]) / projector.domain.weight(q[m:])
+    totals = np.add.reduceat(g, lo_s - m) if len(lo_s) else np.zeros(0)
+    at_lb = y_s <= projector.lb[lo_s] + _solver.GAP_TOL
+    at_ub = y_s >= projector.ub[hi_s] - _solver.GAP_TOL
+    ok_end = ((at_lb & (totals >= -tol)) | (at_ub & (totals <= tol))
+              | (np.abs(totals) <= tol))
+    if not ok_end.all():
+        bad = int(np.argmin(ok_end))
+        return ("projection certificate failed at a block boundary", float(totals[bad]))
+    if (sizes > 1).any():
+        rev = np.concatenate([np.cumsum(g[::-1])[::-1], [0.0]])
+        suffix = rev[: len(g)] - rev[np.repeat(hi_s, sizes) - m + 1]
+        beta = np.repeat(np.where(at_ub, np.maximum(-totals, 0.0), 0.0), sizes)
+        interior = np.arange(len(g)) > np.repeat(lo_s, sizes) - m
+        worst = float((suffix + beta)[interior].min()) if interior.any() else 0.0
+        if worst < -tol:
+            return ("projection certificate failed inside a block", worst)
+    return None
+
+
+@pytest.mark.parametrize("trial", ["honest", "on lower bound"])
+def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
+    """The running-sum certificate gives the verdict of the suffix-sum
+    one on every partition that projections of the oracle and repeat
+    instances certify, and its gap on a failure agrees to rounding.  The
+    trial that puts every sample in one block on its lower bound fails
+    both at a block boundary and inside a block."""
+    honest = ChainProjector._kkt_violation
+    problems, verdicts = [], Counter()
+
+    def checked(self, q, t, m, lo_s, hi_s, y_s):
+        got = honest(self, q, t, m, lo_s, hi_s, y_s)
+        ref = _suffix_sum_certificate(self, q, t.x, m, lo_s, hi_s, y_s)
+        verdicts[ref and ref[0]] += 1
+        if (got and got[0]) != (ref and ref[0]):
+            problems.append(f"instance {instance}: {got} against the reference's {ref}")
+        elif got and abs(got[1] - ref[1]) > 1e-12 * t.scale:
+            problems.append(f"instance {instance}: gap {got[1]!r} against {ref[1]!r}")
+        return got
+
+    monkeypatch.setattr(ChainProjector, "_kkt_violation", checked)
+    if trial != "honest":
+        monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
+    for seed, count, make in ((11, N_INSTANCES, _instance), (23, N_REPEATS, _repeat_instance)):
+        for i in range(count):
+            instance = (seed, i)
+            dom, m, *targets = make(np.random.default_rng([seed, i]))
+            for x in targets:
+                ChainProjector(dom, x.size).project(x, m)
+    assert not problems, problems
+    assert verdicts[None] >= 1000, verdicts
+    if trial != "honest":
+        assert verdicts["projection certificate failed at a block boundary"] >= 50, verdicts
+        assert verdicts["projection certificate failed inside a block"] >= 20, verdicts
 
 
 def _every_candidate(projector, q_prev, m_prev, D, tau):
@@ -331,7 +392,9 @@ def _repeat_instance(rng):
 @pytest.mark.parametrize("trial", ["honest", "on lower bound"])
 def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     """Projecting a target after a warm-up target returns the same bits
-    as a fresh projector.  Projected gradient stops on a repeated target
+    as a fresh projector, and so does projecting it again at other
+    prefixes in shuffled order, which reuses the projector's memo of the
+    target's arrays.  Projected gradient stops on a repeated target
     because projecting it again could only give the same projection.
     The trial that puts every sample in one block on its lower bound
     forces the exact fallback."""
@@ -339,8 +402,8 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     honest_certified = ChainProjector._certified
     honest_pool = ChainProjector._pool
 
-    def certified(self, x, m, lo_s, hi_s, y_s, strict=False):
-        q = honest_certified(self, x, m, lo_s, hi_s, y_s, strict=strict)
+    def certified(self, t, m, lo_s, hi_s, y_s, strict=False):
+        q = honest_certified(self, t, m, lo_s, hi_s, y_s, strict=strict)
         if q is not None:
             events.append("strict" if strict else "trial")
         return q
@@ -353,7 +416,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     monkeypatch.setattr(ChainProjector, "_pool", pool)
     if trial != "honest":
         monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
-    problems, paths, kinds = [], Counter(), Counter()
+    problems, paths, kinds, hits = [], Counter(), Counter(), [0]
     for i in range(N_REPEATS):
         dom, m, x, warm_up = _repeat_instance(np.random.default_rng([23, i]))
         fresh = ChainProjector(dom, x.size).project(x, m)
@@ -369,7 +432,25 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         kinds[dom.weight_kind, dom.has_exit] += 1
         if not np.array_equal(warmed, fresh):
             problems.append(f"instance {i} ({path}): projection depends on the warm-up")
+        # the target's arrays are kept for the next call and must not change
+        memo = projector._memo
+        for arr in (memo.x, memo.singles, memo.trial, memo.psum):
+            if arr is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0.0
+        if not dom.has_exit:
+            continue
+        # the same target at other prefixes, as the candidates of one step
+        # project it: every call reuses the memo and matches a fresh projector
+        for k in np.random.default_rng([23, i, 1]).permutation(np.arange(m, x.size))[:4]:
+            again = projector.project(x, int(k))
+            if projector._memo is not memo:
+                problems.append(f"instance {i}, prefix {k}: the memo was not reused")
+            if not np.array_equal(again, ChainProjector(dom, x.size).project(x, int(k))):
+                problems.append(f"instance {i}, prefix {k}: projection depends on the memo")
+            hits[0] += 1
     assert not problems, problems
+    assert hits[0] >= 400, hits
     assert min(kinds[kind] for kind in product(("flat", "radial"), (False, True))) >= 50, kinds
     if trial == "honest":
         assert min(paths["trial", kind] for kind in ("flat", "radial")) >= 50, paths
@@ -389,9 +470,9 @@ def test_flat_projections_never_fall_back(monkeypatch):
         pools[0] += 1
         return honest_pool(self, singles, m, solve)
 
-    def trial(self, x, singles, m, solve):
+    def trial(self, t, m, solve):
         trials[0] += 1
-        return honest_trial(self, x, singles, m, solve)
+        return honest_trial(self, t, m, solve)
 
     monkeypatch.setattr(ChainProjector, "_pool", pool)
     monkeypatch.setattr(ChainProjector, "_trial", trial)
