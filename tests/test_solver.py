@@ -416,7 +416,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     monkeypatch.setattr(ChainProjector, "_pool", pool)
     if trial != "honest":
         monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
-    problems, paths, kinds, hits = [], Counter(), Counter(), [0]
+    problems, paths, kinds, hits = [], Counter(), Counter(), 0
     for i in range(N_REPEATS):
         dom, m, x, warm_up = _repeat_instance(np.random.default_rng([23, i]))
         fresh = ChainProjector(dom, x.size).project(x, m)
@@ -438,6 +438,13 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
+        # nor may the caller's array, which it may overwrite for the next call
+        scratch = warm_up.copy()
+        projector.project(scratch, m)
+        scratch[:] = x
+        if not np.array_equal(projector.project(scratch, m), fresh):
+            problems.append(f"instance {i}: the memo follows the caller's array")
+        memo = projector._memo
         if not dom.has_exit:
             continue
         # the same target at other prefixes, as the candidates of one step
@@ -448,9 +455,9 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
                 problems.append(f"instance {i}, prefix {k}: the memo was not reused")
             if not np.array_equal(again, ChainProjector(dom, x.size).project(x, int(k))):
                 problems.append(f"instance {i}, prefix {k}: projection depends on the memo")
-            hits[0] += 1
+            hits += 1
     assert not problems, problems
-    assert hits[0] >= 400, hits
+    assert hits >= 400, hits
     assert min(kinds[kind] for kind in product(("flat", "radial"), (False, True))) >= 50, kinds
     if trial == "honest":
         assert min(paths["trial", kind] for kind in ("flat", "radial")) >= 50, paths
