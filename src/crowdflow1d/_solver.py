@@ -37,14 +37,14 @@ the objective is a squared distance to ``p - tau*D'``: the first
 projection is the minimizer and the next target repeats the first bit
 for bit, so a candidate prefix costs one projection.  Pinning makes the
 admissible set non-convex, so the prefix itself is chosen among
-candidates: by a scan for a curved potential, and by a bracketed secant
-search on the discrete slope in ``m`` for an affine one, see
-:func:`solve_step`.
+candidates: by a scan for a curved potential.  For an affine one the
+prefix is predicted from the trial regressions of the suffixes of the
+one target (:meth:`ChainProjector.suffix_slope`, no projection), and
+the candidates next to the prediction verify it, see :func:`solve_step`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -62,8 +62,11 @@ MAX_ITER = 1000000
 # the last index where the singles decrease (-1 if none), the certificate
 # scale max(1, max|x|), the trial's input (x - a - j*ds on flat domains,
 # the weights w(Q(single))**-2 on radial ones) and, on flat domains, the
-# prefix sums of that input
-_Target = namedtuple("_Target", "x singles last_drop scale trial psum")
+# prefix sums of that input; then, by first sample, the clipped isotonic
+# regressions of its suffixes, kept as the trials and the prefix
+# prediction run them (:meth:`ChainProjector._fit`), and the prediction's
+# squared distances of the suffixes (:meth:`ChainProjector.suffix_slope`)
+_Target = namedtuple("_Target", "x singles last_drop scale trial psum fits dists")
 
 
 class ChainProjector:
@@ -201,7 +204,7 @@ class ChainProjector:
         for arr in (x, singles, trial, psum):
             if arr is not None:
                 arr.flags.writeable = False
-        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum)
+        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum, {}, {})
         return self._memo
 
     def _certified(self, t, m, lo_s, hi_s, y_s, strict=False):
@@ -228,8 +231,8 @@ class ChainProjector:
             return None
         return q
 
-    def _trial(self, t, m, solve):
-        """Trial partition from one isotonic regression: (lo, hi, value) arrays.
+    def _fit(self, t, m):
+        """Clipped isotonic regression of the trial's input from sample ``m`` on.
 
         In ``y`` both boxes decrease with the index, so an isotone ``y``
         can only meet ``lb[m]`` and ``ub[n-1]``, and the box-constrained
@@ -237,22 +240,67 @@ class ChainProjector:
         domains the regression of ``x - a - j*ds`` is the projection
         itself.  On radial domains it runs on the singles with weights
         ``1/w(Q(single))^2``: near its optimum ``s_j`` a sample's term is
-        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Runs of equal
-        clipped values are the blocks (runs at a bound merged), each
-        solved exactly once; the partition must still pass the
-        certificate.
+        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Kept with the
+        target, read-only, so a prefix that the prediction has looked at
+        costs its trial no second regression.
         """
-        if self.flat:
-            fit = isotonic_regression(t.trial[m:]).x
-        else:
-            fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-        fit = np.clip(fit, self.lb[m], self.ub[-1])
+        fit = t.fits.get(m)
+        if fit is None:
+            if t.last_drop < m:
+                # box-clipped targets in order are their own regression
+                return t.singles[m:]
+            if self.flat:
+                fit = isotonic_regression(t.trial[m:]).x
+            else:
+                fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
+            fit = t.fits[m] = np.clip(fit, self.lb[m], self.ub[-1])
+            fit.flags.writeable = False
+        return fit
+
+    def _trial(self, t, m, solve):
+        """Trial partition from one isotonic regression (:meth:`_fit`): (lo, hi, value) arrays.
+
+        Runs of equal clipped values are the blocks (runs at a bound
+        merged), each solved exactly once; the partition must still pass
+        the certificate.
+        """
+        fit = self._fit(t, m)
         lo_s = np.flatnonzero(np.concatenate([[True], np.diff(fit) != 0.0])) + m
         hi_s = np.append(lo_s[1:] - 1, self.n - 1)
         y_s = t.singles[lo_s]
         for k in np.flatnonzero(hi_s > lo_s):
             y_s[k] = solve(int(lo_s[k]), int(hi_s[k]))
         return lo_s, hi_s, y_s
+
+    def suffix_slope(self, x, m):
+        """Predicted change of the squared distance to ``x`` when sample ``m`` is pinned too.
+
+        A candidate with ``m`` pinned samples lies at squared distance
+        ``sum_{j<m} (a - x_j)^2 + sum_{j>=m} (Q_j - x_j)^2`` from its
+        target, with ``Q`` the projection of ``x[m:]``.  The prediction
+        takes the trial's clipped isotonic regression (:meth:`_fit`) for
+        ``Q``, before its blocks are solved: exact on flat domains, and
+        the partition the projection starts from on radial ones.  Runs no
+        projection; the suffix distances are kept with the target, so the
+        probes of one step share them.
+        """
+        t = self._target(x)
+        a, xm = self.domain.a, t.x[m]
+        if t.last_drop < m:
+            # the box-clipped targets are in order from m on: both suffix
+            # regressions are the singles, which differ in sample m alone
+            qm = float(self.domain.inv_cumweight(t.singles[m] + self.offs[m]))
+            return (a - xm) ** 2 - (qm - xm) ** 2
+
+        def dist(k):
+            if k == self.n:
+                return 0.0
+            if k not in t.dists:
+                q = self.domain.inv_cumweight(self._fit(t, k) + self.offs[k:])
+                t.dists[k] = float(np.square(q - t.x[k:]).sum())
+            return t.dists[k]
+
+        return (a - xm) ** 2 + dist(m + 1) - dist(m)
 
     def _pool(self, singles, m, solve):
         """Exact pooling of adjacent violators; block arrays (lo, hi, value).
@@ -356,6 +404,27 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     )
 
 
+def _first_stop(lowers, lo, hi, guess):
+    """First ``m`` in ``(lo, hi]`` where ``lowers(m)`` is false.
+
+    ``lowers`` must be true below that ``m`` and false from it on, and
+    ``hi`` counts as false without a call.  Probes ``guess - 1`` and
+    ``guess`` first (each clamped into the bracket), gallops away from
+    them with doubling steps in the direction they point, and bisects
+    once a probe has fallen on the other side.
+    """
+    t, step, way = guess - 1, 1, 0
+    while hi - lo > 1:
+        t = min(max(t, lo + 1), hi - 1)
+        d = 1 if lowers(t) else -1
+        lo, hi = (t, hi) if d > 0 else (lo, t)
+        if way in (0, d):
+            t, step, way = t + d * step, 2 * step if way else step, d
+        else:
+            t, way = (lo + hi) // 2, None
+    return hi
+
+
 def solve_step(projector, q_prev, m_prev, D, tau):
     """One congested step: choose the absorbed prefix and minimize.
 
@@ -370,17 +439,19 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     invariant).  Pinning is irreversible, which makes the no-return
     property structural.
 
-    The search keeps a bracket ``lo < m <= hi``, at first ``m_prev - 1``
-    and ``n``: a probe ``t`` inside it becomes ``lo`` if one more pinned
-    sample lowers the objective there and ``hi`` if not.  A curved ``D``
-    probes ``lo + 1``, which is the scan, warm chain included.  An affine
-    ``D`` (``lam == curv_ub == 0``) has candidates that do not depend on
-    their warm start and a discrete slope ``f(m + 1) - f(m)`` that
-    increases with ``m``.  Once two probes have lowered the objective it
-    probes the zero of the line through their slopes, or through the
-    slopes at ``lo`` and ``hi`` once a probe has closed the bracket,
-    rounded up and clamped into the bracket, and bisects after a probe
-    that fails to halve a closed bracket.
+    A curved ``D`` runs that scan, warm chain included.  An affine ``D``
+    (``lam == curv_ub == 0``) has candidates that do not depend on their
+    warm start, all projecting the one target ``x = q_prev - tau*D'``,
+    so the objective of candidate ``m`` is ``ds/(2 tau)`` times its
+    squared distance to ``x``, up to a constant, and its discrete slope
+    ``f(m + 1) - f(m)`` increases with ``m``.  The prefix is predicted as
+    the first stop of the predicted slope
+    (:meth:`ChainProjector.suffix_slope`, which runs no projection),
+    galloping up from the first sample whose target lies inside the
+    domain and then bisecting.  The candidates ``m - 1``, ``m`` and
+    ``m + 1`` around the prediction then verify it with the exact
+    objective and the same tie rule; on a miss the search gallops on
+    from there and bisects (:func:`_first_stop`).
 
     Returns ``(q, m, objective)``.
     """
@@ -401,31 +472,23 @@ def solve_step(projector, q_prev, m_prev, D, tau):
                 found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm)
         return found[m]
 
-    def slope(m):
-        return candidate(m + 1)[1] - candidate(m)[1]
+    def lowers(m):
+        # candidate m first: it is the warm start of candidate m + 1
+        before = candidate(m)[1]
+        return candidate(m + 1)[1] < before - 1e-15
 
-    affine = D.lam == 0.0 and D.curv_ub == 0.0
-    lo, hi, lowered, stalled = m_prev - 1, n, [], False
-    while hi - lo > 1:
-        t = lo + 1
-        if affine and stalled:
-            t = (lo + hi) // 2
-        elif affine and len(lowered) > 1:
-            # extrapolate from the last two probes that lowered the
-            # objective until a probe closes the bracket, then interpolate
-            a, b = (lo, hi) if hi < n else (lowered[-2], lo)
-            sa, sb = slope(a), slope(b)
-            if sb > sa:
-                zero = b - sb * (b - a) / (sb - sa)
-                t = min(max(math.ceil(zero), lo + 1), hi - 1)
-        width, closed = hi - lo, hi < n
-        # candidate t first: it is the warm start of candidate t + 1
-        before = candidate(t)[1]
-        if candidate(t + 1)[1] < before - 1e-15:
-            lo = t
-            lowered.append(t)
-        else:
-            hi = t
-        stalled = closed and 2 * (hi - lo) > width
-    q, val = candidate(hi)
-    return q, hi, val
+    if D.lam == 0.0 and D.curv_ub == 0.0:
+        x = q_prev - tau * D.grad(q_prev)
+        scale = projector.ds / (2.0 * tau)
+        # pinning a sample whose target is at or past the door lowers the
+        # objective, so the first stop lies past every such sample
+        past = m_prev + int(np.count_nonzero(x[m_prev:] <= projector.domain.a))
+        guess = _first_stop(lambda m: scale * projector.suffix_slope(x, m) < -1e-15,
+                            past - 1, n, past)
+        m = _first_stop(lowers, m_prev - 1, n, guess)
+    else:
+        m = m_prev
+        while m < n and lowers(m):
+            m += 1
+    q, val = candidate(m)
+    return q, m, val

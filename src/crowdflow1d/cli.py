@@ -299,7 +299,10 @@ def load_config(path, base=None):
     # values are read literally: a '%' is a malformed number, not an interpolation
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text: byte {e.start}: {e.reason}",
+                          field="config") from e
     except configparser.MissingSectionHeaderError as e:
         raise ConfigError(f"line {e.lineno}: {e.line.strip()!r} comes before any "
                           "[section] header", field="section") from e
@@ -309,6 +312,13 @@ def load_config(path, base=None):
     except configparser.DuplicateOptionError as e:
         raise ConfigError(f"line {e.lineno}: key {e.option!r} given twice in [{e.section}]",
                           field=e.option) from e
+    except configparser.ParsingError as e:
+        # a line with neither '=' nor a header, after some section header
+        lineno = e.errors[0][0]
+        lines = Path(path).read_text(encoding="utf-8").splitlines()[:lineno]
+        section = [mo["header"] for mo in map(parser.SECTCRE.match, map(str.strip, lines)) if mo][-1]
+        raise ConfigError(f"line {lineno}: {lines[-1].strip()!r} in [{section}] is not "
+                          "a 'key = value' line", field=section) from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
     for section in parser.sections():

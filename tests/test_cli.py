@@ -95,11 +95,17 @@ def test_bad_values_report_their_field(tmp_path):
                  id="duplicate-key"),
     pytest.param("run", [], "[run]\ntau = 0.01\n[domain]\na = 1\n[run]\nT = 1\n", "run",
                  id="duplicate-section"),
+    pytest.param("run", [], "[domain]\na = 1\n[run]\njunk line here\n", "run",
+                 id="line-without-equals"),
+    pytest.param("run", [], b"\xff\xfe[run]\nT = 1\n", "config", id="not-utf-8"),
 ])
 def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
                                                  ini, field):
     p = tmp_path / "extra.ini"
-    p.write_text(ini)
+    if isinstance(ini, bytes):
+        p.write_bytes(ini)
+    else:
+        p.write_text(ini)
     argv = [command, "--preset", "fig4", "--config", str(p), *flags, "--dry-run"]
     assert main(argv) == 2
     assert f"(field: {field})" in capsys.readouterr().err

@@ -7,11 +7,11 @@ import pytest
 from scipy.optimize import brentq, minimize
 
 from crowdflow1d import _solver, jko
-from crowdflow1d._solver import ChainProjector, minimize_free, step_objective
+from crowdflow1d._solver import ChainProjector, minimize_free, solve_step, step_objective
 from crowdflow1d.errors import SolverFailureError
 from crowdflow1d.harness import _rand_domain
 from crowdflow1d.jko import PotentialD, run_flow, step_size_cap
-from crowdflow1d.measures import Domain1D, Measure1D
+from crowdflow1d.measures import Domain1D, Measure1D, quantile_of
 
 N_INSTANCES = 200
 N_BLOCKS = 300
@@ -434,7 +434,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             problems.append(f"instance {i} ({path}): projection depends on the warm-up")
         # the target's arrays are kept for the next call and must not change
         memo = projector._memo
-        for arr in (memo.x, memo.singles, memo.trial, memo.psum):
+        for arr in (memo.x, memo.singles, memo.trial, memo.psum, *memo.fits.values()):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
@@ -576,15 +576,16 @@ def _linear_scan(projector, q_prev, m_prev, D, tau, minimize):
     return best
 
 
-def _affine_exit_flows():
-    """Affine exit flows as ``(label, rho0, D, tau, n_samples)``."""
+def _affine_exit_flows(tau_hi=0.15):
+    """Affine exit flows as ``(label, rho0, D, tau, n_samples)``; the random
+    ones draw ``tau`` from ``[0.04, tau_hi)``."""
     for i in range(N_SEARCH_FLOWS):
         rng = np.random.default_rng([37, i])
         dom = _dyadic_exit_domain(rng)
         D = _equal_slope_table(rng, dom) if i % 2 else PotentialD.distance_to_exit(dom)
         rho0 = Measure1D.random_feasible(dom, 64, rng, exit_mass=float(rng.uniform(0.02, 0.3)))
         n = 64 * 2 ** int(rng.integers(0, 4))
-        yield f"flow {i}", rho0, D, float(rng.uniform(0.04, 0.15)), n
+        yield f"flow {i}", rho0, D, float(rng.uniform(0.04, tau_hi)), n
     # a saturated column drains at unit speed, about 0.15*512 samples a step
     dom = Domain1D(0.25, 1.25, "flat", None, True)
     yield "saturated", Measure1D.uniform(dom, 1.0, 64), PotentialD.distance_to_exit(dom), 0.15, 512
@@ -638,6 +639,102 @@ def test_prefix_search_matches_the_linear_scan(monkeypatch):
     assert not problems, problems
     assert jumps["saturated"] >= 50 and "absorbed" in emptied, (jumps, emptied)
     assert used["saturated", "search"] < used["saturated", "scan"], used
+
+
+@pytest.mark.parametrize("tau_hi, prediction", [
+    (0.15, "honest"), (0.5, "honest"), (0.15, "first inside"), (0.15, "at n")])
+def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi, prediction):
+    """The prefix predicted from the suffix regressions is verified on
+    the candidates next to it.  Every step returns the scan's prefix,
+    positions and value bit for bit.  A step where the prediction is the
+    chosen prefix costs at most 3 candidates, and the steps average at
+    most 3.5, also with ``tau`` drawn up to 0.5, where a step absorbs
+    more samples.  A prediction that is wrong on purpose (the first
+    sample inside the domain, or ``n``) costs candidates but never
+    changes the step."""
+    honest_step, honest_minimize, honest_stop = jko.solve_step, _solver.minimize_free, _solver._first_stop
+    calls, stops, problems, steps = [0], [], [], Counter()
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return honest_minimize(*args, **kwargs)
+
+    def first_stop(*args):
+        # the first search of a step is the prediction's
+        stops.append(honest_stop(*args))
+        return stops[-1]
+
+    def checked(projector, q_prev, m_prev, D, tau):
+        calls[0] = 0
+        stops.clear()
+        q, m, val = honest_step(projector, q_prev, m_prev, D, tau)
+        q_ref, m_ref, val_ref = _linear_scan(projector, q_prev, m_prev, D, tau, honest_minimize)
+        where = f"{label}, m_prev={m_prev}"
+        if m != m_ref:
+            problems.append(f"{where}: prefix {m}, the scan takes {m_ref}")
+        elif not (np.array_equal(q, q_ref) and val == val_ref):
+            problems.append(f"{where}: positions or value differ from the scan")
+        if stops[0] == m and calls[0] > 3:
+            problems.append(f"{where}: {calls[0]} candidates after a hit at {m}")
+        steps["hits"] += stops[0] == m
+        steps["steps"] += 1
+        steps["candidates"] += calls[0]
+        return q, m, val
+
+    if prediction != "honest":
+        slope = 1.0 if prediction == "first inside" else -1.0
+        monkeypatch.setattr(ChainProjector, "suffix_slope", lambda self, x, m: slope)
+    monkeypatch.setattr(_solver, "minimize_free", counted)
+    monkeypatch.setattr(_solver, "_first_stop", first_stop)
+    monkeypatch.setattr(jko, "solve_step", checked)
+    for label, rho0, D, tau, n in _affine_exit_flows(tau_hi):
+        run_flow(rho0, D, tau, 4 * tau, n_samples=n, n_cells=64)
+    assert not problems, problems
+    assert steps["steps"] == 4 * (N_SEARCH_FLOWS + 2), steps
+    if prediction == "honest":
+        assert steps["candidates"] <= 3.5 * steps["steps"], steps
+        assert steps["hits"] >= 0.9 * steps["steps"], steps
+    else:
+        assert steps["hits"] < 0.9 * steps["steps"], steps
+
+
+def test_prediction_runs_no_projection(monkeypatch):
+    """The prefix prediction reads the suffix regressions and nothing
+    else: on a saturated drain step (the study's corridor, where the
+    queue at the door lets more samples out than the targets past the
+    door) it runs neither a projection nor a candidate minimization, so
+    the projections counted on ``ChainProjector.project`` are the
+    candidates' own, one each."""
+    honest_project, honest_minimize = ChainProjector.project, _solver.minimize_free
+    honest_slope = ChainProjector.suffix_slope
+    inside, counts = [False], Counter()
+
+    def project(self, x, m=0):
+        counts["project", inside[0]] += 1
+        return honest_project(self, x, m)
+
+    def minimize(*args, **kwargs):
+        counts["minimize_free", inside[0]] += 1
+        return honest_minimize(*args, **kwargs)
+
+    def slope(self, x, m):
+        counts["suffix_slope"] += 1
+        inside[0] = True
+        try:
+            return honest_slope(self, x, m)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(ChainProjector, "project", project)
+    monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
+    monkeypatch.setattr(_solver, "minimize_free", minimize)
+    dom = Domain1D(1.0, 10.0, "radial", 1.0 / 99.0, True)
+    q_prev = quantile_of(Measure1D.uniform(dom, 1.0, 64), 1024).q
+    q, m, val = solve_step(ChainProjector(dom, 1024), q_prev, 0, PotentialD.distance_to_exit(dom), 0.1)
+    assert m >= 5 + np.count_nonzero(q_prev <= 1.1), m
+    assert counts["suffix_slope"] >= 4, counts
+    assert counts["project", True] == counts["minimize_free", True] == 0, counts
+    assert counts["project", False] == counts["minimize_free", False] <= 3, counts
 
 
 def _concave_table(rng, dom):
