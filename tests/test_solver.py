@@ -668,7 +668,9 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
         calls[0] = 0
         stops.clear()
         q, m, val = honest_step(projector, q_prev, m_prev, D, tau)
-        q_ref, m_ref, val_ref = _linear_scan(projector, q_prev, m_prev, D, tau, honest_minimize)
+        # a fresh projector, so the scan shares no memo with the search
+        fresh = ChainProjector(projector.domain, projector.n)
+        q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, m_prev, D, tau, honest_minimize)
         where = f"{label}, m_prev={m_prev}"
         if m != m_ref:
             problems.append(f"{where}: prefix {m}, the scan takes {m_ref}")
