@@ -33,14 +33,16 @@ For a fixed prefix the step objective
 
 is minimized by projected gradient iterations that stop at an exact
 fixed point.  For an affine potential, such as the distance to the door,
-the objective is a squared distance to ``p - tau*D'``: the first
-projection is the minimizer and the next target repeats the first bit
-for bit, so a candidate prefix costs one projection.  Pinning makes the
-admissible set non-convex, so the prefix itself is chosen among
-candidates: by a scan for a curved potential.  For an affine one the
-prefix is predicted from the trial regressions of the suffixes of the
-one target (:meth:`ChainProjector.suffix_slope`, no projection), and
-the candidates next to the prediction verify it, see :func:`solve_step`.
+the objective is a squared distance to ``p - tau*D'``, so a candidate
+prefix is one projection of that target and one objective, whatever
+the start.  Pinning makes the admissible set non-convex, so the prefix
+itself is chosen among candidates: by a scan for a curved potential.
+For an affine one the prefix is predicted from the trial regressions
+of the suffixes of the one target (:meth:`ChainProjector.suffix_slope`,
+no projection), and the candidates next to the prediction verify it,
+starting no lower than the samples whose targets are at or past the
+door when pinning those is certain to lower the objective, see
+:func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class ChainProjector:
         self.lb = 0.5 * self.ds - self.offs
         self.ub = (self.cap - 0.5 * self.ds) - self.offs
         self.flat = domain.weight_kind == "flat"
+        # the lowest position a free sample can take, W^-1(ds/2)
+        self.lowest = float(domain.inv_cumweight(self.lb[0]))
         self._memo = None
 
     # -- scalar helpers -------------------------------------------------
@@ -366,23 +370,28 @@ def step_objective(q, p, D, tau, ds):
 
 
 def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
-    """Projected gradient minimization with the pinned prefix ``m``.
+    """Minimization of the step objective with the pinned prefix ``m``.
 
     Returns ``(q, value)``: the full position array and its step
-    objective.  The start is the previous configuration (or ``warm``)
-    with the new prefix pinned, which is always feasible.  The loop stops
-    when a projection returns its start or does not lower the objective,
-    or when the next target equals the last one bit for bit: a projection
-    is a function of its target, so going on would only repeat it.  The
-    step ``theta*tau`` is ``1/lip``; ``theta`` is
-    exactly 1.0 for an affine ``D``, whose targets then do not move.
+    objective.  An affine ``D`` (``lam == curv_ub == 0``) makes the
+    objective a squared distance to ``q_prev - tau*D'``, so its one
+    projection is the minimizer and ``warm`` is not read.  A curved ``D``
+    runs projected gradient iterations from the previous configuration
+    (or ``warm``) with the new prefix pinned, which is always feasible.
+    The loop stops when a projection returns its start or does not lower
+    the objective, or when the next target equals the last one bit for
+    bit: a projection is a function of its target, so going on would only
+    repeat it.  The step ``theta*tau`` is ``1/lip``.
     """
+    ds = projector.ds
+    if D.lam == 0.0 and D.curv_ub == 0.0:
+        q = projector.project(q_prev - tau * D.grad(q_prev), m)
+        return q, step_objective(q, q_prev, D, tau, ds)
     a = projector.domain.a
     q = (warm if warm is not None else q_prev).copy()
     q[:m] = a
     theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
     eta = theta * tau
-    ds = projector.ds
     best = step_objective(q, q_prev, D, tau, ds)
     target = None
     for _ in range(MAX_ITER):
@@ -425,6 +434,30 @@ def _first_stop(lowers, lo, hi, guess):
     return hi
 
 
+def _door_gain_clears(projector, D, tau):
+    """Whether pinning a sample whose target is at or past the door
+    lowers the computed objective of an affine step by more than the
+    1e-15 tie threshold, whatever the rounding.
+
+    Candidate ``k`` has the objective ``ds/(2 tau)`` times its squared
+    distance to ``x = q_prev - tau*D'``, up to a constant.  Every free
+    sample lies at or past the lowest free position ``P0 = W^-1(ds/2)``,
+    so pinning a free sample ``k`` with ``x_k <= a`` as well lowers that
+    distance by ``(Q_k - a)(Q_k + a - 2 x_k) >= (P0 - a)^2``.  The
+    objective is a sum of ``n`` terms whose magnitudes add up to at most
+    ``S = max(|D(a)|, |D(R)|) + D(R) - D(a)``: ``D`` lies between its door
+    value and ``D(R)``, and the transport part of a candidate is at most
+    the objective of ``q_prev`` less ``D(a)``.  A computed value is then
+    within ``n*eps*S`` of the exact one, and a difference of two within
+    twice that.
+    """
+    dom = projector.domain
+    d_a, d_r = float(D.fn(dom.a)), float(D.fn(dom.R))
+    size = max(abs(d_a), abs(d_r)) + d_r - d_a
+    gain = projector.ds / (2.0 * tau) * (projector.lowest - dom.a) ** 2
+    return gain > 1e-15 + 2.0 * projector.n * np.finfo(float).eps * size
+
+
 def solve_step(projector, q_prev, m_prev, D, tau):
     """One congested step: choose the absorbed prefix and minimize.
 
@@ -451,7 +484,12 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     domain and then bisecting.  The candidates ``m - 1``, ``m`` and
     ``m + 1`` around the prediction then verify it with the exact
     objective and the same tie rule; on a miss the search gallops on
-    from there and bisects (:func:`_first_stop`).
+    from there and bisects (:func:`_first_stop`).  Pinning a sample whose
+    target is at or past the door lowers the objective by at least
+    ``ds/(2 tau) * (P0 - a)^2``, with ``P0`` the lowest free position;
+    where that clears the tie threshold and the objective's rounding
+    (:func:`_door_gain_clears`), the verification never evaluates a
+    candidate below those samples, else it may go down to ``m_prev``.
 
     Returns ``(q, m, objective)``.
     """
@@ -485,7 +523,8 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         past = m_prev + int(np.count_nonzero(x[m_prev:] <= projector.domain.a))
         guess = _first_stop(lambda m: scale * projector.suffix_slope(x, m) < -1e-15,
                             past - 1, n, past)
-        m = _first_stop(lowers, m_prev - 1, n, guess)
+        lo = past - 1 if _door_gain_clears(projector, D, tau) else m_prev - 1
+        m = _first_stop(lowers, lo, n, guess)
     else:
         m = m_prev
         while m < n and lowers(m):

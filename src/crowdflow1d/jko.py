@@ -24,6 +24,7 @@ from ._solver import ChainProjector, minimize_free, solve_step
 from ._solver import step_objective  # noqa: F401  (patched by perfbench/tracer.py)
 from .errors import FeasibilityError, SolverFailureError
 from .measures import (
+    CellGeometry,
     Measure1D,
     QuantileFn,
     _csv_file,
@@ -154,22 +155,38 @@ class JkoStepResult:
     q_next: np.ndarray = field(repr=False, default=None)
 
 
-def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
+class _RunGeometry(CellGeometry):
+    """The cells of a run with what every step reads of them and of ``D``.
+
+    Built once per run next to the projector.  On top of
+    :class:`~crowdflow1d.measures.CellGeometry` it holds the nodes of the
+    potential integration (door, midpoints, outer radius) and their
+    spacing, ``D`` and ``-D'`` at the midpoints and ``D(a)``, all
+    read-only.
+    """
+
+    def __init__(self, domain, n_cells, D):
+        super().__init__(domain, n_cells)
+        self.r_nodes = np.concatenate([[domain.a], self.mids, [domain.R]])
+        self.dr = np.diff(self.r_nodes)
+        self.d_mids = np.asarray(D.fn(self.mids), dtype=float)
+        self.u_free = -np.asarray(D.grad(self.mids), dtype=float)
+        self.d_door = float(np.asarray(D.fn(domain.a)))
+        for arr in (self.r_nodes, self.dr, self.d_mids, self.u_free):
+            arr.flags.writeable = False
+
+
+def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
     """Velocity, ``F = D + phi_bar/tau``, level, pressure, door marginal."""
-    edges = np.linspace(domain.a, domain.R, n_cells + 1)
-    grid = 0.5 * (edges[:-1] + edges[1:])
-    dW = domain.cumweight(edges[1:]) - domain.cumweight(edges[:-1])
+    domain, grid = geom.domain, geom.mids
     qi, pi = q_next[m:], q_prev[m:]
     if qi.size == 0:
-        u_free = -np.asarray(D.grad(grid), dtype=float)
-        big_f = np.asarray(D.fn(grid), dtype=float)
-        l_door = float(np.asarray(D.fn(domain.a)))
-        return grid, u_free, big_f, l_door, np.zeros_like(grid), l_door
+        return grid, geom.u_free, geom.d_mids, geom.d_door, np.zeros_like(grid), geom.d_door
     # samples give the map exactly: t(q_next_j) = q_prev_j
     keep = np.concatenate([np.diff(qi) > 1e-13 * max(1.0, domain.R), [True]])
     qk, pk = qi[keep], pi[keep]
 
-    r_nodes = np.concatenate([[domain.a], grid, [domain.R]])
+    r_nodes = geom.r_nodes
     # beyond the sampled range the map translates with the edge sample's
     # displacement
     t_nodes = np.interp(r_nodes, qk, pk)
@@ -178,14 +195,14 @@ def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
     v_map = (grid - t_nodes[1:-1]) / tau  # equals the step velocity on the support
     # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0)
     dphi = np.clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
-    phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * np.diff(r_nodes))])
+    phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * geom.dr)])
     phi -= phi[-1]
     phi_mid = phi[1:-1]
-    big_f = np.asarray(D.fn(grid), dtype=float) + phi_mid / tau
+    big_f = geom.d_mids + phi_mid / tau
     interior = 1.0 - exit_mass
     order = np.argsort(big_f, kind="stable")
     fs = big_f[order]
-    cum = np.cumsum(dW[order])
+    cum = np.cumsum(geom.dW[order])
     k = int(np.searchsorted(cum, interior - 1e-12))
     k = min(k, len(order) - 1)
     # the level sits at the capacity crossing, between the last cell
@@ -194,7 +211,7 @@ def _grid_fields(domain, D, tau, q_prev, q_next, m, exit_mass, n_cells):
     # of the absorbed mass, so the capacity level is the robust choice
     level = float(0.5 * (fs[k] + fs[k + 1])) if k + 1 < len(order) else float(fs[k])
     if domain.has_exit:
-        door_level = float(np.asarray(D.fn(domain.a))) + phi[0] / tau
+        door_level = geom.d_door + phi[0] / tau
     else:
         door_level = np.inf
     pressure = np.clip(level - big_f, 0.0, None)
@@ -220,28 +237,30 @@ def jko_step(prev, D, tau, n_samples=4096, n_cells=2048):
     -------
     JkoStepResult
     """
-    projector, qf = _start(prev, D, tau, n_samples)
-    return _assemble(projector, qf.q, qf.exit_plateau, D, tau, n_cells)
+    projector, geom, qf = _start(prev, D, tau, n_samples, n_cells)
+    return _assemble(projector, geom, qf.q, qf.exit_plateau, D, tau)
 
 
-def _start(rho, D, tau, n_samples):
-    """Check the step size and potential; sample ``rho`` for the solver."""
+def _start(rho, D, tau, n_samples, n_cells):
+    """Check the step size and potential; sample ``rho`` for the solver.
+
+    Returns the projector and the cell geometry that every step of the
+    run shares, and the samples of ``rho``.
+    """
     if tau <= 0.0:
         raise FeasibilityError("tau must be positive")
     if tau > step_size_cap(D):
         raise FeasibilityError("tau exceeds the admissible step cap")
     D.validate_for(rho.domain)
     qf = quantile_of(rho, n_samples)
-    return ChainProjector(rho.domain, n_samples), qf
+    return ChainProjector(rho.domain, n_samples), _RunGeometry(rho.domain, n_cells, D), qf
 
 
-def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
+def _assemble(projector, geom, q_prev, m_prev, D, tau):
     domain = projector.domain
     ds = projector.ds
     q_next, m_next, obj = solve_step(projector, q_prev, m_prev, D, tau)
-    fields = _grid_fields(
-        domain, D, tau, q_prev, q_next, m_next, m_next * ds, n_cells
-    )
+    fields = _grid_fields(geom, tau, q_prev, q_next, m_next, m_next * ds)
     while domain.has_exit and m_next < projector.n:
         level, door_level = fields[3], fields[5]
         if door_level >= level - DOOR_BALANCE_MARGIN * max(1.0, abs(level)):
@@ -250,15 +269,12 @@ def _assemble(projector, q_prev, m_prev, D, tau, n_cells):
         if val > obj + DOOR_TIE_TOL * max(1.0, abs(obj)):
             break
         q_next, m_next, obj = q_try, m_next + 1, val
-        fields = _grid_fields(
-            domain, D, tau, q_prev, q_next, m_next, m_next * ds, n_cells
-        )
-    rho_next = density_of(QuantileFn(domain, q_next, m_next), n_cells)
+        fields = _grid_fields(geom, tau, q_prev, q_next, m_next, m_next * ds)
+    rho_next = density_of(QuantileFn(domain, q_next, m_next), geom.n_cells, geom)
     diff = q_next - q_prev
     w2_inc = float(np.sqrt((diff * diff).sum() * ds))
     grid, velocity, _, level, pressure, _ = fields
-    u_free = -np.asarray(D.grad(grid), dtype=float)
-    velocity = np.where(rho_next.rho > 0.0, velocity, u_free)
+    velocity = np.where(rho_next.rho > 0.0, velocity, geom.u_free)
     # the next step keeps this array as its q_prev, so neither may write it
     q_next.flags.writeable = False
     disc_energy = float((np.asarray(D.fn(q_next), dtype=float) * ds).sum())
@@ -323,7 +339,7 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     raises :class:`SolverFailureError` carrying the step index, the
     offending iterate and its absorbed prefix.
     """
-    projector, qf = _start(rho0, D, tau, n_samples)
+    projector, geom, qf = _start(rho0, D, tau, n_samples, n_cells)
     n_steps = int(round(T / tau))
     if abs(n_steps * tau - T) > 1e-9 * max(1.0, T):
         raise FeasibilityError("T must be an integer multiple of tau")
@@ -333,7 +349,7 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     iterates = [rho0]
     steps = []
     for k in range(n_steps):
-        res = _assemble(projector, q, m, D, tau, n_cells)
+        res = _assemble(projector, geom, q, m, D, tau)
         q, m = res.q_next, res.m_exit
         steps.append(res)
         iterates.append(res.rho_next)

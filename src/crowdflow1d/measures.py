@@ -379,18 +379,42 @@ def quantile_of(m, n_samples=4096):
     return QuantileFn(m.domain, q, exit_plateau)
 
 
-def bin_quantiles_to_cells(domain, q, plateau, n_cells):
+class CellGeometry:
+    """``n_cells`` equal cells on a domain, with what binning reads of them.
+
+    Holds the edges, the midpoints, the capacities ``W`` at the edges and
+    the cell capacities, all read-only, so that one instance can serve
+    every step of a run and every measure built on these cells can share
+    its ``edges``.
+    """
+
+    def __init__(self, domain, n_cells):
+        self.domain = domain
+        self.n_cells = n_cells
+        self.edges = np.linspace(domain.a, domain.R, n_cells + 1)
+        self.mids = 0.5 * (self.edges[:-1] + self.edges[1:])
+        self.z_edges = np.asarray(domain.cumweight(self.edges))
+        self.dW = self.z_edges[1:] - self.z_edges[:-1]
+        for arr in (self.edges, self.mids, self.z_edges, self.dW):
+            arr.flags.writeable = False
+
+
+def bin_quantiles_to_cells(domain, q, plateau, n_cells, cells=None):
     """Cell masses of the measure encoded by midpoint quantile samples.
 
     Works in capacity coordinates ``z = W(r)``, where the sampled inverse
     CDF of any uniform stretch is linear in ``s``, and extrapolates the
     half-sample tails; mass is conserved exactly.  Returns
-    ``(edges, cell_mass, exit_mass)`` with no cap enforcement.
+    ``(edges, cell_mass, exit_mass)`` with no cap enforcement.  ``cells``
+    is the :class:`CellGeometry` of these ``n_cells`` cells if the caller
+    has one; the returned ``edges`` are then its own.
     """
     n = q.size
     m = plateau if domain.has_exit else 0
     exit_mass = m / n
-    edges = np.linspace(domain.a, domain.R, n_cells + 1)
+    if cells is None:
+        cells = CellGeometry(domain, n_cells)
+    edges = cells.edges
     if m >= n:
         return edges, np.zeros(n_cells), 1.0
     s_mid = (np.arange(m, n) + 0.5) / n
@@ -409,32 +433,35 @@ def bin_quantiles_to_cells(domain, q, plateau, n_cells):
     # collapse duplicate positions keeping the largest s (right-continuous CDF)
     keep = np.concatenate([np.diff(zz) > atol, [True]])
     zz, ss = zz[keep], ss[keep]
-    z_edges = np.asarray(domain.cumweight(edges))
-    cdf_edges = np.interp(z_edges, zz, ss, left=exit_mass, right=1.0)
+    cdf_edges = np.interp(cells.z_edges, zz, ss, left=exit_mass, right=1.0)
     cdf_edges[0] = exit_mass
     cdf_edges[-1] = 1.0
     cdf_edges = np.maximum.accumulate(cdf_edges)
     return edges, np.diff(cdf_edges), exit_mass
 
 
-def density_of(qf, n_cells=2048):
+def density_of(qf, n_cells=2048, cells=None):
     """Push the uniform law on [0, 1] through a quantile function.
 
     The sampled quantile is read as piecewise linear between samples; the
     plateau at ``a`` (on exit domains) becomes the exit atom.  Binning
     conserves mass exactly, so the result is a probability measure; the
     density cap can be exceeded only by rounding, which
-    :func:`_spill_excess` moves into room nearby.
+    :func:`_spill_excess` moves into room nearby.  ``cells`` is the
+    :class:`CellGeometry` of the ``n_cells`` cells if the caller has one;
+    the measure then shares its ``edges``.
 
     Returns
     -------
     Measure1D
     """
     domain = qf.domain
+    if cells is None:
+        cells = CellGeometry(domain, n_cells)
     edges, cell_mass, exit_mass = bin_quantiles_to_cells(
-        domain, qf.q, qf.exit_plateau, n_cells
+        domain, qf.q, qf.exit_plateau, n_cells, cells
     )
-    dW = domain.cumweight(edges[1:]) - domain.cumweight(edges[:-1])
+    dW = cells.dW
     rho = cell_mass / dW
     over = np.clip(rho - 1.0, 0.0, None) @ dW
     if over > 1e-6:

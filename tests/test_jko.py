@@ -18,7 +18,7 @@ from crowdflow1d.jko import (
     run_flow,
     step_size_cap,
 )
-from crowdflow1d.measures import Domain1D, Measure1D
+from crowdflow1d.measures import Domain1D, Measure1D, QuantileFn, density_of
 from crowdflow1d.transport import w2_1d
 
 FLAT3 = Domain1D(0.0, 3.0, "flat", None, False)
@@ -209,6 +209,17 @@ def test_energy_and_speed_bounds_along_drain():
 def test_step_fields_structure():
     traj, D = _small_run(fig4_preset())
     step = traj.steps[-1]
+    # the cells are built once per run: every iterate shares one read-only
+    # edges array, and binning without the run's geometry gives the same bits
+    edges = traj.iterates[1].edges
+    assert all(m.edges is edges for m in traj.iterates[1:])
+    with pytest.raises(ValueError):
+        edges[1] = 0.0
+    for res in traj.steps[::3]:
+        alone = density_of(QuantileFn(traj.domain, res.q_next, res.m_exit), 512)
+        assert np.array_equal(alone.edges, edges)
+        assert np.array_equal(alone.rho, res.rho_next.rho)
+        assert alone.exit_mass == res.rho_next.exit_mass
     assert np.all(step.pressure >= 0.0)
     # everything drifts toward the door under the distance potential
     assert np.all(step.velocity <= 1e-12)
