@@ -493,9 +493,9 @@ def geodesic_interpolant(m0, m1, t, n_samples=4096, n_cells=2048):
     q1 = quantile_of(m1, n_samples)
     q = (1.0 - t) * q0.q + t * q1.q
     plateau = min(q0.exit_plateau, q1.exit_plateau) if dom.has_exit else 0
-    edges, cell_mass, exit_mass = bin_quantiles_to_cells(dom, q, plateau, n_cells)
-    dW = dom.cumweight(edges[1:]) - dom.cumweight(edges[:-1])
-    rho = cell_mass / dW
+    cells = CellGeometry(dom, n_cells)
+    edges, cell_mass, exit_mass = bin_quantiles_to_cells(dom, q, plateau, n_cells, cells)
+    rho = cell_mass / cells.dW
     max_density = float(rho.max())
     return InterpolantDensity(
         edges=edges,
@@ -521,14 +521,12 @@ def momentum_fields(traj, t, n_cells=512):
     z = (1.0 - sigma) * y + sigma * x
     v = (x - y) / tau
     dom = traj.domain
-    edges = np.linspace(dom.a, dom.R, n_cells + 1)
-    dW = dom.cumweight(edges[1:]) - dom.cumweight(edges[:-1])
+    cells = CellGeometry(dom, n_cells)
     ds = 1.0 / len(y)
-    e_tilde = np.histogram(z, bins=edges, weights=v * ds)[0] / dW
+    e_tilde = np.histogram(z, bins=cells.edges, weights=v * ds)[0] / cells.dW
     interior = x > dom.a + 1e-12
-    e_hat = np.histogram(z[interior], bins=edges, weights=(v * ds)[interior])[0] / dW
-    grid = 0.5 * (edges[:-1] + edges[1:])
-    return grid, e_tilde, e_hat
+    e_hat = np.histogram(z[interior], bins=cells.edges, weights=(v * ds)[interior])[0] / cells.dW
+    return cells.mids, e_tilde, e_hat
 
 
 def momentum_discrepancy(traj):
