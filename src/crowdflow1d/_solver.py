@@ -39,7 +39,8 @@ the start.  Pinning makes the admissible set non-convex, so the prefix
 itself is chosen among candidates: by a scan for a curved potential.
 For an affine one the prefix is predicted from the trial regressions
 of the suffixes of the one target (:meth:`ChainProjector.suffix_slope`,
-no projection), and the candidates next to the prediction verify it,
+no projection), starting at the root of the line through its first two
+probes, and the candidates next to the prediction verify it,
 starting no lower than the samples whose targets are at or past the
 door when pinning those is certain to lower the objective, see
 :func:`solve_step`.
@@ -47,6 +48,7 @@ door when pinning those is certain to lower the objective, see
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -417,7 +419,9 @@ def _first_stop(lowers, lo, hi, guess):
     """First ``m`` in ``(lo, hi]`` where ``lowers(m)`` is false.
 
     ``lowers`` must be true below that ``m`` and false from it on, and
-    ``hi`` counts as false without a call.  Probes ``guess - 1`` and
+    ``hi`` counts as false without a call.  ``lo`` is not probed either,
+    so a caller that has already seen ``lowers`` true at some ``m``
+    passes that ``m`` as ``lo``.  Probes ``guess - 1`` and
     ``guess`` first (each clamped into the bracket), gallops away from
     them with doubling steps in the direction they point, and bisects
     once a probe has fallen on the other side.
@@ -479,9 +483,15 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     squared distance to ``x``, up to a constant, and its discrete slope
     ``f(m + 1) - f(m)`` increases with ``m``.  The prefix is predicted as
     the first stop of the predicted slope
-    (:meth:`ChainProjector.suffix_slope`, which runs no projection),
-    galloping up from the first sample whose target lies inside the
-    domain and then bisecting.  The candidates ``m - 1``, ``m`` and
+    (:meth:`ChainProjector.suffix_slope`, which runs no projection, kept
+    per ``m`` within the step).  Its search probes the first sample
+    ``past`` whose target lies inside the domain and ``past + 1``.  Up
+    to its jump at the stop the predicted slope is close to linear, so
+    when both probes drop and the slope rises between them, the search
+    starts at the root of the line through them, rounded up and at
+    least ``past + 2``; otherwise it starts at ``past``.  From there it
+    gallops and bisects (:func:`_first_stop`, run once per step for the
+    prediction).  The candidates ``m - 1``, ``m`` and
     ``m + 1`` around the prediction then verify it with the exact
     objective and the same tie rule; on a miss the search gallops on
     from there and bisects (:func:`_first_stop`).  Pinning a sample whose
@@ -518,11 +528,24 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     if D.lam == 0.0 and D.curv_ub == 0.0:
         x = q_prev - tau * D.grad(q_prev)
         scale = projector.ds / (2.0 * tau)
+        slopes = {}
+
+        def predicted(m):
+            if m not in slopes:
+                slopes[m] = scale * projector.suffix_slope(x, m)
+            return slopes[m]
+
         # pinning a sample whose target is at or past the door lowers the
         # objective, so the first stop lies past every such sample
         past = m_prev + int(np.count_nonzero(x[m_prev:] <= projector.domain.a))
-        guess = _first_stop(lambda m: scale * projector.suffix_slope(x, m) < -1e-15,
-                            past - 1, n, past)
+        lo, guess = past - 1, past
+        if past + 1 < n and predicted(past) < -1e-15 and predicted(past + 1) < -1e-15:
+            f0, f1 = predicted(past), predicted(past + 1)
+            if f1 > f0:
+                # the predicted slope is close to linear up to its jump:
+                # start at the root of the line through the two probes
+                lo, guess = past + 1, min(past + 1 + max(1, math.ceil(-f1 / (f1 - f0))), n)
+        guess = _first_stop(lambda m: predicted(m) < -1e-15, lo, n, guess)
         lo = past - 1 if _door_gain_clears(projector, D, tau) else m_prev - 1
         m = _first_stop(lowers, lo, n, guess)
     else:

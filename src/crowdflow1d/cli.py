@@ -21,8 +21,8 @@ import numpy as np
 
 from .corridor import CorridorPreset
 from .errors import ConfigError, CrowdflowError, FeasibilityError
-from .harness import convergence_study
-from .jko import PotentialD, pressure_velocity_checks, run_flow
+from .harness import _validate_tau_sweep, convergence_study
+from .jko import PotentialD, _step_count, pressure_velocity_checks, run_flow
 from .measures import Domain1D, Measure1D
 
 DEFAULT_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
@@ -181,12 +181,16 @@ def _require_positive(values, field):
 
 
 def _align_times(times, tau, field):
+    """Each time must be a whole number of steps of ``tau``, at least one."""
     for t in times:
-        k = round(t / tau)
-        if abs(k * tau - t) > 1e-9 * max(1.0, t):
-            raise ConfigError(
-                f"time {t} is not a multiple of tau={tau}", field=field
-            )
+        if not np.isfinite(t / tau):
+            raise ConfigError(f"tau={tau} is too small to step to {field} = {t}", field="tau")
+        try:
+            steps = _step_count(t, tau)
+        except FeasibilityError as e:
+            raise ConfigError(f"time {t} is not a multiple of tau={tau}", field=field) from e
+        if steps < 1:
+            raise ConfigError(f"time {t} is less than one step of tau={tau}", field=field)
 
 
 # -- config file parsing -------------------------------------------------
@@ -559,11 +563,13 @@ def run_study(cfg, dry_run=False, echo=print):
         raise ConfigError(
             "studies need the distance potential", field="kind"
         )
-    if len(cfg.taus) < 4:
-        raise ConfigError(
-            f"a sweep needs at least 4 tau values, got {len(cfg.taus)}",
-            field="taus",
-        )
+    # the sweep's own rules, first on the taus alone (the first tau is a
+    # horizon every halving tau steps to), then with the study's T
+    for T, field in ((cfg.taus[0], "taus"), (cfg.study_T, "study T")):
+        try:
+            _validate_tau_sweep(cfg.taus, T)
+        except FeasibilityError as e:
+            raise ConfigError(str(e), field=field) from e
     scenario = CorridorPreset(
         "study", cfg.a, cfg.R, cfg.rho0_value, cfg.taus[0], cfg.has_exit
     )

@@ -20,7 +20,7 @@ import numpy as np
 from . import corridor
 from .corridor import RadialProfile, fig4_preset, ode_b_exit, step_b_no_exit
 from .errors import CrowdflowError, FeasibilityError
-from .jko import DOOR_BALANCE_MARGIN, PotentialD, momentum_discrepancy, run_flow
+from .jko import DOOR_BALANCE_MARGIN, PotentialD, _step_count, momentum_discrepancy, run_flow
 from .measures import Domain1D, Measure1D, _csv_file
 from .transport import (
     exit_mass_stability_constant,
@@ -103,9 +103,8 @@ def _validate_tau_sweep(taus, T):
         if abs(small - 0.5 * big) > 1e-9 * big:
             raise FeasibilityError("taus must halve from entry to entry")
     for tau in taus:
-        n = round(T / tau)
-        if abs(n * tau - T) > 1e-9 * max(1.0, T):
-            raise FeasibilityError(f"T={T} is not a multiple of tau={tau}")
+        if _step_count(T, tau) < 1:
+            raise FeasibilityError(f"T={T} is less than one step of tau={tau}")
     return taus
 
 

@@ -256,6 +256,21 @@ def _start(rho, D, tau, n_samples, n_cells):
     return ChainProjector(rho.domain, n_samples), _RunGeometry(rho.domain, n_cells, D), qf
 
 
+def _step_count(T, tau):
+    """Number of steps of size ``tau`` up to time ``T``.
+
+    Raises :class:`FeasibilityError` unless ``T/tau`` is finite and ``T``
+    lies within ``1e-9*max(1, T)`` of a whole number of steps.
+    """
+    steps = float(T) / float(tau)
+    if not np.isfinite(steps):
+        raise FeasibilityError(f"T={T} is not a finite number of steps of tau={tau}")
+    n_steps = round(steps)
+    if abs(n_steps * tau - T) > 1e-9 * max(1.0, T):
+        raise FeasibilityError(f"T={T} is not a multiple of tau={tau}")
+    return n_steps
+
+
 def _assemble(projector, geom, q_prev, m_prev, D, tau):
     domain = projector.domain
     ds = projector.ds
@@ -340,9 +355,7 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     offending iterate and its absorbed prefix.
     """
     projector, geom, qf = _start(rho0, D, tau, n_samples, n_cells)
-    n_steps = int(round(T / tau))
-    if abs(n_steps * tau - T) > 1e-9 * max(1.0, T):
-        raise FeasibilityError("T must be an integer multiple of tau")
+    n_steps = _step_count(T, tau)
     q, m = qf.q, qf.exit_plateau
     ds = projector.ds
     energies = [float((np.asarray(D.fn(q), dtype=float) * ds).sum())]

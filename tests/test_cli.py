@@ -68,11 +68,21 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("run", ["--T", "nan"], "", "T", id="T-nan"),
     pytest.param("run", ["--T", "inf"], "", "T", id="T-inf"),
     pytest.param("run", ["--snapshots", "0.5,nan"], "", "snapshots", id="snapshot-nan"),
+    pytest.param("run", ["--tau", "1e-320"], "", "tau", id="tau-too-small-to-step"),
+    pytest.param("run", ["--T", "1e308", "--tau", "1e-10"], "", "tau", id="steps-overflow"),
+    pytest.param("run", ["--T", "1e-12"], "", "T", id="T-below-one-step"),
+    pytest.param("run", ["--snapshots", "1e-12"], "", "snapshots",
+                 id="snapshot-below-one-step"),
     pytest.param("run", [], "[run]\nn_samples = 1\n", "n_samples", id="n_samples-1"),
     pytest.param("run", [], "[run]\nn_cells = 0\n", "n_cells", id="n_cells-0"),
     pytest.param("study", ["--T", "nan"], "", "study T", id="study-T-nan"),
     pytest.param("study", [], "[study]\ntaus = 0.1 0.05 0.025 -0.0125\n", "taus",
                  id="taus-negative"),
+    pytest.param("study", [], "[study]\ntaus = 0.1, 0.05, 0.025, 0.03\n", "taus",
+                 id="taus-not-halving"),
+    pytest.param("study", [], "[study]\ntaus = 0.1, 0.05, 0.025\n", "taus", id="taus-too-few"),
+    pytest.param("study", ["--T", "1e-320"], "", "study T", id="study-T-below-one-step"),
+    pytest.param("study", ["--T", "0.98"], "", "study T", id="study-T-misaligned"),
     pytest.param("run", [], "[domain]\na = nan\n", "a", id="a-nan"),
     pytest.param("run", [], "[domain]\na = -1\n", "a", id="a-negative"),
     pytest.param("run", [], "[domain]\nR = inf\n", "R", id="R-inf"),

@@ -111,6 +111,10 @@ def test_step_guards():
         jko_step(m, concave, 10.0 * step_size_cap(concave))
     with pytest.raises(FeasibilityError):
         run_flow(m, D, 0.1, 0.25, n_samples=128, n_cells=64)
+    # a time grid with no finite step count
+    for tau, T in ((1e-320, 1.0), (0.1, np.inf), (0.1, np.nan)):
+        with pytest.raises(FeasibilityError, match="T="):
+            run_flow(m, D, tau, T, n_samples=128, n_cells=64)
 
 
 def test_energy_rise_is_a_solver_failure(monkeypatch):

@@ -766,6 +766,66 @@ def test_prediction_runs_no_projection(monkeypatch):
     assert counts["project", False] == counts["minimize_free", False] <= 3, counts
 
 
+def _saturated_study_step(n, tau):
+    """The study's corridor, saturated, one step from an empty door: the
+    projector, ``q_prev``, the potential and the first sample whose target
+    lies inside the domain."""
+    dom = Domain1D(1.0, 10.0, "radial", 1.0 / 99.0, True)
+    D = PotentialD.distance_to_exit(dom)
+    q_prev = quantile_of(Measure1D.uniform(dom, 1.0, 64), n).q
+    past = int(np.count_nonzero(q_prev - tau * D.grad(q_prev) <= dom.a))
+    return ChainProjector(dom, n), q_prev, D, past
+
+
+@pytest.mark.parametrize("n, tau, fits", [(16384, 0.1, 9), (16384, 0.00625, 7), (1024, 0.1, 7)])
+def test_secant_seed_bounds_the_suffix_regressions(n, tau, fits):
+    """On a saturated drain the predicted slope is almost linear from the
+    first sample inside the domain up to its jump at the chosen prefix, so
+    the prediction starts at the root of the line through its first two
+    probes.  One step then leaves at most ``fits`` suffix regressions in
+    the target memo, the prediction's and the candidates' together (a
+    gallop from that sample leaves 26, 10 and 10)."""
+    projector, q_prev, D, past = _saturated_study_step(n, tau)
+    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    assert m > past + 1, (m, past)
+    assert len(projector._memo.fits) <= fits, sorted(projector._memo.fits)
+
+
+@pytest.mark.parametrize("dm", [1, 2, 5, 30, 200])
+def test_secant_seed_survives_a_tangential_slope(monkeypatch, dm):
+    """A predicted slope ``-(m0 - m)^3`` meets zero tangentially at ``m0``,
+    so the secant root undershoots it.  The prediction still stops at
+    ``m0`` with at most 2 probes more than a gallop from the first sample
+    inside the domain, and the step, verified on the exact objective,
+    returns the scan's prefix, positions and value bit for bit."""
+    n, tau = 1024, 0.1
+    projector, q_prev, D, past = _saturated_study_step(n, tau)
+    m0 = past + dm
+    probes, stops, honest_stop = [], [], _solver._first_stop
+
+    def fake(m):
+        return -float(m0 - m) ** 3
+
+    def slope(self, x, m):
+        probes.append(m)
+        return fake(m)
+
+    def first_stop(*args):
+        stops.append(honest_stop(*args))
+        return stops[-1]
+
+    monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
+    monkeypatch.setattr(_solver, "_first_stop", first_stop)
+    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    galloped = set()
+    assert honest_stop(lambda k: galloped.add(k) or fake(k) < 0.0, past - 1, n, past) == m0
+    assert stops[0] == m0, stops
+    assert len(probes) == len(set(probes)) <= len(galloped) + 2, (sorted(probes), sorted(galloped))
+    fresh = ChainProjector(projector.domain, n)
+    q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, 0, D, tau, minimize_free)
+    assert m == m_ref and np.array_equal(q, q_ref) and val == val_ref, (m, m_ref)
+
+
 def _concave_table(rng, dom):
     """Random concave piecewise-linear potential, minimal on the door."""
     k = int(rng.integers(2, 6))
