@@ -99,6 +99,8 @@ def _validate_tau_sweep(taus, T):
     taus = [float(t) for t in taus]
     if len(taus) < 4:
         raise FeasibilityError("a sweep needs at least 4 tau values")
+    if not all(tau > 0.0 for tau in taus):
+        raise FeasibilityError("taus must be positive")
     for big, small in zip(taus, taus[1:]):
         if abs(small - 0.5 * big) > 1e-9 * big:
             raise FeasibilityError("taus must halve from entry to entry")

@@ -46,6 +46,11 @@ def test_sweep_validation():
         convergence_study(p, [0.1, 0.07, 0.05, 0.025], 1.0)  # not halving
     with pytest.raises(FeasibilityError):
         convergence_study(p, [0.1, 0.05, 0.025, 0.0125], 0.98)  # misaligned
+    for taus in ([0.0] * 4, [float("nan")] * 4):
+        with pytest.raises(FeasibilityError, match="positive"):
+            convergence_study(p, taus, 1.0)
+    with pytest.raises(FeasibilityError, match="one step"):
+        convergence_study(p, [0.1, 0.05, 0.025, 0.0125], 1e-320)
 
 
 def test_closed_corridor_study_is_exact():
