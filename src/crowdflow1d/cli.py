@@ -19,23 +19,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .corridor import CorridorPreset
+from .corridor import CorridorPreset, fig3_preset, fig4_preset, unit_mass_half_angle
 from .errors import ConfigError, CrowdflowError, FeasibilityError
 from .harness import _validate_tau_sweep, convergence_study
 from .jko import PotentialD, _step_count, pressure_velocity_checks, run_flow
-from .measures import Domain1D, Measure1D
+from .measures import CellGeometry, Domain1D, Measure1D
 
 DEFAULT_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
+# the corridor presets with the horizon and snapshot times of each figure
 PRESETS = {
-    "fig3": dict(
-        a=0.0, R=10.0, rho0_value=0.4, has_exit=False,
-        tau=0.01, T=6.0, snapshots=(0.5, 1.5, 3.0, 6.0),
-    ),
-    "fig4": dict(
-        a=1.0, R=10.0, rho0_value=0.4, has_exit=True,
-        tau=0.01, T=4.0, snapshots=(0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0),
-    ),
+    p.name: dict(a=p.a, R=p.R, rho0_value=p.rho0, has_exit=p.has_exit, tau=p.tau,
+                 T=T, snapshots=snapshots)
+    for p, T, snapshots in (
+        (fig3_preset(), 6.0, (0.5, 1.5, 3.0, 6.0)),
+        (fig4_preset(), 4.0, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0)),
+    )
 }
 
 # tolerances of the run-summary invariants (the exact discrete facts)
@@ -79,7 +78,7 @@ class ScenarioConfig:
                 raise ConfigError(
                     "half_angle 'auto' needs a uniform rho0", field="half_angle"
                 )
-            return 1.0 / (self.rho0_value * (self.R**2 - self.a**2))
+            return unit_mass_half_angle(self.a, self.R, self.rho0_value)
         return float(self.half_angle)
 
     def domain(self):
@@ -110,16 +109,15 @@ class ScenarioConfig:
             raise ConfigError(
                 f"density table carries mass {total:.10f}, needs 1", field="table"
             )
-        edges = np.linspace(dom.a, dom.R, n + 1)
+        cells = CellGeometry(dom, n)
         # exact cell masses of the step profile: cut each table row
         # against each cell, so nothing is lost to quadrature
         cell_mass = np.zeros(n)
         for s, e, v in zip(starts, ends, values):
-            lo = dom.cumweight(np.clip(edges[:-1], s, e))
-            hi = dom.cumweight(np.clip(edges[1:], s, e))
+            lo = dom.cumweight(np.clip(cells.edges[:-1], s, e))
+            hi = dom.cumweight(np.clip(cells.edges[1:], s, e))
             cell_mass += v * (hi - lo)
-        dW = dom.cumweight(edges[1:]) - dom.cumweight(edges[:-1])
-        return Measure1D(dom, edges, np.clip(cell_mass / dW, 0.0, 1.0))
+        return Measure1D(dom, cells.edges, np.clip(cell_mass / cells.dW, 0.0, 1.0))
 
     def potential(self):
         dom = self.domain()
@@ -503,7 +501,7 @@ def run_scenario(cfg, seed=0, dry_run=False, echo=print):
     rng = np.random.default_rng(seed)
     hold_diags = cfg.n_samples >= DIAG_N_SAMPLES and cfg.n_cells >= DIAG_N_CELLS
     for t in snapshots:
-        k = round(t / cfg.tau)
+        k = _step_count(t, cfg.tau)
         m = traj.iterates[k]
         stem = f"snapshot_{t:g}"
         m.to_csv(str(out_dir / f"{stem}.csv"))

@@ -25,7 +25,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import FeasibilityError, RegimeEndError, StiffnessError
-from .measures import Domain1D, Measure1D
+from .jko import _step_count
+from .measures import CellGeometry, Domain1D, Measure1D
+
+
+def unit_mass_half_angle(a, R, rho0):
+    """Half angle that gives the uniform density ``rho0`` on ``[a, R]`` unit mass."""
+    return 1.0 / (rho0 * (R**2 - a**2))
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,7 @@ class CorridorPreset:
 
     @property
     def half_angle(self):
-        # normalizes the initial uniform profile to unit mass
-        return 1.0 / (self.rho0 * (self.R**2 - self.a**2))
+        return unit_mass_half_angle(self.a, self.R, self.rho0)
 
     def domain(self):
         return Domain1D(self.a, self.R, "radial", self.half_angle, self.has_exit)
@@ -79,7 +84,7 @@ class RadialProfile:
 
     @property
     def half_angle(self):
-        return 1.0 / (self.rho0 * (self.R**2 - self.a**2))
+        return unit_mass_half_angle(self.a, self.R, self.rho0)
 
     def cummass(self, r):
         """Interior mass of ``[a, r]`` (exit atom excluded)."""
@@ -115,11 +120,10 @@ def render(profile, n_cells=2048, has_exit=None):
     if has_exit is None:
         has_exit = profile.exit_mass > 0.0
     dom = Domain1D(profile.a, profile.R, "radial", profile.half_angle, has_exit)
-    edges = np.linspace(dom.a, dom.R, n_cells + 1)
-    mass = np.diff(profile.cummass(edges))
-    dW = dom.cumweight(edges[1:]) - dom.cumweight(edges[:-1])
-    rho = np.clip(mass / dW, 0.0, 1.0)
-    return Measure1D(dom, edges, rho, profile.exit_mass)
+    cells = CellGeometry(dom, n_cells)
+    mass = np.diff(profile.cummass(cells.edges))
+    rho = np.clip(mass / cells.dW, 0.0, 1.0)
+    return Measure1D(dom, cells.edges, rho, profile.exit_mass)
 
 
 # -- closed corridor (no exit) -----------------------------------------
@@ -353,10 +357,10 @@ def _mixed_interface(b_prev, k, tau, a, R, rho0, shed):
     Returns the new interface ``b``, or ``nan`` when no admissible
     profile carries the remaining mass.
     """
-    alpha = 1.0 / (rho0 * (R**2 - a**2))
     t_prev = (k - 1) * tau
     t = k * tau
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, 0.0)
+    alpha = prof_prev.half_angle
     m_new = prof_prev.interior_mass() - shed
     if m_new < -1e-12:
         return np.nan
@@ -439,9 +443,9 @@ def _max_cut(b_prev, k, tau, a, R, rho0, exit_mass_prev):
     Also capped at one free-fall reach past the saturated zone, beyond
     which the travel cost is prohibitive.
     """
-    alpha = 1.0 / (rho0 * (R**2 - a**2))
     t = k * tau
     prof_prev = _prev_profile(b_prev, (k - 1) * tau, a, R, rho0, exit_mass_prev)
+    alpha = prof_prev.half_angle
     b_floor = max(a, rho0 * t / (1.0 - rho0))
     mass_floor = alpha * (b_floor**2 - a * a)
     if b_floor < R - t:
@@ -507,10 +511,9 @@ def chain_interface(preset, T):
     """Iterate the per-step interface recurrence up to time ``T``.
 
     Returns arrays ``(times, b, exit_mass)`` including the initial state.
+    ``T`` must be a whole number of steps (``jko._step_count``).
     """
-    n = int(round(T / preset.tau))
-    if abs(n * preset.tau - T) > 1e-9:
-        raise FeasibilityError("T must be a multiple of tau")
+    n = _step_count(T, preset.tau)
     tau, a, R, rho0 = preset.tau, preset.a, preset.R, preset.rho0
     ts = np.arange(n + 1) * tau
     bs = np.empty(n + 1)

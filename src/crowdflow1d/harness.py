@@ -18,10 +18,10 @@ import io
 import numpy as np
 
 from . import corridor
-from .corridor import RadialProfile, fig4_preset, ode_b_exit, step_b_no_exit
+from .corridor import RadialProfile, chain_interface, fig4_preset, ode_b_exit
 from .errors import CrowdflowError, FeasibilityError
 from .jko import DOOR_BALANCE_MARGIN, PotentialD, _step_count, momentum_discrepancy, run_flow
-from .measures import Domain1D, Measure1D, _csv_file
+from .measures import Domain1D, Measure1D, _csv_file, cell_integrals
 from .transport import (
     exit_mass_stability_constant,
     w2_1d,
@@ -117,14 +117,9 @@ def _samples_for(tau):
 def _no_exit_errors(scenario, tau, T):
     # the stepped interface recurrence is exact for the closed corridor,
     # so both errors land at rounding level by construction
-    n_steps = round(T / tau)
-    b = 0.0
-    for k in range(1, n_steps + 1):
-        b = step_b_no_exit(b, k, tau, scenario.rho0)
+    b = float(chain_interface(dataclasses.replace(scenario, tau=tau), T)[1][-1])
     prof_ref = corridor.profile_no_exit(T, scenario.rho0, scenario.R)
-    prof_tau = RadialProfile(
-        t=T, a=scenario.a, R=scenario.R, rho0=scenario.rho0, b=float(b)
-    )
+    prof_tau = RadialProfile(t=T, a=scenario.a, R=scenario.R, rho0=scenario.rho0, b=b)
     err_b = abs(prof_ref.b - b)
     s = (np.arange(4096) + 0.5) / 4096.0
     dq = corridor._profile_quantiles(prof_ref, s) - corridor._profile_quantiles(
@@ -305,30 +300,21 @@ def _rand_domain(rng, has_exit, min_capacity=1.3):
 
 
 def _rand_sine(rng, dom, n_modes=4):
-    """Smooth test function vanishing at both ends, with its slope."""
+    """Smooth test function vanishing at both ends, with its slope; both
+    keep the shape of their argument."""
     L = dom.R - dom.a
     ks = np.arange(1, n_modes + 1)
     coef = rng.normal(size=n_modes) / ks
 
     def f(r):
         u = (np.asarray(r, dtype=float) - dom.a) / L
-        return np.sin(np.pi * np.outer(u, ks)) @ coef
+        return (np.sin(np.pi * np.outer(u, ks)) @ coef).reshape(u.shape)
 
     def fprime(r):
         u = (np.asarray(r, dtype=float) - dom.a) / L
-        return np.cos(np.pi * np.outer(u, ks)) @ (coef * ks * np.pi / L)
+        return (np.cos(np.pi * np.outer(u, ks)) @ (coef * ks * np.pi / L)).reshape(u.shape)
 
     return f, fprime
-
-
-def _gauss_cells(dom, edges, fn):
-    """Per-cell integrals of ``fn`` against the domain weight."""
-    nodes, wts = np.polynomial.legendre.leggauss(5)
-    lo, hi = edges[:-1], edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    r = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(fn(r.ravel()), dtype=float).reshape(r.shape) * dom.weight(r)
-    return half * (vals * wts[None, :]).sum(axis=1)
 
 
 def _check_ot_oracle(rng):
@@ -371,11 +357,11 @@ def _check_dual_integral_bound(rng):
         n_cells = 64
     f, fp = _rand_sine(rng, dom)
     lhs = float(
-        (_gauss_cells(dom, mu.edges, f) * mu.rho).sum()
-        - (_gauss_cells(dom, nu.edges, f) * nu.rho).sum()
+        (cell_integrals(dom, mu.edges, f) * mu.rho).sum()
+        - (cell_integrals(dom, nu.edges, f) * nu.rho).sum()
     )
     # exit atoms sit where f = 0, nothing to add for them
-    fp_norm = float(np.sqrt(_gauss_cells(dom, mu.edges, lambda r: fp(r) ** 2).sum()))
+    fp_norm = float(np.sqrt(cell_integrals(dom, mu.edges, lambda r: fp(r) ** 2).sum()))
     rhs = fp_norm * dist
     if lhs > rhs * (1.0 + 1e-2) + 1e-9:
         return f"integral bound violated: {lhs:.6e} > {rhs:.6e}"

@@ -29,6 +29,7 @@ from .measures import (
     QuantileFn,
     _csv_file,
     bin_quantiles_to_cells,
+    cell_integrals,
     density_of,
     quantile_of,
 )
@@ -118,15 +119,10 @@ def step_size_cap(D):
 def energy(m, D):
     """``J(m) = integral of D`` against the measure (exit atom included).
 
-    Cell integrals use a 5-point Gauss rule against the domain weight.
+    Cell integrals use :func:`~crowdflow1d.measures.cell_integrals`.
     """
     dom = m.domain
-    nodes, wts = np.polynomial.legendre.leggauss(5)
-    lo, hi = m.edges[:-1], m.edges[1:]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    r = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = np.asarray(D.fn(r), dtype=float) * dom.weight(r)
-    cell = half * (vals * wts[None, :]).sum(axis=1) * m.rho
+    cell = cell_integrals(dom, m.edges, D.fn) * m.rho
     out = float(cell.sum())
     if m.exit_mass > 0.0:
         out += m.exit_mass * float(np.asarray(D.fn(dom.a)))
@@ -177,11 +173,11 @@ class _RunGeometry(CellGeometry):
 
 
 def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
-    """Velocity, ``F = D + phi_bar/tau``, level, pressure, door marginal."""
+    """Velocity, level, pressure and door marginal on the cell midpoints."""
     domain, grid = geom.domain, geom.mids
     qi, pi = q_next[m:], q_prev[m:]
     if qi.size == 0:
-        return grid, geom.u_free, geom.d_mids, geom.d_door, np.zeros_like(grid), geom.d_door
+        return geom.u_free, geom.d_door, np.zeros_like(grid), geom.d_door
     # samples give the map exactly: t(q_next_j) = q_prev_j
     keep = np.concatenate([np.diff(qi) > 1e-13 * max(1.0, domain.R), [True]])
     qk, pk = qi[keep], pi[keep]
@@ -216,7 +212,7 @@ def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
         door_level = np.inf
     pressure = np.clip(level - big_f, 0.0, None)
     pressure[pressure < PRESSURE_FLOOR * max(1.0, abs(level))] = 0.0
-    return grid, v_map, big_f, level, pressure, door_level
+    return v_map, level, pressure, door_level
 
 
 def jko_step(prev, D, tau, n_samples=4096, n_cells=2048):
@@ -256,17 +252,27 @@ def _start(rho, D, tau, n_samples, n_cells):
     return ChainProjector(rho.domain, n_samples), _RunGeometry(rho.domain, n_cells, D), qf
 
 
+def _grid_slack(T):
+    """How far a time up to ``T`` may sit off the step grid."""
+    return 1e-9 * max(1.0, T)
+
+
 def _step_count(T, tau):
     """Number of steps of size ``tau`` up to time ``T``.
 
-    Raises :class:`FeasibilityError` unless ``T/tau`` is finite and ``T``
-    lies within ``1e-9*max(1, T)`` of a whole number of steps.
+    Raises :class:`FeasibilityError` unless ``tau > 0``, ``T >= 0``,
+    ``T/tau`` is finite and ``T`` lies within :func:`_grid_slack` of a
+    whole number of steps.  ``T = 0`` is zero steps.
     """
+    if not tau > 0.0:
+        raise FeasibilityError(f"tau={tau} must be positive")
+    if T < 0.0:
+        raise FeasibilityError(f"T={T} must be >= 0")
     steps = float(T) / float(tau)
     if not np.isfinite(steps):
         raise FeasibilityError(f"T={T} is not a finite number of steps of tau={tau}")
     n_steps = round(steps)
-    if abs(n_steps * tau - T) > 1e-9 * max(1.0, T):
+    if abs(n_steps * tau - T) > _grid_slack(T):
         raise FeasibilityError(f"T={T} is not a multiple of tau={tau}")
     return n_steps
 
@@ -277,7 +283,7 @@ def _assemble(projector, geom, q_prev, m_prev, D, tau):
     q_next, m_next, obj = solve_step(projector, q_prev, m_prev, D, tau)
     fields = _grid_fields(geom, tau, q_prev, q_next, m_next, m_next * ds)
     while domain.has_exit and m_next < projector.n:
-        level, door_level = fields[3], fields[5]
+        level, door_level = fields[1], fields[3]
         if door_level >= level - DOOR_BALANCE_MARGIN * max(1.0, abs(level)):
             break
         q_try, val = minimize_free(projector, q_prev, m_next + 1, D, tau, warm=q_next)
@@ -288,7 +294,7 @@ def _assemble(projector, geom, q_prev, m_prev, D, tau):
     rho_next = density_of(QuantileFn(domain, q_next, m_next), geom.n_cells, geom)
     diff = q_next - q_prev
     w2_inc = float(np.sqrt((diff * diff).sum() * ds))
-    grid, velocity, _, level, pressure, _ = fields
+    velocity, level, pressure, _ = fields
     velocity = np.where(rho_next.rho > 0.0, velocity, geom.u_free)
     # the next step keeps this array as its q_prev, so neither may write it
     q_next.flags.writeable = False
@@ -299,7 +305,7 @@ def _assemble(projector, geom, q_prev, m_prev, D, tau):
         objective_value=obj,
         energy=disc_energy,
         level_l=level,
-        grid=grid,
+        grid=geom.mids,
         pressure=pressure,
         velocity=velocity,
         m_exit=m_next,
@@ -507,7 +513,7 @@ def geodesic_interpolant(m0, m1, t, n_samples=4096, n_cells=2048):
     q = (1.0 - t) * q0.q + t * q1.q
     plateau = min(q0.exit_plateau, q1.exit_plateau) if dom.has_exit else 0
     cells = CellGeometry(dom, n_cells)
-    edges, cell_mass, exit_mass = bin_quantiles_to_cells(dom, q, plateau, n_cells, cells)
+    edges, cell_mass, exit_mass = bin_quantiles_to_cells(q, plateau, cells)
     rho = cell_mass / cells.dW
     max_density = float(rho.max())
     return InterpolantDensity(
@@ -524,10 +530,16 @@ def momentum_fields(traj, t, n_cells=512):
 
     Returns ``(grid, e_tilde, e_hat)``: ``e_tilde`` carries every sample,
     ``e_hat`` drops the samples whose step destination is the exit.
+    Raises :class:`FeasibilityError` for a trajectory without steps and
+    for a ``t`` outside ``[0, steps*tau]`` beyond :func:`_grid_slack`.
     """
     tau = traj.tau
     n_steps = len(traj.steps)
-    k = min(int(np.floor(t / tau)), n_steps - 1)
+    horizon = n_steps * tau
+    slack = _grid_slack(horizon)
+    if not (n_steps and -slack <= t <= horizon + slack):
+        raise FeasibilityError(f"t={t} is not a time of the {n_steps} steps in [0, {horizon}]")
+    k = int(np.clip(np.floor(t / tau), 0, n_steps - 1))
     step = traj.steps[k]
     sigma = np.clip((t - k * tau) / tau, 0.0, 1.0)
     y, x = step.q_prev, step.q_next

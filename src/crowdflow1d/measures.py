@@ -166,26 +166,21 @@ class Measure1D:
     @classmethod
     def uniform(cls, domain, value, n_cells, exit_mass=0.0):
         """Constant density ``value`` on the whole segment."""
-        edges = np.linspace(domain.a, domain.R, n_cells + 1)
+        edges = CellGeometry(domain, n_cells).edges
         return cls(domain, edges, np.full(n_cells, float(value)), exit_mass)
 
     @classmethod
     def from_density(cls, domain, fn, n_cells, exit_mass=0.0):
         """Cell-average a density function ``fn(r)`` (w.r.t. ``w dr``).
 
-        Averages use a fixed 5-point Gauss rule per cell, weighted by
-        ``w``; exact for polynomial profiles of low degree.
+        Averages use :func:`cell_integrals`, a fixed 5-point Gauss rule per
+        cell weighted by ``w``; exact for polynomial profiles of low degree.
         """
-        edges = np.linspace(domain.a, domain.R, n_cells + 1)
-        nodes, wts = np.polynomial.legendre.leggauss(5)
-        lo, hi = edges[:-1], edges[1:]
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        r = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = np.asarray(fn(r), dtype=float) * domain.weight(r)
-        cell_mass = half * (vals * wts[None, :]).sum(axis=1)
-        dW = domain.cumweight(hi) - domain.cumweight(lo)
+        cells = CellGeometry(domain, n_cells)
+        cell_mass = cell_integrals(domain, cells.edges, fn)
+        dW = cells.dW
         rho = np.where(dW > 0.0, cell_mass / np.where(dW > 0.0, dW, 1.0), 0.0)
-        return cls(domain, edges, np.clip(rho, 0.0, 1.0), exit_mass)
+        return cls(domain, cells.edges, np.clip(rho, 0.0, 1.0), exit_mass)
 
     @classmethod
     def random_feasible(cls, domain, n_cells, rng, exit_mass=None):
@@ -200,8 +195,8 @@ class Measure1D:
         target = 1.0 - exit_mass
         if domain.total_weight <= target:
             raise FeasibilityError("domain capacity too small for unit mass")
-        edges = np.linspace(domain.a, domain.R, n_cells + 1)
-        dW = domain.cumweight(edges[1:]) - domain.cumweight(edges[:-1])
+        cells = CellGeometry(domain, n_cells)
+        dW = cells.dW
         raw = rng.uniform(0.05, 1.0, size=n_cells)
 
         def mass(c):
@@ -231,7 +226,7 @@ class Measure1D:
             gap -= take
             if abs(gap) < 1e-15:
                 break
-        return cls(domain, edges, rho, exit_mass)
+        return cls(domain, cells.edges, rho, exit_mass)
 
     # -- basic queries --------------------------------------------------
 
@@ -380,7 +375,7 @@ def quantile_of(m, n_samples=4096):
 
 
 class CellGeometry:
-    """``n_cells`` equal cells on a domain, with what binning reads of them.
+    """``n_cells`` equal cells on a domain; every equal-cell grid is built here.
 
     Holds the edges, the midpoints, the capacities ``W`` at the edges and
     the cell capacities, all read-only, so that one instance can serve
@@ -399,24 +394,33 @@ class CellGeometry:
             arr.flags.writeable = False
 
 
-def bin_quantiles_to_cells(domain, q, plateau, n_cells, cells=None):
+def cell_integrals(domain, edges, fn):
+    """Integral of ``fn`` against ``w dr`` on each cell of ``edges``, by a
+    5-point Gauss rule per cell; ``fn`` gets one ``(n_cells, 5)`` array and
+    must keep its shape."""
+    nodes, wts = np.polynomial.legendre.leggauss(5)
+    lo, hi = edges[:-1], edges[1:]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    r = mid[:, None] + half[:, None] * nodes[None, :]
+    vals = np.asarray(fn(r), dtype=float) * domain.weight(r)
+    return half * (vals * wts[None, :]).sum(axis=1)
+
+
+def bin_quantiles_to_cells(q, plateau, cells):
     """Cell masses of the measure encoded by midpoint quantile samples.
 
     Works in capacity coordinates ``z = W(r)``, where the sampled inverse
     CDF of any uniform stretch is linear in ``s``, and extrapolates the
     half-sample tails; mass is conserved exactly.  Returns
-    ``(edges, cell_mass, exit_mass)`` with no cap enforcement.  ``cells``
-    is the :class:`CellGeometry` of these ``n_cells`` cells if the caller
-    has one; the returned ``edges`` are then its own.
+    ``(cells.edges, cell_mass, exit_mass)`` with no cap enforcement.
     """
+    domain = cells.domain
     n = q.size
     m = plateau if domain.has_exit else 0
     exit_mass = m / n
-    if cells is None:
-        cells = CellGeometry(domain, n_cells)
     edges = cells.edges
     if m >= n:
-        return edges, np.zeros(n_cells), 1.0
+        return edges, np.zeros(cells.n_cells), 1.0
     s_mid = (np.arange(m, n) + 0.5) / n
     zi = np.asarray(domain.cumweight(np.clip(q[m:], domain.a, domain.R)))
     if zi.size == 1:
@@ -455,19 +459,16 @@ def density_of(qf, n_cells=2048, cells=None):
     -------
     Measure1D
     """
-    domain = qf.domain
     if cells is None:
-        cells = CellGeometry(domain, n_cells)
-    edges, cell_mass, exit_mass = bin_quantiles_to_cells(
-        domain, qf.q, qf.exit_plateau, n_cells, cells
-    )
+        cells = CellGeometry(qf.domain, n_cells)
+    edges, cell_mass, exit_mass = bin_quantiles_to_cells(qf.q, qf.exit_plateau, cells)
     dW = cells.dW
     rho = cell_mass / dW
     over = np.clip(rho - 1.0, 0.0, None) @ dW
     if over > 1e-6:
         raise FeasibilityError(f"quantile samples overfill cells by {over}")
     rho = _spill_excess(rho, dW) if over > 0.0 else rho
-    return Measure1D(domain, edges, rho, exit_mass)
+    return Measure1D(qf.domain, edges, rho, exit_mass)
 
 
 def _spill_excess(rho, dW):

@@ -159,8 +159,13 @@ def test_closed_chain_matches_recurrence():
 
 
 def test_chain_rejects_misaligned_horizon():
-    with pytest.raises(FeasibilityError):
-        chain_interface(fig3_preset(), 1.005)
+    for T in (1.005, -0.5, np.inf, np.nan):
+        with pytest.raises(FeasibilityError, match="T="):
+            chain_interface(fig3_preset(), T)
+    with pytest.raises(FeasibilityError, match="tau="):
+        chain_interface(saturated_exit_preset(tau=0.0), 1.0)
+    ts, bs, es = chain_interface(fig4_preset(), 0.0)
+    assert list(ts) == [0.0] and list(bs) == [1.0] and list(es) == [0.0]
 
 
 def test_optimal_cut_minimizes_sampled_objective():

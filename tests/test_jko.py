@@ -111,10 +111,16 @@ def test_step_guards():
         jko_step(m, concave, 10.0 * step_size_cap(concave))
     with pytest.raises(FeasibilityError):
         run_flow(m, D, 0.1, 0.25, n_samples=128, n_cells=64)
-    # a time grid with no finite step count
-    for tau, T in ((1e-320, 1.0), (0.1, np.inf), (0.1, np.nan)):
+    # a time grid with no finite step count, or a negative horizon
+    for tau, T in ((1e-320, 1.0), (0.1, np.inf), (0.1, np.nan), (0.01, -0.5)):
         with pytest.raises(FeasibilityError, match="T="):
             run_flow(m, D, tau, T, n_samples=128, n_cells=64)
+    # a zero horizon is the start alone
+    still = run_flow(m, D, 0.01, 0.0, n_samples=128, n_cells=64)
+    assert list(still.times) == [0.0] and len(still.iterates) == 1 and not still.steps
+    buf = io.StringIO()
+    still.to_csv(buf)
+    assert buf.getvalue().splitlines()[1].startswith("0,0.0,")
 
 
 def test_energy_rise_is_a_solver_failure(monkeypatch):
@@ -285,6 +291,20 @@ def test_momentum_gap_vanishes_without_exit():
     grid, e_tilde, e_hat = momentum_fields(traj, 0.12, n_cells=128)
     assert np.array_equal(e_tilde, e_hat)
     assert np.all(np.isfinite(e_tilde))
+
+
+def test_momentum_fields_reject_times_off_the_trajectory():
+    traj, _ = _small_run(fig4_preset(), tau=0.01, T=0.05, n_samples=256, n_cells=128)
+    # both ends of the horizon and a time a rounding off the grid are fine
+    for t in (0.0, 0.05, 0.05 + 1e-12, -1e-12):
+        grid, e_tilde, e_hat = momentum_fields(traj, t, n_cells=64)
+        assert np.all(np.isfinite(e_tilde)) and np.all(np.isfinite(e_hat))
+    for t in (-0.005, -0.5, 0.051, 0.5, np.nan, np.inf):
+        with pytest.raises(FeasibilityError, match="t="):
+            momentum_fields(traj, t, n_cells=64)
+    still, _ = _small_run(fig4_preset(), tau=0.01, T=0.0, n_samples=256, n_cells=128)
+    with pytest.raises(FeasibilityError, match="t=0.0 is not a time of the 0 steps"):
+        momentum_fields(still, 0.0, n_cells=64)
 
 
 def test_momentum_gap_positive_while_draining():
