@@ -36,7 +36,6 @@ from .measures import (
 from .transport import kantorovich_potential  # noqa: F401  (patched by perfbench/tracer.py)
 
 SATURATION_TOL = 1e-6
-PRESSURE_FLOOR = 1e-6
 # the absorbed prefix is a whole number of samples, so the prefix search
 # can stop with the door marginal still below the interior level; the
 # step then absorbs further among near-tied candidates until the two
@@ -211,7 +210,6 @@ def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
     else:
         door_level = np.inf
     pressure = np.clip(level - big_f, 0.0, None)
-    pressure[pressure < PRESSURE_FLOOR * max(1.0, abs(level))] = 0.0
     return v_map, level, pressure, door_level
 
 
