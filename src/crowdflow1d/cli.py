@@ -7,8 +7,9 @@ the convergence sweep and prints the fitted-order summary line.
 
 Scenarios come from a preset (``--preset fig3|fig4``), a config file in
 INI key-value form (``--config``), or both, with individual flags
-(``--tau``, ``--T``, ``--snapshots``, ``--out``) overriding either.
-Every parsed value is validated before any computation starts.
+(``--out`` and ``--T`` on both subcommands, ``--tau`` and ``--snapshots``
+on ``run``) overriding either.  Every parsed value is validated before
+any computation starts.
 """
 
 import argparse
@@ -22,7 +23,8 @@ import numpy as np
 from .corridor import CorridorPreset, fig3_preset, fig4_preset, unit_mass_half_angle
 from .errors import ConfigError, CrowdflowError, FeasibilityError
 from .harness import _validate_tau_sweep, convergence_study
-from .jko import PotentialD, _step_count, pressure_velocity_checks, run_flow
+from .jko import (PotentialD, _check_tau, _step_count, pressure_velocity_checks, run_flow,
+                  step_size_cap)
 from .measures import CellGeometry, Domain1D, Measure1D
 
 DEFAULT_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
@@ -59,8 +61,7 @@ class ScenarioConfig:
     has_exit: bool = False
     rho0_value: float = None
     rho0_table: tuple = None  # ((r, value), ...) step function rows
-    potential_kind: str = "distance_to_exit"
-    potential_table: tuple = None
+    potential_table: tuple = None  # ((r, D), ...); None is D = r - a
     tau: float = 0.01
     T: float = None
     n_samples: int = 4096
@@ -121,7 +122,7 @@ class ScenarioConfig:
 
     def potential(self):
         dom = self.domain()
-        if self.potential_kind == "distance_to_exit":
+        if self.potential_table is None:
             return PotentialD.distance_to_exit(dom)
         rows = np.asarray(self.potential_table, dtype=float)
         try:
@@ -133,7 +134,6 @@ class ScenarioConfig:
 
     def validate(self):
         """Build every library object once, so bad values fail here."""
-        _require_positive([self.tau], "tau")
         _require_positive([] if self.T is None else [self.T], "T")
         _require_positive([self.study_T], "study T")
         _require_positive(self.snapshots, "snapshots")
@@ -160,7 +160,10 @@ class ScenarioConfig:
                 )
         dom = self.domain()
         self.initial(n_cells=64)
-        self.potential()
+        try:
+            _check_tau(self.tau, step_size_cap(self.potential()))
+        except FeasibilityError as e:
+            raise ConfigError(str(e), field="tau") from e
         if self.T is not None:
             _align_times([self.T], self.tau, "T")
         if self.snapshots:
@@ -263,7 +266,8 @@ def _parse_table(raw, field):
 
 # the scenario-file grammar, [section][key] -> (ScenarioConfig field,
 # parser, field named in errors); keys are lower case, as configparser
-# reads them, and are parsed in this order
+# reads them, and are parsed in this order.  The potential's 'kind' is
+# no field: the table decides, and load_config checks the kind against it
 SCENARIO_KEYS = {
     "domain": {
         "a": ("a", _parse_float, "a"),
@@ -347,10 +351,13 @@ def load_config(path, base=None):
         updates["rho0_table"] = None
     elif "rho0_table" in updates:
         updates["rho0_value"] = None
-    if updates.get("potential_kind") == "table" and not (
-        updates.get("potential_table") or (base and base.potential_table)
-    ):
+    kind = updates.pop("potential_kind", None)
+    tabled = bool(updates.get("potential_table") or (base and base.potential_table))
+    if kind == "table" and not tabled:
         raise ConfigError("potential kind 'table' needs a table", field="table")
+    if kind == "distance_to_exit" and tabled:
+        raise ConfigError("potential kind 'distance_to_exit' contradicts the potential table",
+                          field="kind")
     if base is None:
         required = {"a", "R"}
         missing = sorted(required - set(updates))
@@ -472,7 +479,7 @@ def _summary_line(name, ok, detail=""):
     return f"{name}: {'pass' if ok else 'FAIL'}{tail}"
 
 
-def run_scenario(cfg, seed=0, dry_run=False, echo=print):
+def run_scenario(cfg, dry_run=False, echo=print):
     """Integrate, write outputs, print the invariant summary.
 
     Returns the exit status: 0 clean, 1 when an invariant failed.
@@ -498,7 +505,6 @@ def run_scenario(cfg, seed=0, dry_run=False, echo=print):
     written = [traj_path.name]
     checks = []
 
-    rng = np.random.default_rng(seed)
     hold_diags = cfg.n_samples >= DIAG_N_SAMPLES and cfg.n_cells >= DIAG_N_CELLS
     for t in snapshots:
         k = _step_count(t, cfg.tau)
@@ -515,7 +521,7 @@ def run_scenario(cfg, seed=0, dry_run=False, echo=print):
                           f"drift {drift:.2e}")
         )
         if k > 0:
-            diag = pressure_velocity_checks(traj.steps[k - 1], D, rng=rng)
+            diag = pressure_velocity_checks(traj.steps[k - 1], D)
             for name, value in (("decomposition_residual", diag.residual_decomposition),
                                 ("complementarity", diag.residual_complementarity)):
                 label = f"{name}[t={t:g}]"
@@ -557,9 +563,9 @@ def run_study(cfg, dry_run=False, echo=print):
         )
     if cfg.rho0_value is None:
         raise ConfigError("studies need a uniform rho0", field="density")
-    if cfg.potential_kind != "distance_to_exit":
+    if cfg.potential_table is not None:
         raise ConfigError(
-            "studies need the distance potential", field="kind"
+            "studies need the distance potential", field="potential table"
         )
     # the sweep's own rules, first on the taus alone (the first tau is a
     # horizon every halving tau steps to), then with the study's T
@@ -590,26 +596,18 @@ def build_parser():
         description="Congestion-constrained gradient flow in a 1D corridor",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("run", "integrate a scenario and plot density snapshots"),
-        ("study", "sweep the time step and fit the convergence order"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    run = sub.add_parser("run", help="integrate a scenario and plot density snapshots")
+    study = sub.add_parser("study", help="sweep the time step and fit the convergence order")
+    for p, horizon in ((run, "final time override"), (study, "sweep horizon override")):
         p.add_argument("--preset", choices=sorted(PRESETS), help="scenario preset")
         p.add_argument("--config", help="INI scenario file (overrides the preset)")
         p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--tau", type=float, help="time step override")
-        p.add_argument("--T", type=float, dest="T", help="final time override")
-        p.add_argument(
-            "--snapshots", help="comma-separated snapshot times (run only)"
-        )
+        p.add_argument("--T", type=float, dest="T", help=horizon)
         p.add_argument(
             "--dry-run", action="store_true", help="validate config, run nothing"
         )
-        p.add_argument(
-            "--seed", type=int, default=0,
-            help="seed for the randomized parts of the invariant summary",
-        )
+    run.add_argument("--tau", type=float, help="time step override")
+    run.add_argument("--snapshots", help="comma-separated snapshot times")
     return parser
 
 
@@ -624,18 +622,19 @@ def _assemble_config(args):
     updates = {}
     if args.out:
         updates["out_dir"] = args.out
-    if args.tau is not None:
-        updates["tau"] = args.tau
-    if args.T is not None:
-        updates["T"] = args.T
-        if args.command == "study":
-            updates["study_T"] = args.T
-    if args.snapshots:
-        updates["snapshots"] = _parse_times(args.snapshots, "snapshots")
     if args.command == "study":
-        # snapshots belong to the run command; a study never renders them
+        # the horizon and snapshots are the run command's; a study has its own T
         updates["snapshots"] = ()
         updates["T"] = None
+        if args.T is not None:
+            updates["study_T"] = args.T
+    else:
+        if args.tau is not None:
+            updates["tau"] = args.tau
+        if args.T is not None:
+            updates["T"] = args.T
+        if args.snapshots:
+            updates["snapshots"] = _parse_times(args.snapshots, "snapshots")
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -644,7 +643,7 @@ def main(argv=None):
     try:
         cfg = _assemble_config(args)
         if args.command == "run":
-            return run_scenario(cfg, seed=args.seed, dry_run=args.dry_run)
+            return run_scenario(cfg, dry_run=args.dry_run)
         return run_study(cfg, dry_run=args.dry_run)
     except ConfigError as e:
         field = f" (field: {e.field})" if getattr(e, "field", None) else ""

@@ -179,19 +179,19 @@ def _rk4(f, t0, y0, t1, n):
     return y
 
 
-def _richardson_rk4(f, t0, y0, t1, atol=1e-12, n0=64, max_doublings=14):
-    n = n0
+def _richardson_rk4(f, t0, y0, t1):
+    n = 64
     prev = _rk4(f, t0, y0, t1, n)
-    for _ in range(max_doublings):
+    for _ in range(14):
         n *= 2
         cur = _rk4(f, t0, y0, t1, n)
-        if abs(cur - prev) < atol * max(1.0, abs(cur)):
+        if abs(cur - prev) < 1e-12 * max(1.0, abs(cur)):
             return cur
         prev = cur
     raise StiffnessError("interface ODE integration did not settle")
 
 
-def ode_b_no_exit(t, rho0, atol=1e-12):
+def ode_b_no_exit(t, rho0):
     """Integrate ``b' = rho0 (b+t) / (b - rho0 (b+t))`` from rest.
 
     The origin is a degenerate point of the ODE; integration starts on
@@ -206,7 +206,7 @@ def ode_b_no_exit(t, rho0, atol=1e-12):
 
     t_seed = min(1e-3, 1e-3 * t)
     b_seed = float(closed_form_b(t_seed, rho0))
-    return float(_richardson_rk4(f, t_seed, b_seed, t, atol=atol))
+    return float(_richardson_rk4(f, t_seed, b_seed, t))
 
 
 # -- corridor with an absorbing door -----------------------------------
@@ -245,7 +245,7 @@ def onset_slope(rho0):
     return (4.0 * rho0 - 1.0 + np.sqrt(1.0 + 8.0 * rho0)) / (4.0 * (1.0 - rho0))
 
 
-def ode_b_exit(t_end, a, R, rho0, atol=1e-12, max_halvings=48):
+def ode_b_exit(t_end, a, R, rho0):
     """Integrate the draining-interface ODE up to ``t_end``.
 
     For ``rho0 = 1`` the whole corridor starts saturated (``b(0) = R``)
@@ -259,7 +259,7 @@ def ode_b_exit(t_end, a, R, rho0, atol=1e-12, max_halvings=48):
         def f(s, b):
             return exit_ode_rhs(s, b, a, R, rho0)
 
-        return float(_richardson_rk4(f, 0.0, float(R), t_end, atol=atol))
+        return float(_richardson_rk4(f, 0.0, float(R), t_end))
     t0 = saturation_onset(a, rho0)
     if t_end <= t0:
         return float(a)
@@ -271,7 +271,7 @@ def ode_b_exit(t_end, a, R, rho0, atol=1e-12, max_halvings=48):
     t = t0 + delta
     b = a + onset_slope(rho0) * delta
     h = min(1e-3, (t_end - t0) / 64.0)
-    h_min = (t_end - t0) / 2.0**max_halvings
+    h_min = (t_end - t0) / 2.0**48
     while t < t_end - 1e-15:
         h_try = min(h, t_end - t)
         while True:
@@ -381,14 +381,13 @@ def _mixed_interface(b_prev, k, tau, a, R, rho0, shed):
     return b
 
 
-def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
+def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0):
     """One step of the draining corridor.
 
     Returns ``(b, r_e, exit_increment)``.  The optimal cut radius is the
     root of a closed-form stationarity equation, with one branch for the
     pure block (always for ``rho0 = 1``) and one for the regime where a
-    rarefaction still feeds the saturated zone.  ``force_r_e`` pins the
-    cut instead (``force_r_e = a`` sheds nothing).
+    rarefaction still feeds the saturated zone.
     """
     if a <= 0.0:
         raise FeasibilityError("draining corridor needs a door radius a > 0")
@@ -397,16 +396,6 @@ def step_b_exit(b_prev, k, tau, a, R, rho0, exit_mass_prev=0.0, force_r_e=None):
     t_prev = (k - 1) * tau
     pure_block = b_prev >= R - t_prev - 1e-12
     prof_prev = _prev_profile(b_prev, t_prev, a, R, rho0, exit_mass_prev)
-    if force_r_e is not None:
-        r_e = float(force_r_e)
-        shed = float(prof_prev.cummass(r_e))
-        if pure_block:
-            b = float(np.sqrt(max(b_prev**2 - (r_e**2 - a * a), a * a)))
-        else:
-            b = _mixed_interface(b_prev, k, tau, a, R, rho0, shed)
-            if not np.isfinite(b):
-                raise FeasibilityError("forced cut sheds more mass than allowed")
-        return b, r_e, shed
     lo = a * (1.0 + 1e-12)
     if pure_block:
         balance = lambda re: _block_cut_balance(re, b_prev, a, tau)

@@ -286,25 +286,25 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _rand_domain(rng, has_exit, min_capacity=1.3):
+def _rand_domain(rng, has_exit):
     """Random segment with capacity comfortably above unit mass."""
     if rng.uniform() < 0.5:
         a = float(rng.uniform(0.0, 2.0)) if has_exit else 0.0
-        length = float(rng.uniform(min_capacity + 0.2, 4.0))
+        length = float(rng.uniform(1.5, 4.0))
         return Domain1D(a, a + length, "flat", None, has_exit)
     al = float(rng.uniform(0.05, 0.5))
     a = float(rng.uniform(0.1, 1.5)) if has_exit else 0.0
-    cap = float(rng.uniform(min_capacity + 0.2, 3.0))
+    cap = float(rng.uniform(1.5, 3.0))
     R = float(np.sqrt(a * a + cap / al))
     return Domain1D(a, R, "radial", al, has_exit)
 
 
-def _rand_sine(rng, dom, n_modes=4):
+def _rand_sine(rng, dom):
     """Smooth test function vanishing at both ends, with its slope; both
     keep the shape of their argument."""
     L = dom.R - dom.a
-    ks = np.arange(1, n_modes + 1)
-    coef = rng.normal(size=n_modes) / ks
+    ks = np.arange(1, 5)
+    coef = rng.normal(size=ks.size) / ks
 
     def f(r):
         u = (np.asarray(r, dtype=float) - dom.a) / L

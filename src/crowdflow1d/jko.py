@@ -10,8 +10,8 @@ runs in quantile coordinates, where the cap is a convex chain constraint;
 see :mod:`crowdflow1d._solver`.  Pressure and velocity fields are
 recovered from the optimal transport map of the step: with
 ``F = D + phi_bar / tau`` the pressure is ``(l - F)_+`` for the level
-``l`` that makes the saturated set hold exactly the interior mass (or the
-door value of ``F`` while the exit drains).
+``l`` that makes the saturated set hold exactly the interior mass, the
+capacity crossing of ``F``, with or without an exit.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ class PotentialD:
             curv_ub=float(max(curv.max(), 0.0)),
         )
 
-    def validate_for(self, domain, n_check=256):
+    def validate_for(self, domain):
         """On exit domains ``D`` must attain its minimum on the door."""
         if domain.has_exit:
-            r = np.linspace(domain.a, domain.R, n_check)
+            r = np.linspace(domain.a, domain.R, 256)
             vals = np.asarray(self.fn(r), dtype=float)
             if vals[0] > vals.min() + 1e-9 * max(1.0, np.abs(vals).max()):
                 raise FeasibilityError("D must be minimal at the exit")
@@ -113,6 +113,14 @@ def step_size_cap(D):
     if D.lam < 0.0:
         return 1.0 / (4.0 * abs(D.lam))
     return np.inf
+
+
+def _check_tau(tau, cap):
+    """Raise unless the time step ``tau`` is finite, positive and at most ``cap``."""
+    if not (np.isfinite(tau) and tau > 0.0):
+        raise FeasibilityError(f"tau={tau} must be finite and positive")
+    if tau > cap:
+        raise FeasibilityError(f"tau={tau} exceeds the admissible step cap {cap:.6g}")
 
 
 def energy(m, D):
@@ -241,10 +249,7 @@ def _start(rho, D, tau, n_samples, n_cells):
     Returns the projector and the cell geometry that every step of the
     run shares, and the samples of ``rho``.
     """
-    if tau <= 0.0:
-        raise FeasibilityError("tau must be positive")
-    if tau > step_size_cap(D):
-        raise FeasibilityError("tau exceeds the admissible step cap")
+    _check_tau(tau, step_size_cap(D))
     D.validate_for(rho.domain)
     qf = quantile_of(rho, n_samples)
     return ChainProjector(rho.domain, n_samples), _RunGeometry(rho.domain, n_cells, D), qf
@@ -258,12 +263,12 @@ def _grid_slack(T):
 def _step_count(T, tau):
     """Number of steps of size ``tau`` up to time ``T``.
 
-    Raises :class:`FeasibilityError` unless ``tau > 0``, ``T >= 0``,
-    ``T/tau`` is finite and ``T`` lies within :func:`_grid_slack` of a
-    whole number of steps.  ``T = 0`` is zero steps.
+    Raises :class:`FeasibilityError` unless ``tau`` is finite and
+    positive, ``T >= 0``, ``T/tau`` is finite and ``T`` lies within
+    :func:`_grid_slack` of a whole number of steps.  ``T = 0`` is zero
+    steps.
     """
-    if not tau > 0.0:
-        raise FeasibilityError(f"tau={tau} must be positive")
+    _check_tau(tau, np.inf)
     if T < 0.0:
         raise FeasibilityError(f"T={T} must be >= 0")
     steps = float(T) / float(tau)
@@ -416,7 +421,7 @@ def pressure_gradient(step, D):
     return np.where(mask, -(grad_d + step.velocity), 0.0)
 
 
-def pressure_velocity_checks(step, D, rng=None, n_tests=32):
+def pressure_velocity_checks(step, D, rng=None):
     """Check ``U = v + grad p`` on the support, complementarity and the
     sign condition of the velocity against admissible test functions.
 
@@ -441,11 +446,11 @@ def pressure_velocity_checks(step, D, rng=None, n_tests=32):
     supp = rho > 0.0
     dec = float(np.sqrt(((res[supp] ** 2) * rho[supp] * dW[supp]).sum()))
     comp = float(abs((p_prime * step.velocity * rho * dW).sum()))
-    dual = _dual_violation(dom, grid, dW, rho, step.velocity, rng, n_tests)
+    dual = _dual_violation(dom, grid, dW, rho, step.velocity, rng)
     return DecompositionDiagnostics(dec, comp, dual)
 
 
-def _dual_violation(dom, grid, dW, rho, velocity, rng, n_tests):
+def _dual_violation(dom, grid, dW, rho, velocity, rng):
     """Max of ``integral v q' w dr`` over admissible bumps ``q``.
 
     Admissible: smooth, nonnegative, supported where the density is
@@ -464,7 +469,7 @@ def _dual_violation(dom, grid, dW, rho, velocity, rng, n_tests):
     runs = [(idx[s], idx[e]) for s, e in zip(starts, ends) if idx[e] > idx[s] + 2]
     worst = 0.0
     h = grid[1] - grid[0]
-    for _ in range(n_tests):
+    for _ in range(32):
         if not runs:
             break
         s, e = runs[rng.integers(len(runs))]

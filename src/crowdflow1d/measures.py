@@ -155,8 +155,10 @@ class Measure1D:
             raise FeasibilityError("exit_mass must be >= 0")
         if self.exit_mass > 0.0 and not d.has_exit:
             raise FeasibilityError("exit_mass > 0 on a domain without exit")
-        edges.flags.writeable = False
-        rho.flags.writeable = False
+        if edges.flags.writeable:
+            # a read-only copy: the caller's array stays writeable
+            edges = edges.copy()
+            edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "rho", np.clip(rho, 0.0, 1.0))
         self.rho.flags.writeable = False
@@ -252,15 +254,15 @@ class Measure1D:
         out = self.exit_mass + cum[idx] + self.rho[idx] * np.clip(frac, 0.0, None)
         return np.where(r >= self.edges[-1], self.total_mass(), out)
 
-    def interface_estimate(self, threshold=0.999):
+    def interface_estimate(self):
         """Right edge of the outermost saturated cell.
 
-        Returns ``a`` when no cell reaches ``threshold``.  A cell cut by
-        the domain boundary can render slightly below the threshold even
-        when the block is saturated, so the scan runs from the outside
-        in rather than stopping at the first unsaturated cell.
+        Returns ``a`` when no cell reaches density 0.999.  A cell cut by
+        the domain boundary can render slightly below that even when the
+        block is saturated, so the scan runs from the outside in rather
+        than stopping at the first unsaturated cell.
         """
-        sat = np.nonzero(self.rho >= threshold)[0]
+        sat = np.nonzero(self.rho >= 0.999)[0]
         if sat.size == 0:
             return float(self.edges[0])
         return float(self.edges[sat[-1] + 1])

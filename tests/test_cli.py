@@ -99,6 +99,12 @@ def test_bad_values_report_their_field(tmp_path):
                  "potential table", id="potential-radii-repeat"),
     pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  10 -9\n",
                  "potential table", id="potential-not-minimal-at-door"),
+    pytest.param("run", [], "[potential]\nkind = distance_to_exit\ntable = 1 0\n  10 90\n",
+                 "kind", id="kind-contradicts-table"),
+    pytest.param("run", [], "[potential]\nkind = table\n", "table", id="kind-table-without-table"),
+    # D'' reaches -111 at the kink, so the step cap 1/(4*111) = 2.25e-3 is below tau = 0.01
+    pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  1.01 5\n  10 6\n",
+                 "tau", id="tau-above-step-cap"),
     pytest.param("run", [], "tau = 0.01\n[run]\nT = 1\n", "section",
                  id="key-before-any-section"),
     pytest.param("run", [], "[run]\ntau = 0.01\nT = 1\nTau = 0.02\n", "tau",
@@ -119,6 +125,27 @@ def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flag
     argv = [command, "--preset", "fig4", "--config", str(p), *flags, "--dry-run"]
     assert main(argv) == 2
     assert f"(field: {field})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--preset", "fig3", "--tau", "0.5"],
+    ["study", "--preset", "fig3", "--snapshots", "7,8"],
+    ["study", "--preset", "fig3", "--seed", "9"],
+    ["run", "--preset", "fig4", "--seed", "1"],
+], ids=["study-tau", "study-snapshots", "study-seed", "run-seed"])
+def test_flags_a_subcommand_does_not_read_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--dry-run"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_potential_table_without_kind_is_the_table(tmp_path):
+    p = tmp_path / "table.ini"
+    p.write_text("[potential]\ntable = 1 0\n  10 90\n")
+    cfg = load_config(str(p), base=config_from_preset("fig4"))
+    assert cfg.potential().fn(5.0) == pytest.approx(40.0)
+    assert config_from_preset("fig4").potential().fn(5.0) == pytest.approx(4.0)
 
 
 def test_dry_run_touches_nothing(tmp_path, capsys):
@@ -196,7 +223,6 @@ def test_study_rejects_nonbenchmark_scenarios():
     cfg = config_from_preset("fig4")
     tabled = ScenarioConfig(**{
         **cfg.__dict__,
-        "potential_kind": "from_table",
         "potential_table": ((1.0, 0.0), (10.0, 9.0)),
     })
     from crowdflow1d.cli import run_study

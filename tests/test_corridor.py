@@ -162,8 +162,9 @@ def test_chain_rejects_misaligned_horizon():
     for T in (1.005, -0.5, np.inf, np.nan):
         with pytest.raises(FeasibilityError, match="T="):
             chain_interface(fig3_preset(), T)
-    with pytest.raises(FeasibilityError, match="tau="):
-        chain_interface(saturated_exit_preset(tau=0.0), 1.0)
+    for tau in (0.0, np.inf, np.nan):
+        with pytest.raises(FeasibilityError, match="tau="):
+            chain_interface(saturated_exit_preset(tau=tau), 1.0)
     ts, bs, es = chain_interface(fig4_preset(), 0.0)
     assert list(ts) == [0.0] and list(bs) == [1.0] and list(es) == [0.0]
 
@@ -184,13 +185,6 @@ def test_optimal_cut_minimizes_sampled_objective():
             )
             assert obj_star <= obj_alt + 1e-9
         b_prev, e_prev = b, e_prev + inc
-
-
-def test_forced_cut_at_door_sheds_nothing():
-    b, r_e, inc = step_b_exit(10.0, 1, 0.05, 1.0, 10.0, 1.0, 0.0, force_r_e=1.0)
-    assert inc == 0.0
-    assert r_e == 1.0
-    assert b == pytest.approx(10.0)
 
 
 def test_step_b_exit_requires_positive_door_radius():

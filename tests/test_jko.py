@@ -77,7 +77,6 @@ def test_table_potential_rejects_non_finite_entries(column, bad):
     with pytest.raises(FeasibilityError, match=column):
         PotentialD.from_table(radii, values)
     cfg = ScenarioConfig(a=1.0, R=10.0, weight_kind="flat", has_exit=True, rho0_value=0.1,
-                         potential_kind="table",
                          potential_table=tuple(zip(radii, values)))
     with pytest.raises(ConfigError, match=column) as err:
         cfg.potential()
@@ -104,10 +103,14 @@ def test_step_guards():
     preset = fig4_preset()
     m = preset.initial(n_cells=64)
     D = PotentialD.distance_to_exit(preset.domain())
-    with pytest.raises(FeasibilityError):
-        jko_step(m, D, 0.0)
+    # a time step that is not finite and positive, one step or a run
+    for tau in (0.0, np.nan, np.inf):
+        with pytest.raises(FeasibilityError, match="tau="):
+            jko_step(m, D, tau)
+        with pytest.raises(FeasibilityError, match="tau="):
+            run_flow(m, D, tau, 1.0, n_samples=128, n_cells=64)
     concave = PotentialD.from_table([1.0, 5.5, 10.0], [0.0, 5.0, 0.5])
-    with pytest.raises(FeasibilityError):
+    with pytest.raises(FeasibilityError, match="tau="):
         jko_step(m, concave, 10.0 * step_size_cap(concave))
     with pytest.raises(FeasibilityError):
         run_flow(m, D, 0.1, 0.25, n_samples=128, n_cells=64)

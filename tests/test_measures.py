@@ -328,3 +328,11 @@ def test_measure_arrays_are_frozen():
     m = Measure1D.uniform(dom, 1.0, 8)
     with pytest.raises(ValueError):
         m.rho[0] = 0.5
+    # the measure freezes copies: the caller's arrays stay writeable
+    edges, rho = np.linspace(0.0, 1.0, 5), np.full(4, 1.0)
+    m = Measure1D(dom, edges, rho)
+    edges[1], rho[0] = 0.3, 0.5
+    assert m.edges[1] == 0.25 and m.rho[0] == 1.0
+    for arr in (m.edges, m.rho):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
