@@ -20,12 +20,15 @@ where the block equation loses its concavity).  The trial partition
 comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
 violators) clipped to the two box bounds that an isotone ``y`` can meet
 (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
-domains it is exact.  A partition is accepted only if its block values
-are in chain order and pass a multiplier (KKT) certificate, read off one
-running sum of the per-sample gradients; when the trial does not,
-pooling runs again with an exact solve per merge.  The arrays that
-depend on the target alone (clipped singles, the trial's input, the
-certificate's scale) are kept in a one-entry memo, since every
+domains it is exact.  A partition is carried as its pooled blocks: every
+other free sample is a block of one at its clipped target.  It is
+accepted only if its block values are in chain order and pass a
+multiplier (KKT) certificate, read off one running sum of the per-sample
+gradients over the pooled blocks; when the trial does not, pooling runs
+again with an exact solve per merge.  The arrays that depend on the
+target alone (clipped singles, the trial's input, the certificate's
+scale and, once a partition needs them, the positions, gradients and
+verdicts of the blocks of one) are kept in a one-entry memo, since every
 candidate prefix of an affine step projects the same target.
 For a fixed prefix the step objective
 
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
@@ -62,15 +66,35 @@ KKT_TOL = 1e-7
 # against a loop that never settles
 MAX_ITER = 1000000
 
+# the blocks of one of a target, read-only: every sample's position Q(single),
+# its gradient (the block's total), the samples whose block of one fails the
+# boundary certificate, and the samples j whose single lies above the next
+# one by more than GAP_TOL
+_Ones = namedtuple("_Ones", "pos grad fails drops")
+
 # arrays of one target, read-only: the target itself, its clipped singles,
 # the last index where the singles decrease (-1 if none), the certificate
 # scale max(1, max|x|), the trial's input (x - a - j*ds on flat domains,
-# the weights w(Q(single))**-2 on radial ones) and, on flat domains, the
-# prefix sums of that input; then, by first sample, the clipped isotonic
+# the weights w(Q(single))**-2 on radial ones), on flat domains the prefix
+# sums of that input, and on radial ones the positions Q(single) that the
+# weights are read from; then, by first sample, the clipped isotonic
 # regressions of its suffixes, kept as the trials and the prefix
-# prediction run them (:meth:`ChainProjector._fit`), and the prediction's
+# prediction run them (:meth:`ChainProjector._fit`), the prediction's
 # squared distances of the suffixes (:meth:`ChainProjector.suffix_slope`)
-_Target = namedtuple("_Target", "x singles last_drop scale trial psum fits dists")
+# and, once a partition of the target has a block of one, that block's
+# arrays (:meth:`ChainProjector._ones`)
+@dataclass(eq=False)
+class _Target:
+    x: np.ndarray
+    singles: np.ndarray
+    last_drop: int
+    scale: float
+    trial: np.ndarray
+    psum: np.ndarray | None
+    pos: np.ndarray | None
+    fits: dict = field(default_factory=dict)
+    dists: dict = field(default_factory=dict)
+    ones: _Ones | None = None
 
 
 class ChainProjector:
@@ -174,20 +198,21 @@ class ChainProjector:
             raise FeasibilityError("interior mass exceeds domain capacity")
         t = self._target(x)
         if t.last_drop < m:
-            # box-clipped targets already satisfy the chain
-            idx = np.arange(m, n)
-            return self._certified(t, m, idx, idx, t.singles[m:], strict=True)
+            # box-clipped targets already satisfy the chain: every block
+            # is a block of one
+            none = np.zeros(0, dtype=int)
+            return self._certified(t, m, none, none, np.zeros(0), strict=True)
 
         def solve(lo, hi):
             return self._solve_block(lo, hi, t.x, t.psum)
 
         q = self._certified(t, m, *self._trial(t, m, solve))
         if q is None:
-            q = self._certified(t, m, *self._pool(t.singles, m, solve), strict=True)
+            q = self._certified(t, m, *self._pool(t, m, solve), strict=True)
         return q
 
     def _target(self, x):
-        """The :data:`_Target` arrays of ``x``, from the memo when it holds ``x``.
+        """The :class:`_Target` arrays of ``x``, from the memo when it holds ``x``.
 
         The memo keeps the last target's arrays and is keyed by the
         target's contents, so a target equal to the last one bit for bit
@@ -201,36 +226,90 @@ class ChainProjector:
         singles = np.clip(self.domain.cumweight(np.clip(x, a, R)) - self.offs, self.lb, self.ub)
         drops = np.flatnonzero(np.diff(singles) < 0.0)
         scale = max(1.0, float(np.max(np.abs(x))))
-        psum = None
+        psum = pos = None
         if self.flat:
             trial = x - a - self.offs
             psum = np.concatenate([[0.0], np.cumsum(trial)])
         else:
-            trial = self.domain.weight(self.domain.inv_cumweight(singles + self.offs)) ** -2.0
-        for arr in (x, singles, trial, psum):
+            pos = self.domain.inv_cumweight(singles + self.offs)
+            trial = self.domain.weight(pos) ** -2.0
+        for arr in (x, singles, trial, psum, pos):
             if arr is not None:
                 arr.flags.writeable = False
-        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum, {}, {})
+        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum, pos)
         return self._memo
 
-    def _certified(self, t, m, lo_s, hi_s, y_s, strict=False):
+    def _ones(self, t):
+        """The :data:`_Ones` arrays of target ``t``.
+
+        A block of one sits at its clipped target ``t.singles[j]`` in
+        every partition, so its position, its gradient and its verdicts
+        depend on the target alone.  Built once per target, and only
+        when a partition of it has a block of one.
+        """
+        pos = t.pos if t.pos is not None else self.domain.inv_cumweight(t.singles + self.offs)
+        grad = 2.0 * (pos - t.x) / self.domain.weight(pos)
+        ones = _Ones(pos, grad,
+                     np.flatnonzero(~_ends_ok(t.singles, self.lb, self.ub, grad, KKT_TOL * t.scale)),
+                     np.flatnonzero(t.singles[1:] - t.singles[:-1] < -GAP_TOL))
+        for arr in ones:
+            arr.flags.writeable = False
+        return ones
+
+    def _alone(self, j, m, lo_b, hi_b):
+        """Which of the sorted samples ``j`` are blocks of one: at or past
+        ``m`` and in none of the listed blocks ``lo_b..hi_b``."""
+        return (j >= m) & (np.append(lo_b, self.n)[np.searchsorted(hi_b, j)] > j)
+
+    def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
         """Positions of a block partition that passes the certificate.
 
-        The certificate asks for block values in chain order and for
-        nonnegative multipliers (:meth:`_kkt_violation`).  A failed
-        certificate returns ``None``, or raises when ``strict`` (targets
-        already in order, or exact pooling: neither has a fallback).
+        A partition lists its blocks ``lo_b..hi_b`` and their values
+        ``y_b`` (the trial and the exact pooling list their pooled blocks);
+        every other sample from ``m`` on is a block of one at its clipped
+        target ``t.singles[j]``, whose position, gradient and verdicts are
+        read from the target's :meth:`_ones`.  The certificate asks for
+        block values in chain order and for nonnegative multipliers
+        (:meth:`_kkt_violation`).  A failed certificate returns ``None``,
+        or raises when ``strict`` (targets already in order, or exact
+        pooling: neither has a fallback).
         """
-        order = float(np.diff(y_s).min(initial=0.0))
+        n = self.n
+        sizes = hi_b - lo_b + 1
+        count = int(sizes.sum())
+        ones = None
+        if count < n - m:
+            if t.ones is None:
+                t.ones = self._ones(t)
+            ones = t.ones
+        s0, s1 = (int(lo_b[0]), int(hi_b[-1]) + 1) if count else (m, m)
+        # the listed blocks' samples, and the values from s0 to s1: the
+        # block values when the blocks are contiguous, else one per sample
+        at, span = slice(s0, s1), y_b
+        if count < s1 - s0:
+            at = np.arange(count) + np.repeat(lo_b - np.cumsum(sizes) + sizes, sizes)
+            span = t.singles[s0:s1].copy()
+            span[at - s0] = np.repeat(y_b, sizes)
+        # chain order: step by step from the sample before s0 to the one at
+        # s1, and further out where the singles drop
+        lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
+        v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
+        order = float((v[1:] - v[:-1]).min(initial=0.0))
+        if ones is not None and ones.drops.size:
+            i, j, k = np.searchsorted(ones.drops, (m, lo_v, hi_v - 1))
+            d = np.concatenate((ones.drops[i:j], ones.drops[k:]))
+            if d.size:
+                order = min(order, float((t.singles[d + 1] - t.singles[d]).min()))
         if order < -GAP_TOL and not strict:
             return None
-        q = np.empty(self.n)
+        q = np.empty(n) if ones is None else ones.pos.copy()
         q[:m] = self.domain.a
-        q[m:] = self.domain.inv_cumweight(np.repeat(y_s, hi_s - lo_s + 1) + self.offs[m:])
+        if count:
+            q[at] = self.domain.inv_cumweight(np.repeat(y_b, sizes) + self.offs[at])
         if order < -GAP_TOL:
             bad = ("projection certificate failed: block values out of chain order", order)
         else:
-            bad = self._kkt_violation(q, t, m, lo_s, hi_s, y_s)
+            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b, ones)
         if bad is not None:
             if strict:
                 raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
@@ -264,19 +343,18 @@ class ChainProjector:
         return fit
 
     def _trial(self, t, m, solve):
-        """Trial partition from one isotonic regression (:meth:`_fit`): (lo, hi, value) arrays.
+        """Trial partition from one isotonic regression (:meth:`_fit`): its
+        pooled blocks as (lo, hi, value) arrays.
 
         Runs of equal clipped values are the blocks (runs at a bound
-        merged), each solved exactly once; the partition must still pass
-        the certificate.
+        merged); each run longer than one sample is solved exactly once,
+        and the partition must still pass the certificate.
         """
         fit = self._fit(t, m)
-        lo_s = np.flatnonzero(np.concatenate([[True], np.diff(fit) != 0.0])) + m
-        hi_s = np.append(lo_s[1:] - 1, self.n - 1)
-        y_s = t.singles[lo_s]
-        for k in np.flatnonzero(hi_s > lo_s):
-            y_s[k] = solve(int(lo_s[k]), int(hi_s[k]))
-        return lo_s, hi_s, y_s
+        same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
+        edges = np.flatnonzero(same[1:] != same[:-1]) + m
+        lo_b, hi_b = edges[::2], edges[1::2]
+        return lo_b, hi_b, np.array([solve(int(lo), int(hi)) for lo, hi in zip(lo_b, hi_b)], dtype=float)
 
     def suffix_slope(self, x, m):
         """Predicted change of the squared distance to ``x`` when sample ``m`` is pinned too.
@@ -308,8 +386,8 @@ class ChainProjector:
 
         return (a - xm) ** 2 + dist(m + 1) - dist(m)
 
-    def _pool(self, singles, m, solve):
-        """Exact pooling of adjacent violators; block arrays (lo, hi, value).
+    def _pool(self, t, m, solve):
+        """Exact pooling of adjacent violators: the pooled blocks as (lo, hi, value) arrays.
 
         ``solve(lo, hi)`` gives the value of a merged block and runs on
         every merge.  This is the fallback for a trial partition that
@@ -317,7 +395,7 @@ class ChainProjector:
         """
         lo_s, y_s = [], []
         for j in range(m, self.n):
-            lo, y = j, float(singles[j])
+            lo, y = j, float(t.singles[j])
             while y_s and y_s[-1] > y + GAP_TOL:
                 lo = lo_s.pop()
                 y_s.pop()
@@ -325,44 +403,62 @@ class ChainProjector:
             lo_s.append(lo)
             y_s.append(y)
         lo_s = np.asarray(lo_s, dtype=int)
-        return lo_s, np.append(lo_s[1:] - 1, self.n - 1), np.asarray(y_s, dtype=float)
+        hi_s = np.append(lo_s[1:] - 1, self.n - 1)
+        pooled = hi_s > lo_s
+        return lo_s[pooled], hi_s[pooled], np.asarray(y_s, dtype=float)[pooled]
 
-    def _kkt_violation(self, q, t, m, lo_s, hi_s, y_s):
+    def _kkt_violation(self, q, t, m, at, lo_b, hi_b, y_b, ones):
         """Multiplier nonnegativity certificate for the projection.
 
-        With ``c`` the running sum of the per-sample gradients, a block
-        total is the step of ``c`` across the block.  Inside a pooled
-        block ``lo..hi`` the multiplier of the pair ``(j, j+1)`` is the sum
-        of the gradients over ``j+1..hi``, ``c[hi] - c[j]`` (plus the
-        upper-box multiplier ``beta`` when the block is clamped there), so
-        the smallest is ``c[hi] + beta - max(c[lo..hi-1])``; these must be
-        nonnegative, and the block total must vanish unless a box bound
-        absorbs it.  Returns ``None`` if the certificate holds, else a
-        ``(message, gap)`` pair.
+        A block total, the sum of the per-sample gradients over the block,
+        must vanish unless a box bound absorbs it.  With ``c`` the running
+        sum of the gradients over the listed blocks' samples ``at``, the
+        multiplier of the pair ``(j, j+1)`` inside a pooled block
+        ``lo..hi`` is the sum of the gradients over ``j+1..hi``,
+        ``c[hi] - c[j]`` (plus the upper-box multiplier ``beta`` when the
+        block is clamped there), so the smallest is
+        ``c[hi] + beta - max(c[lo..hi-1])``, and these must be
+        nonnegative.  A block of one has no pair inside, and its total is
+        its gradient, checked through ``ones.fails``.  Returns ``None`` if
+        the certificate holds, else a ``(message, gap)`` pair.
         """
         tol = KKT_TOL * t.scale
-        g = 2.0 * (q[m:] - t.x[m:]) / self.domain.weight(q[m:])
+        # (first sample, total) of the first block that fails at its
+        # boundary, listed or of one
+        bad = []
+        if ones is not None and ones.fails.size:
+            j = ones.fails[self._alone(ones.fails, m, lo_b, hi_b)]
+            bad += [(int(j[0]), float(ones.grad[j[0]]))] if j.size else []
+        if lo_b.size:
+            qb = q[at]
+            g = 2.0 * (qb - t.x[at]) / self.domain.weight(qb)
+            sizes = hi_b - lo_b + 1
+            starts = np.cumsum(sizes) - sizes
+            totals = np.add.reduceat(g, starts)
+            ok_end = _ends_ok(y_b, self.lb[lo_b], self.ub[hi_b], totals, tol)
+            if not ok_end.all():
+                k = int(np.argmin(ok_end))
+                bad.append((int(lo_b[k]), float(totals[k])))
+        if bad:
+            return ("projection certificate failed at a block boundary", min(bad)[1])
+        if not lo_b.size:
+            return None
+        # with c[hi] in the maximum too, c[hi] + beta - max(c[lo..hi]) is
+        # that smallest multiplier where it is negative, and nonnegative
+        # elsewhere
         c = np.cumsum(g)
-        totals = np.diff(c[hi_s - m], prepend=0.0)
-        at_lb = y_s <= self.lb[lo_s] + GAP_TOL
-        at_ub = y_s >= self.ub[hi_s] - GAP_TOL
-        ok_end = ((at_lb & (totals >= -tol)) | (at_ub & (totals <= tol))
-                  | (np.abs(totals) <= tol))
-        if not ok_end.all():
-            bad = int(np.argmin(ok_end))
-            return ("projection certificate failed at a block boundary",
-                    float(totals[bad]))
-        pooled = hi_s > lo_s
-        if pooled.any():
-            lo_p, hi_p = lo_s[pooled] - m, hi_s[pooled] - m
-            # maxima over c[lo:hi] of each pooled block; the odd entries
-            # span the gaps between blocks
-            peak = np.maximum.reduceat(c, np.column_stack((lo_p, hi_p)).ravel())[::2]
-            beta = np.where(at_ub[pooled], np.maximum(-totals[pooled], 0.0), 0.0)
-            worst = float((c[hi_p] + beta - peak).min())
-            if worst < -tol:
-                return ("projection certificate failed inside a block", worst)
+        peak = np.maximum.reduceat(c, starts)
+        beta = np.where(y_b >= self.ub[hi_b] - GAP_TOL, np.maximum(-totals, 0.0), 0.0)
+        worst = float((c[starts + sizes - 1] + beta - peak).min())
+        if worst < -tol:
+            return ("projection certificate failed inside a block", worst)
         return None
+
+
+def _ends_ok(y, lb, ub, totals, tol):
+    """Whether each block total vanishes, or a box bound absorbs it."""
+    return (((y <= lb + GAP_TOL) & (totals >= -tol)) | ((y >= ub - GAP_TOL) & (totals <= tol))
+            | (np.abs(totals) <= tol))
 
 
 def step_objective(q, p, D, tau, ds):

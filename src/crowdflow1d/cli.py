@@ -300,8 +300,9 @@ SCENARIO_KEYS = {
 }
 
 
-def load_config(path, base=None):
-    """Parse an INI scenario file on top of ``base`` (a ScenarioConfig)."""
+def _read_ini(path):
+    """The parsed INI file at ``path``; a file that is not INI key-value
+    text raises :class:`ConfigError` naming the line's section or key."""
     # values are read literally: a '%' is a malformed number, not an interpolation
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
@@ -327,6 +328,12 @@ def load_config(path, base=None):
                           "a 'key = value' line", field=section) from e
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    return parser
+
+
+def load_config(path, base=None):
+    """Parse an INI scenario file on top of ``base`` (a ScenarioConfig)."""
+    parser = _read_ini(path)
     for section in parser.sections():
         if section not in SCENARIO_KEYS:
             raise ConfigError(f"unknown section [{section}]", field=section)
@@ -623,6 +630,13 @@ def _assemble_config(args):
     if args.out:
         updates["out_dir"] = args.out
     if args.command == "study":
+        # a study sweeps its [study] taus to its [study] T, at sample and
+        # cell counts of its own, so a [run] key in its file would be ignored
+        ini = _read_ini(args.config) if args.config else None
+        if ini is not None and ini.has_section("run") and list(ini["run"]):
+            field = SCENARIO_KEYS["run"][list(ini["run"])[0]][2]
+            raise ConfigError(f"a study reads no [run] key, got {field!r}; it sweeps "
+                              "the [study] taus to the [study] T", field=field)
         # the horizon and snapshots are the run command's; a study has its own T
         updates["snapshots"] = ()
         updates["T"] = None

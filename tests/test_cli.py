@@ -83,6 +83,10 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("study", [], "[study]\ntaus = 0.1, 0.05, 0.025\n", "taus", id="taus-too-few"),
     pytest.param("study", ["--T", "1e-320"], "", "study T", id="study-T-below-one-step"),
     pytest.param("study", ["--T", "0.98"], "", "study T", id="study-T-misaligned"),
+    pytest.param("study", [], "[run]\ntau = 0.3\n", "tau", id="study-run-tau"),
+    pytest.param("study", [], "[run]\nn_samples = 128\n", "n_samples", id="study-run-n_samples"),
+    pytest.param("study", [], "[run]\nn_cells = 64\n", "n_cells", id="study-run-n_cells"),
+    pytest.param("study", [], "[run]\nT = 0.5\n", "T", id="study-run-T"),
     pytest.param("run", [], "[domain]\na = nan\n", "a", id="a-nan"),
     pytest.param("run", [], "[domain]\na = -1\n", "a", id="a-negative"),
     pytest.param("run", [], "[domain]\nR = inf\n", "R", id="R-inf"),

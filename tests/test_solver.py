@@ -8,6 +8,7 @@ from scipy.optimize import brentq, minimize
 
 from crowdflow1d import _solver, jko
 from crowdflow1d._solver import ChainProjector, minimize_free, solve_step, step_objective
+from crowdflow1d.corridor import fig4_preset
 from crowdflow1d.errors import SolverFailureError
 from crowdflow1d.harness import _rand_domain
 from crowdflow1d.jko import PotentialD, run_flow, step_size_cap
@@ -119,9 +120,9 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
     honest_pool = ChainProjector._pool
     pools = []
 
-    def counted(self, singles, m, solve):
+    def counted(self, t, m, solve):
         pools[-1] += 1
-        return honest_pool(self, singles, m, solve)
+        return honest_pool(self, t, m, solve)
 
     monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     monkeypatch.setattr(ChainProjector, "_pool", counted)
@@ -212,7 +213,9 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
 
 def test_certificate_checks_chain_order():
     """Singletons at their own targets have zero gradient, so only the
-    order check can reject them when the targets violate the chain."""
+    order check can reject them when the targets violate the chain.  A
+    partition that lists no block has every sample from ``m`` on as a
+    block of one at its target."""
     dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
     n, m = 6, 1
     projector = ChainProjector(dom, n)
@@ -220,12 +223,97 @@ def test_certificate_checks_chain_order():
     y_s = (dom.cumweight(x) - projector.offs)[m:]
     assert np.all((y_s > projector.lb[m:]) & (y_s < projector.ub[m:]))
     assert np.any(np.diff(y_s) < 0.0)
-    idx = np.arange(m, n)
     t = projector._target(x)
-    assert projector._certified(t, m, idx, idx, y_s) is None
+    assert np.array_equal(t.singles[m:], y_s)
+    none = np.zeros(0, dtype=int)
+    assert projector._certified(t, m, none, none, np.zeros(0)) is None
     with pytest.raises(SolverFailureError, match="chain order") as err:
-        projector._certified(t, m, idx, idx, y_s, strict=True)
+        projector._certified(t, m, none, none, np.zeros(0), strict=True)
     assert err.value.m == m
+
+
+@pytest.mark.parametrize("path, x", [
+    ("in order", [1.0, 2.0, 2.3, 2.6, 2.9, 3.2, 3.5, 3.8]),
+    ("trial", [1.0, 2.0, 2.9, 2.8, 2.7, 3.2, 3.5, 3.8]),
+])
+def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path, x):
+    """The verdicts of the blocks of one are kept with the target, and
+    they are no bypass.  A domain map under which the clipped targets
+    no longer map back onto the targets puts every block of one off its
+    target; the certificate then rejects the partition at a block
+    boundary, for the target's first candidate and for a later one that
+    reuses the memo, on the in-order path and on the trial path (whose
+    exact pooling fails the same way)."""
+    dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
+    x = np.array(x)
+    events, verdicts = [], []
+    honest_trial, honest_kkt = ChainProjector._trial, ChainProjector._kkt_violation
+
+    def trial(self, t, m, solve):
+        events.append("trial")
+        return honest_trial(self, t, m, solve)
+
+    def kkt(self, *args):
+        verdicts.append(honest_kkt(self, *args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(ChainProjector, "_trial", trial)
+    monkeypatch.setattr(ChainProjector, "_kkt_violation", kkt)
+    projector = ChainProjector(dom, x.size)
+    for m in (1, 2):
+        projector.project(x, m)
+    # the honest map: the path as labelled, every certificate passes and
+    # no block of one fails
+    assert ("trial" in events) == (path == "trial"), events
+    assert verdicts == [None, None] and projector._memo.ones.fails.size == 0
+    honest_cumweight = Domain1D.cumweight
+    monkeypatch.setattr(Domain1D, "cumweight", lambda self, r: honest_cumweight(self, r) + 0.01)
+    projector, memo = ChainProjector(dom, x.size), None
+    for m in (1, 2):
+        verdicts.clear()
+        with pytest.raises(SolverFailureError, match="at a block boundary"):
+            projector.project(x, m)
+        assert projector._memo is memo or memo is None
+        memo = projector._memo
+        assert len(verdicts) == (2 if path == "trial" else 1), verdicts
+        assert all(v and v[0].endswith("at a block boundary") for v in verdicts), verdicts
+    assert memo.ones.fails.size, memo.ones
+
+
+def test_blocks_of_one_are_built_once_per_target(monkeypatch):
+    """The arrays of the blocks of one are built at most once per target,
+    whatever the number of candidates that project it, and never for a
+    target whose partitions have none: a saturated drain pools every
+    free sample into blocks of more than one."""
+    # the targets are kept, so that no two of them share an id
+    built, projected = [], Counter()
+    honest_ones, honest_certified = ChainProjector._ones, ChainProjector._certified
+
+    def ones(self, t):
+        built.append(t)
+        return honest_ones(self, t)
+
+    def certified(self, t, m, lo_b, hi_b, y_b, strict=False):
+        if int((hi_b - lo_b + 1).sum()) < self.n - m:
+            projected[id(t)] += 1
+        return honest_certified(self, t, m, lo_b, hi_b, y_b, strict=strict)
+
+    monkeypatch.setattr(ChainProjector, "_ones", ones)
+    monkeypatch.setattr(ChainProjector, "_certified", certified)
+    p = fig4_preset()
+    D = PotentialD.distance_to_exit(p.domain())
+    projector = ChainProjector(p.domain(), 1024)
+    q, m = quantile_of(p.initial(64), 1024).q, 0
+    for _ in range(8):
+        q, m, _ = solve_step(projector, q, m, D, p.tau)
+    ids = [id(t) for t in built]
+    assert built and len(set(ids)) == len(ids), ids
+    assert set(ids) == set(projected), (ids, projected)
+    assert sum(projected.values()) > len(built), projected
+    built.clear()
+    projector, q_prev, D, _ = _saturated_study_step(1024, 0.1)
+    solve_step(projector, q_prev, 0, D, 0.1)
+    assert not built
 
 
 def _suffix_sum_certificate(projector, q, x, m, lo_s, hi_s, y_s):
@@ -252,27 +340,56 @@ def _suffix_sum_certificate(projector, q, x, m, lo_s, hi_s, y_s):
     return None
 
 
+def _full_partition(projector, t, m, lo_b, hi_b, y_b):
+    """Every block of a partition that lists ``lo_b..hi_b`` at ``y_b``, as
+    ``(lo, hi, value)`` arrays: each other sample from ``m`` on is a block
+    of one at its clipped target."""
+    y = t.singles.copy()
+    inside = np.zeros(projector.n, dtype=bool)
+    for lo, hi, value in zip(lo_b, hi_b, y_b):
+        y[lo : hi + 1] = value
+        inside[lo + 1 : hi + 1] = True
+    lo_s = np.flatnonzero(~inside[m:]) + m
+    return lo_s, np.append(lo_s[1:] - 1, projector.n - 1), y[lo_s]
+
+
 @pytest.mark.parametrize("trial", ["honest", "on lower bound"])
 def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
-    """The running-sum certificate gives the verdict of the suffix-sum
-    one on every partition that projections of the oracle and repeat
-    instances certify, and its gap on a failure agrees to rounding.  The
-    trial that puts every sample in one block on its lower bound fails
-    both at a block boundary and inside a block."""
-    honest = ChainProjector._kkt_violation
+    """The certificate gives the verdict of the suffix-sum one, on the
+    partition with every block written out, on every partition that
+    projections of the oracle and repeat instances certify; its gap on a
+    failure agrees to rounding, and its positions are those of the written
+    out partition bit for bit.  The trial that puts every sample in one
+    block on its lower bound fails both at a block boundary and inside a
+    block."""
+    honest = ChainProjector._certified
     problems, verdicts = [], Counter()
 
-    def checked(self, q, t, m, lo_s, hi_s, y_s):
-        got = honest(self, q, t, m, lo_s, hi_s, y_s)
-        ref = _suffix_sum_certificate(self, q, t.x, m, lo_s, hi_s, y_s)
+    def checked(self, t, m, lo_b, hi_b, y_b, strict=False):
+        lo_s, hi_s, y_s = _full_partition(self, t, m, lo_b, hi_b, y_b)
+        q_ref = np.full(self.n, self.domain.a)
+        q_ref[m:] = self.domain.inv_cumweight(np.repeat(y_s, hi_s - lo_s + 1) + self.offs[m:])
+        order = float(np.diff(y_s).min(initial=0.0))
+        if order < -_solver.GAP_TOL:
+            ref = ("projection certificate failed: block values out of chain order", order)
+        else:
+            ref = _suffix_sum_certificate(self, q_ref, t.x, m, lo_s, hi_s, y_s)
+        try:
+            q, got = honest(self, t, m, lo_b, hi_b, y_b, strict=True), None
+        except SolverFailureError as err:
+            q, got = err.last_iterate, (str(err), err.gap)
         verdicts[ref and ref[0]] += 1
         if (got and got[0]) != (ref and ref[0]):
             problems.append(f"instance {instance}: {got} against the reference's {ref}")
         elif got and abs(got[1] - ref[1]) > 1e-12 * t.scale:
             problems.append(f"instance {instance}: gap {got[1]!r} against {ref[1]!r}")
-        return got
+        if not np.array_equal(q, q_ref):
+            problems.append(f"instance {instance}: positions differ from the written out partition")
+        if got is None:
+            return q
+        return honest(self, t, m, lo_b, hi_b, y_b, strict=strict)
 
-    monkeypatch.setattr(ChainProjector, "_kkt_violation", checked)
+    monkeypatch.setattr(ChainProjector, "_certified", checked)
     if trial != "honest":
         monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     for seed, count, make in ((11, N_INSTANCES, _instance), (23, N_REPEATS, _repeat_instance)):
@@ -408,9 +525,9 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             events.append("strict" if strict else "trial")
         return q
 
-    def pool(self, singles, m, solve):
+    def pool(self, t, m, solve):
         events.append("pool")
-        return honest_pool(self, singles, m, solve)
+        return honest_pool(self, t, m, solve)
 
     monkeypatch.setattr(ChainProjector, "_certified", certified)
     monkeypatch.setattr(ChainProjector, "_pool", pool)
@@ -434,7 +551,8 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             problems.append(f"instance {i} ({path}): projection depends on the warm-up")
         # the target's arrays are kept for the next call and must not change
         memo = projector._memo
-        for arr in (memo.x, memo.singles, memo.trial, memo.psum, *memo.fits.values()):
+        for arr in (memo.x, memo.singles, memo.trial, memo.psum, memo.pos,
+                    *memo.fits.values(), *(memo.ones or ())):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
@@ -473,9 +591,9 @@ def test_flat_projections_never_fall_back(monkeypatch):
     honest_pool = ChainProjector._pool
     honest_trial = ChainProjector._trial
 
-    def pool(self, singles, m, solve):
+    def pool(self, t, m, solve):
         pools[0] += 1
-        return honest_pool(self, singles, m, solve)
+        return honest_pool(self, t, m, solve)
 
     def trial(self, t, m, solve):
         trials[0] += 1
