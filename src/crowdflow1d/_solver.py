@@ -256,11 +256,6 @@ class ChainProjector:
             arr.flags.writeable = False
         return ones
 
-    def _alone(self, j, m, lo_b, hi_b):
-        """Which of the sorted samples ``j`` are blocks of one: at or past
-        ``m`` and in none of the listed blocks ``lo_b..hi_b``."""
-        return (j >= m) & (np.append(lo_b, self.n)[np.searchsorted(hi_b, j)] > j)
-
     def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
         """Positions of a block partition that passes the certificate.
 
@@ -427,7 +422,10 @@ class ChainProjector:
         # boundary, listed or of one
         bad = []
         if ones is not None and ones.fails.size:
-            j = ones.fails[self._alone(ones.fails, m, lo_b, hi_b)]
+            # the failing samples that are blocks of one: at or past m and
+            # in no listed block
+            j = ones.fails
+            j = j[(j >= m) & (np.append(lo_b, self.n)[np.searchsorted(hi_b, j)] > j)]
             bad += [(int(j[0]), float(ones.grad[j[0]]))] if j.size else []
         if lo_b.size:
             qb = q[at]
