@@ -633,8 +633,8 @@ def _assemble_config(args):
         # a study sweeps its [study] taus to its [study] T, at sample and
         # cell counts of its own, so a [run] key in its file would be ignored
         ini = _read_ini(args.config) if args.config else None
-        if ini is not None and ini.has_section("run") and list(ini["run"]):
-            field = SCENARIO_KEYS["run"][list(ini["run"])[0]][2]
+        if ini is not None and ini.has_section("run") and ini.options("run"):
+            field = SCENARIO_KEYS["run"][ini.options("run")[0]][2]
             raise ConfigError(f"a study reads no [run] key, got {field!r}; it sweeps "
                               "the [study] taus to the [study] T", field=field)
         # the horizon and snapshots are the run command's; a study has its own T
