@@ -20,16 +20,18 @@ where the block equation loses its concavity).  The trial partition
 comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
 violators) clipped to the two box bounds that an isotone ``y`` can meet
 (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
-domains it is exact.  A partition is carried as its pooled blocks: every
-other free sample is a block of one at its clipped target.  It is
-accepted only if its block values are in chain order and pass a
+domains it is exact, and on radial ones each block's Newton solve starts
+from the block's regression value.  A partition is carried as its pooled
+blocks: every other free sample is a block of one at its clipped target.
+It is accepted only if its block values are in chain order and pass a
 multiplier (KKT) certificate, read off one running sum of the per-sample
 gradients over the pooled blocks; when the trial does not, pooling runs
-again with an exact solve per merge.  The arrays that depend on the
-target alone (clipped singles, the trial's input, the certificate's
-scale and, once a partition needs them, the positions, gradients and
-verdicts of the blocks of one) are kept in a one-entry memo, since every
-candidate prefix of an affine step projects the same target.
+again with an exact solve per merge, started at the block's lower bound.
+The arrays that depend on the target alone (clipped singles, the trial's
+input, the certificate's scale and, once a partition needs them, the
+positions, gradients and verdicts of the blocks of one) are kept in a
+one-entry memo, since every candidate prefix of an affine step projects
+the same target.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -125,7 +127,7 @@ class ChainProjector:
         w = self.domain.weight(q)
         return float((2.0 * (q - x[lo : hi + 1]) / w).sum())
 
-    def _solve_block(self, lo, hi, x, psum):
+    def _solve_block(self, lo, hi, x, psum, start=None):
         """Value of the pooled block ``lo..hi``.
 
         The block value minimizes ``sum (Q_i(y) - x_i)^2`` over
@@ -133,11 +135,15 @@ class ChainProjector:
         radial domains with targets ``x_i >= 0`` stationarity reads
         ``f(y) = k - sum x_i / q_i(y) = 0`` with
         ``q_i(y) = sqrt(a^2 + (y + i*ds)/h)`` and ``h`` the half angle;
-        ``f`` is increasing and concave, so Newton's method started at the
-        lower bound climbs monotonically onto the root, and a tangent root
-        past the upper bound means the root is past it too.  A negative
-        target (apex domains) breaks concavity, so such a block is solved
-        by ``brentq`` between the bounds.
+        ``f`` is increasing and concave, so a tangent root never lies
+        past the root.  Newton's method starts at ``start`` clamped into
+        the bounds (the lower bound if none is given); where ``f >= 0``
+        there, one tangent step, clamped at the lower bound, lands at or
+        left of the root.  From there the iterates climb monotonically
+        onto the root, and a tangent root past the upper bound means the
+        root is past it too.  A negative target (apex domains) breaks
+        concavity, so such a block is solved by ``brentq`` between the
+        bounds.
         """
         ylo = self.lb[lo]
         yhi = self.ub[hi]
@@ -152,7 +158,9 @@ class ChainProjector:
         if xs.min() >= 0.0:
             a, h = self.domain.a, self.domain.half_angle
             offs = self.offs[lo : hi + 1]
-            y = ylo
+            y = ylo if start is None else min(max(start, ylo), yhi)
+            # only a start past the lower bound may lie right of the root
+            right = y > ylo
             # converges quadratically; the cap only guards the loop,
             # brentq below takes over if it is ever reached
             for _ in range(100):
@@ -160,7 +168,14 @@ class ChainProjector:
                 r = xs / q
                 f = (hi - lo + 1) - float(r.sum())
                 if f >= 0.0:
-                    return y
+                    if not right:
+                        return y
+                    # f is flat only if every target is 0: then the
+                    # lower bound is the minimizer
+                    slope = float((r / (q * q)).sum())
+                    right, y = False, max(y - 2.0 * h * f / slope, ylo) if slope > 0.0 else ylo
+                    continue
+                right = False
                 step = -2.0 * h * f / float((r / (q * q)).sum())
                 if y + step >= yhi:
                     return yhi
@@ -203,8 +218,8 @@ class ChainProjector:
             none = np.zeros(0, dtype=int)
             return self._certified(t, m, none, none, np.zeros(0), strict=True)
 
-        def solve(lo, hi):
-            return self._solve_block(lo, hi, t.x, t.psum)
+        def solve(lo, hi, start=None):
+            return self._solve_block(lo, hi, t.x, t.psum, start)
 
         q = self._certified(t, m, *self._trial(t, m, solve))
         if q is None:
@@ -349,7 +364,8 @@ class ChainProjector:
         same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
         edges = np.flatnonzero(same[1:] != same[:-1]) + m
         lo_b, hi_b = edges[::2], edges[1::2]
-        return lo_b, hi_b, np.array([solve(int(lo), int(hi)) for lo, hi in zip(lo_b, hi_b)], dtype=float)
+        return lo_b, hi_b, np.array([solve(int(lo), int(hi), float(fit[lo - m]))
+                                     for lo, hi in zip(lo_b, hi_b)], dtype=float)
 
     def suffix_slope(self, x, m):
         """Predicted change of the squared distance to ``x`` when sample ``m`` is pinned too.

@@ -92,6 +92,12 @@ class ScenarioConfig:
         dom = self.domain()
         n = self.n_cells if n_cells is None else n_cells
         if self.rho0_value is not None:
+            total = self.rho0_value * dom.total_weight
+            if abs(total - 1.0) > 1e-9:
+                raise ConfigError(
+                    f"uniform density {self.rho0_value} carries mass {total:.10f}, needs 1",
+                    field="uniform",
+                )
             return Measure1D.uniform(dom, self.rho0_value, n)
         rows = np.asarray(self.rho0_table, dtype=float)
         radii, values = rows[:, 0], rows[:, 1]
@@ -150,6 +156,12 @@ class ScenarioConfig:
             raise ConfigError(f"a must be finite and >= 0, got {self.a}", field="a")
         if not (np.isfinite(self.R) and self.R > self.a):
             raise ConfigError(f"R must be finite and > a, got {self.R}", field="R")
+        if self.rho0_value is not None and not (
+            np.isfinite(self.rho0_value) and 0.0 < self.rho0_value <= 1.0
+        ):
+            raise ConfigError(
+                f"uniform density must lie in (0, 1], got {self.rho0_value}", field="uniform"
+            )
         if self.weight_kind == "radial":
             if not np.isfinite(self.R * self.R):
                 raise ConfigError(f"R = {self.R} is too large for a radial weight", field="R")

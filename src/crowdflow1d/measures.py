@@ -188,9 +188,17 @@ class Measure1D:
     def random_feasible(cls, domain, n_cells, rng, exit_mass=None):
         """Random probability measure with density in ``[0, 1]``.
 
-        Draws rough cell values and rescales them monotonically (with the
-        cap enforced by clipping) until the interior mass is exactly
+        Draws rough cell values ``raw`` and rescales them by ``c`` (with
+        the cap enforced by clipping) until the interior mass is exactly
         ``1 - exit_mass``.  Requires the domain capacity to exceed 1.
+
+        The computed mass ``sum min(raw*c, 1)*dW`` is nondecreasing in
+        ``c`` and, exactly, linear between the values where a cell fills
+        up.  One sort of ``raw`` finds the piece that holds the target and
+        its root; stepping from there by ulps finds ``c_hi``, the smallest
+        float whose computed mass reaches the target, and ``c`` is the
+        midpoint of ``c_hi`` and the float below it, where a bisection of
+        the computed mass ends.
         """
         if exit_mass is None:
             exit_mass = float(rng.uniform(0.0, 0.3)) if domain.has_exit else 0.0
@@ -204,19 +212,17 @@ class Measure1D:
         def mass(c):
             return float(np.clip(raw * c, 0.0, 1.0) @ dW)
 
-        c_lo, c_hi = 0.0, 1.0
-        while mass(c_hi) < target:
-            c_hi *= 2.0
-            if c_hi > 1e12:
-                raise FeasibilityError("random measure normalization failed")
-        for _ in range(200):
-            c = 0.5 * (c_lo + c_hi)
-            if c in (c_lo, c_hi):
-                break  # the bracket is two adjacent floats: nothing moves any more
-            if mass(c) < target:
-                c_lo = c
-            else:
-                c_hi = c
+        # cells by decreasing raw fill up in that order: while the first k
+        # are full the mass is full[k] + c*rest[k], up to c = 1/r[k]
+        by = np.argsort(raw)[::-1]
+        r, w = raw[by], dW[by]
+        full = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+        rest = np.cumsum((r * w)[::-1])[::-1]
+        k = min(int(np.searchsorted(full + rest / r, target, side="right")), n_cells - 1)
+        c_hi = _smallest_reaching(mass, target, (target - full[k]) / rest[k])
+        if c_hi == np.inf:
+            raise FeasibilityError("random measure normalization failed")
+        c_lo = float(np.nextafter(c_hi, 0.0))
         rho = np.clip(raw * 0.5 * (c_lo + c_hi), 0.0, 1.0)
         # absorb the last bit of rounding into the fullest cell with room
         gap = target - float(rho @ dW)
@@ -309,6 +315,41 @@ class Measure1D:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
+
+
+def _smallest_reaching(fn, target, guess):
+    """Smallest float ``c >= 0`` with ``fn(c) >= target``, for ``fn``
+    nondecreasing with ``fn(0) < target`` and a finite ``guess > 0``;
+    ``inf`` if no finite float reaches the target.
+
+    Nonnegative floats are ordered as their bit patterns, so the search
+    runs on those: it gallops from ``guess`` by doubling steps until the
+    bracket holds the answer, then bisects it.
+    """
+    def at(bits):
+        return float(np.int64(bits).view(np.float64))
+
+    lo = hi = int(np.float64(guess).view(np.int64))
+    top, step = int(np.float64(np.inf).view(np.int64)), 1
+    if fn(guess) >= target:
+        while True:
+            lo = max(hi - step, 0)
+            if fn(at(lo)) < target:
+                break
+            hi, step = lo, 2 * step
+    else:
+        while True:
+            hi = min(lo + step, top)
+            if hi == top or fn(at(hi)) >= target:
+                break
+            lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fn(at(mid)) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return at(hi)
 
 
 @dataclass

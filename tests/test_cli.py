@@ -118,6 +118,19 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("run", [], "[domain]\na = 1\n[run]\njunk line here\n", "run",
                  id="line-without-equals"),
     pytest.param("run", [], b"\xff\xfe[run]\nT = 1\n", "config", id="not-utf-8"),
+    *(pytest.param(command, [], ini, "uniform", id=f"{command}-uniform-{case}")
+      for command in ("run", "study")
+      for case, ini in (
+          ("0", "[density]\nuniform = 0\n"),
+          ("2", "[density]\nuniform = 2\n"),
+          ("nan", "[density]\nuniform = nan\n"),
+          ("negative", "[density]\nuniform = -0.5\n"),
+          ("inf", "[density]\nuniform = inf\n"),
+          # the start's mass is not 1: 0.5 * (10^2 - 1^2) * 0.4 = 19.8, and 2 * 0.4
+          ("mass-radial", "[domain]\nhalf_angle = 0.5\n"),
+          ("mass-flat", "[domain]\na = 0\nR = 2\nweight_kind = flat\n"
+                        "[density]\nuniform = 0.4\n"),
+      )),
 ])
 def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flags,
                                                  ini, field):

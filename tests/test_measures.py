@@ -15,6 +15,7 @@ from crowdflow1d.errors import (
 from crowdflow1d.measures import (
     Domain1D,
     Measure1D,
+    _smallest_reaching,
     _spill_excess,
     density_of,
     quantile_of,
@@ -144,6 +145,23 @@ def test_random_feasible_bisection_stops_early_with_the_same_result():
         m = Measure1D.random_feasible(dom, n_cells, np.random.default_rng(seed + 1000))
         rho, exit_mass = _random_feasible_200(dom, n_cells, np.random.default_rng(seed + 1000))
         assert np.array_equal(m.rho, rho) and m.exit_mass == exit_mass
+
+
+def test_smallest_reaching_finds_the_same_float_from_any_guess():
+    """The normalization's ulp search gallops both ways from its guess and
+    bisects; far guesses and a target no float reaches are covered too."""
+    rng = np.random.default_rng(7)
+    raw, dW = rng.uniform(0.05, 1.0, size=50), rng.uniform(0.01, 0.1, size=50)
+
+    def mass(c):
+        return float(np.clip(raw * c, 0.0, 1.0) @ dW)
+
+    target = 0.6 * float(dW.sum())
+    c = _smallest_reaching(mass, target, 1.0)
+    assert mass(c) >= target > mass(np.nextafter(c, 0.0))
+    for guess in (c, np.nextafter(c, 0.0), c * (1 + 1e-9), c * (1 - 1e-9), 1e-300, 1e300):
+        assert _smallest_reaching(mass, target, guess) == c
+    assert _smallest_reaching(mass, 2.0 * float(dW.sum()), 1.0) == np.inf
 
 
 @given(st.integers(0, 10**6))

@@ -188,13 +188,17 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     problems, where = [], {"lower": 0, "upper": 0, "inside": 0}
     for i in range(N_BLOCKS):
         projector, lo, hi, x = _radial_block(np.random.default_rng([13, i]))
-        y = projector._solve_block(lo, hi, x, None)
         ref = _reference_block(projector, lo, hi, x)
-        if abs(y - ref) > 1e-13 * max(1.0, abs(ref)):
-            problems.append(f"block {i}: {y!r} against brentq's {ref!r}")
-        if ref == projector.lb[lo]:
+        ylo, yhi = projector.lb[lo], projector.ub[hi]
+        # from the lower bound, then warm-started below it, left of the
+        # root, at it, right of it and past the upper bound
+        for start in (None, ylo - 1.0, 0.5 * (ylo + ref), ref, 0.5 * (ref + yhi), yhi + 1.0):
+            y = projector._solve_block(lo, hi, x, None, start)
+            if abs(y - ref) > 1e-13 * max(1.0, abs(ref)):
+                problems.append(f"block {i} from {start!r}: {y!r} against brentq's {ref!r}")
+        if ref == ylo:
             where["lower"] += 1
-        elif ref == projector.ub[hi]:
+        elif ref == yhi:
             where["upper"] += 1
         else:
             where["inside"] += 1
@@ -209,6 +213,13 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     assert calls
     assert projector.lb[0] < y < projector.ub[3]
     assert y == _reference_block(projector, 0, 3, x)
+    # every target 0: the block equation is flat, and the block sits at its
+    # lower bound from any start
+    calls.clear()
+    x = np.zeros(4)
+    for start in (None, projector.lb[1], projector.ub[3]):
+        assert projector._solve_block(2, 3, x, None, start) == projector.lb[2]
+    assert not calls
 
 
 def test_certificate_checks_chain_order():
