@@ -21,17 +21,21 @@ comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
 violators) clipped to the two box bounds that an isotone ``y`` can meet
 (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
 domains it is exact, and on radial ones each block's Newton solve starts
-from the block's regression value.  A partition is carried as its pooled
-blocks: every other free sample is a block of one at its clipped target.
+from the block's regression value.  Two suffixes need no regression run:
+singles already in order are their own regression, and on a radial
+domain singles that drop at every pair pool into one block at their
+weighted mean (read off suffix sums kept per target), clipped.  A
+partition is carried as its pooled blocks: every other free sample is a
+block of one at its clipped target.
 It is accepted only if its block values are in chain order and pass a
 multiplier (KKT) certificate, read off one running sum of the per-sample
 gradients over the pooled blocks; when the trial does not, pooling runs
 again with an exact solve per merge, started at the block's lower bound.
 The arrays that depend on the target alone (clipped singles, the trial's
-input, the certificate's scale and, once a partition needs them, the
-positions, gradients and verdicts of the blocks of one) are kept in a
-one-entry memo, since every candidate prefix of an affine step projects
-the same target.
+input, the certificate's scale, the weighted means of the suffixes and,
+once a partition needs them, the positions, gradients and verdicts of
+the blocks of one) are kept in a one-entry memo, since every candidate
+prefix of an affine step projects the same target.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -44,8 +48,9 @@ the start.  Pinning makes the admissible set non-convex, so the prefix
 itself is chosen among candidates: by a scan for a curved potential.
 For an affine one the prefix is predicted from the trial regressions
 of the suffixes of the one target (:meth:`ChainProjector.suffix_slope`,
-no projection), starting at the root of the line through its first two
-probes, and the candidates next to the prediction verify it,
+no projection; a suffix at its lower bound throughout is the packed
+chain from the door, tabled once per projector), starting at the root
+of the line through its first two probes, and the candidates next to the prediction verify it,
 starting no lower than the samples whose targets are at or past the
 door when pinning those is certain to lower the objective, see
 :func:`solve_step`.
@@ -75,26 +80,30 @@ MAX_ITER = 1000000
 _Ones = namedtuple("_Ones", "pos grad fails drops")
 
 # arrays of one target, read-only: the target itself, its clipped singles,
-# the last index where the singles decrease (-1 if none), the certificate
-# scale max(1, max|x|), the trial's input (x - a - j*ds on flat domains,
-# the weights w(Q(single))**-2 on radial ones), on flat domains the prefix
-# sums of that input, and on radial ones the positions Q(single) that the
-# weights are read from; then, by first sample, the clipped isotonic
-# regressions of its suffixes, kept as the trials and the prefix
-# prediction run them (:meth:`ChainProjector._fit`), the prediction's
-# squared distances of the suffixes (:meth:`ChainProjector.suffix_slope`)
-# and, once a partition of the target has a block of one, that block's
-# arrays (:meth:`ChainProjector._ones`)
+# the samples j where the singles decrease (singles[j+1] < singles[j]) and
+# the last of them (-1 if none), the certificate scale max(1, max|x|), the
+# trial's input (x - a - j*ds on flat domains, the weights w(Q(single))**-2
+# on radial ones), on flat domains the prefix sums of that input, and on
+# radial ones the positions Q(single) that the weights are read from; then,
+# by first sample, the clipped isotonic regressions of its suffixes, kept
+# as the trials and the prefix prediction run them
+# (:meth:`ChainProjector._fit`), on radial domains the weighted means of
+# the singles over each suffix, once a suffix whose singles drop at every
+# pair needs them, the prediction's squared distances of the suffixes
+# (:meth:`ChainProjector.suffix_slope`) and, once a partition of the
+# target has a block of one, that block's arrays (:meth:`ChainProjector._ones`)
 @dataclass(eq=False)
 class _Target:
     x: np.ndarray
     singles: np.ndarray
+    drops: np.ndarray
     last_drop: int
     scale: float
     trial: np.ndarray
     psum: np.ndarray | None
     pos: np.ndarray | None
     fits: dict = field(default_factory=dict)
+    means: np.ndarray | None = None
     dists: dict = field(default_factory=dict)
     ones: _Ones | None = None
 
@@ -112,8 +121,12 @@ class ChainProjector:
         self.lb = 0.5 * self.ds - self.offs
         self.ub = (self.cap - 0.5 * self.ds) - self.offs
         self.flat = domain.weight_kind == "flat"
-        # the lowest position a free sample can take, W^-1(ds/2)
-        self.lowest = float(domain.inv_cumweight(self.lb[0]))
+        # the packed chain from the door, W^-1((j + 1/2)*ds): the positions
+        # of a suffix at its lower bound throughout; its first entry is the
+        # lowest position a free sample can take
+        self.packed = domain.inv_cumweight(self.lb[0] + self.offs)
+        self.packed.flags.writeable = False
+        self.lowest = float(self.packed[0])
         self._memo = None
 
     # -- scalar helpers -------------------------------------------------
@@ -248,10 +261,11 @@ class ChainProjector:
         else:
             pos = self.domain.inv_cumweight(singles + self.offs)
             trial = self.domain.weight(pos) ** -2.0
-        for arr in (x, singles, trial, psum, pos):
+        for arr in (x, singles, drops, trial, psum, pos):
             if arr is not None:
                 arr.flags.writeable = False
-        self._memo = _Target(x, singles, int(drops[-1]) if drops.size else -1, scale, trial, psum, pos)
+        self._memo = _Target(x, singles, drops, int(drops[-1]) if drops.size else -1, scale, trial,
+                             psum, pos)
         return self._memo
 
     def _ones(self, t):
@@ -335,9 +349,13 @@ class ChainProjector:
         domains the regression of ``x - a - j*ds`` is the projection
         itself.  On radial domains it runs on the singles with weights
         ``1/w(Q(single))^2``: near its optimum ``s_j`` a sample's term is
-        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Kept with the
-        target, read-only, so a prefix that the prediction has looked at
-        costs its trial no second regression.
+        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Two suffixes
+        have a closed form: singles in order from ``m`` on are their own
+        regression, and singles that drop at every pair from ``m`` on
+        pool into one block at their weighted mean (:meth:`_falls`), so
+        on radial domains the regression is that mean, clipped.  Kept
+        with the target, read-only, so a prefix that the prediction has
+        looked at costs its trial no second regression.
         """
         fit = t.fits.get(m)
         if fit is None:
@@ -345,12 +363,32 @@ class ChainProjector:
                 # box-clipped targets in order are their own regression
                 return t.singles[m:]
             if self.flat:
-                fit = isotonic_regression(t.trial[m:]).x
+                fit = np.clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
+            elif self._falls(t, m):
+                if t.means is None:
+                    # suffix sums, from the last sample down
+                    w = np.cumsum(t.trial[::-1])
+                    ws = np.cumsum((t.trial * t.singles)[::-1])
+                    t.means = (ws / w)[::-1]
+                    t.means.flags.writeable = False
+                fit = np.full(self.n - m, min(max(t.means[m], self.lb[m]), self.ub[-1]))
             else:
                 fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-            fit = t.fits[m] = np.clip(fit, self.lb[m], self.ub[-1])
+                fit = np.clip(fit, self.lb[m], self.ub[-1])
+            t.fits[m] = fit
             fit.flags.writeable = False
         return fit
+
+    def _falls(self, t, m):
+        """Whether the singles from sample ``m`` on, two or more, drop at every pair.
+
+        The drops are distinct samples below ``n - 1``, so those at or
+        past ``m`` are all of ``m..n-2`` exactly when the last is ``n - 2``
+        and there are ``n - 1 - m`` of them; a target whose last pair
+        does not drop is answered without a search.
+        """
+        last = self.n - 2
+        return m <= t.last_drop == last and t.drops.size - int(t.drops.searchsorted(m)) == last + 1 - m
 
     def _trial(self, t, m, solve):
         """Trial partition from one isotonic regression (:meth:`_fit`): its
@@ -375,7 +413,9 @@ class ChainProjector:
         target, with ``Q`` the projection of ``x[m:]``.  The prediction
         takes the trial's clipped isotonic regression (:meth:`_fit`) for
         ``Q``, before its blocks are solved: exact on flat domains, and
-        the partition the projection starts from on radial ones.  Runs no
+        the partition the projection starts from on radial ones.  A
+        radial suffix pooled into one block at its lower bound is the
+        packed chain, whose positions are read off ``packed``.  Runs no
         projection; the suffix distances are kept with the target, so the
         probes of one step share them.
         """
@@ -391,7 +431,12 @@ class ChainProjector:
             if k == self.n:
                 return 0.0
             if k not in t.dists:
-                q = self.domain.inv_cumweight(self._fit(t, k) + self.offs[k:])
+                fit = self._fit(t, k)
+                if fit[0] == self.lb[k] and not self.flat and self._falls(t, k):
+                    # one block at its lower bound: the packed chain
+                    q = self.packed[: self.n - k]
+                else:
+                    q = self.domain.inv_cumweight(fit + self.offs[k:])
                 t.dists[k] = float(np.square(q - t.x[k:]).sum())
             return t.dists[k]
 

@@ -329,8 +329,10 @@ def _read_ini(path):
         raise ConfigError(f"line {e.lineno}: section [{e.section}] given twice",
                           field=e.section) from e
     except configparser.DuplicateOptionError as e:
-        raise ConfigError(f"line {e.lineno}: key {e.option!r} given twice in [{e.section}]",
-                          field=e.option) from e
+        # configparser lowercases the key: name the field it sets ('T', not 't')
+        field = SCENARIO_KEYS.get(e.section, {}).get(e.option, (None, None, e.option))[2]
+        raise ConfigError(f"line {e.lineno}: key {field!r} given twice in [{e.section}]",
+                          field=field) from e
     except configparser.ParsingError as e:
         # a line with neither '=' nor a header, after some section header
         lineno = e.errors[0][0]

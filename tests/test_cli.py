@@ -113,6 +113,10 @@ def test_bad_values_report_their_field(tmp_path):
                  id="key-before-any-section"),
     pytest.param("run", [], "[run]\ntau = 0.01\nT = 1\nTau = 0.02\n", "tau",
                  id="duplicate-key"),
+    pytest.param("run", [], "[run]\nT = 1\nT = 2\n", "T", id="duplicate-T"),
+    pytest.param("run", [], "[domain]\nR = 4\nR = 5\n", "R", id="duplicate-R"),
+    pytest.param("study", [], "[study]\nT = 0.1\nt = 0.2\n", "study T", id="duplicate-study-T"),
+    pytest.param("run", [], "[run]\nbogus = 1\nBogus = 2\n", "bogus", id="duplicate-unknown-key"),
     pytest.param("run", [], "[run]\ntau = 0.01\n[domain]\na = 1\n[run]\nT = 1\n", "run",
                  id="duplicate-section"),
     pytest.param("run", [], "[domain]\na = 1\n[run]\njunk line here\n", "run",

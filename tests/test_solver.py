@@ -4,7 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq, minimize
+from scipy.optimize import brentq, isotonic_regression, minimize
 
 from crowdflow1d import _solver, jko
 from crowdflow1d._solver import ChainProjector, minimize_free, solve_step, step_objective
@@ -21,6 +21,7 @@ N_TABLE_FLOWS = 10
 N_REPEATS = 400
 N_AFFINE_FLOWS = 20
 N_SEARCH_FLOWS = 24
+N_FALLING = 60
 
 
 def _instance(rng):
@@ -562,8 +563,8 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             problems.append(f"instance {i} ({path}): projection depends on the warm-up")
         # the target's arrays are kept for the next call and must not change
         memo = projector._memo
-        for arr in (memo.x, memo.singles, memo.trial, memo.psum, memo.pos,
-                    *memo.fits.values(), *(memo.ones or ())):
+        for arr in (memo.x, memo.singles, memo.drops, memo.trial, memo.psum, memo.pos,
+                    memo.means, *memo.fits.values(), *(memo.ones or ())):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
@@ -593,6 +594,78 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         assert paths["fallback", "radial"] >= 10, paths
     else:
         assert min(paths["fallback", kind] for kind in ("flat", "radial")) >= 20, paths
+
+
+def _falling_suffix(rng, kind, where):
+    """A projector and a target whose clipped singles drop at every pair
+    from sample ``m`` on, with that suffix's weighted mean inside the box,
+    below ``lb[m]`` or above ``ub[n-1]``; returns ``(projector, x, m)``."""
+    n = int(rng.integers(5, 65))
+    m = int(rng.integers(0, n - 4))
+    cap = (n - m) / n * float(rng.uniform(1.5, 3.0))
+    a = float(rng.uniform(0.5, 1.5))
+    if kind == "flat":
+        dom = Domain1D(a, a + cap, "flat", None, True)
+    else:
+        al = float(rng.uniform(0.05, 0.5))
+        dom = Domain1D(a, float(np.sqrt(a * a + cap / al)), "radial", al, True)
+    projector = ChainProjector(dom, n)
+    lb, ub, ds = projector.lb, projector.ub, projector.ds
+    u = rng.uniform(0.0, 1.0, n)
+    if where == "inside":
+        y = np.sort(rng.uniform(lb[m], ub[-1], n))[::-1]
+    elif where == "below":
+        # the boxes step down by ds, so these drop by more than 0.8*ds
+        y = lb + 0.2 * ds * u
+    else:
+        y = ub - 0.2 * ds * u
+    return projector, dom.inv_cumweight(y + projector.offs), m
+
+
+@pytest.mark.parametrize("where", ["inside", "below", "above"])
+def test_falling_suffix_regression_is_its_clipped_mean(where):
+    """Pool adjacent violators merges singles that drop at every pair into
+    one block at their weighted mean, so on a radial domain the clipped
+    regression of such a suffix is that mean, clipped, and runs no
+    regression: one run, within 1e-12 (relative to the singles) of
+    SciPy's clipped weighted regression, whether the mean lies inside the
+    box, below ``lb[m]`` or above ``ub[n-1]``.  With one pair rising
+    instead, the suffix keeps SciPy's regression bit for bit, and so does
+    every suffix on a flat domain."""
+    problems = []
+    for i in range(N_FALLING):
+        rng = np.random.default_rng([43, i])
+        projector, x, m = _falling_suffix(rng, "radial", where)
+        lb, ub = projector.lb[m], projector.ub[-1]
+        t = projector._target(x)
+        ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
+        fit = projector._fit(t, m)
+        expected = {"inside": lb < ref[0] < ub, "below": ref[0] == lb, "above": ref[0] == ub}
+        if not (projector._falls(t, m) and expected[where]):
+            problems.append(f"instance {i}: not a falling suffix with its mean {where}")
+        elif not np.all(fit == fit[0]):
+            problems.append(f"instance {i}: more than one run")
+        elif np.abs(fit - ref).max() > 1e-12 * np.abs(t.singles[m:]).max():
+            problems.append(f"instance {i}: {np.abs(fit - ref).max():.2e} off SciPy's")
+        # pair k rises, every other pair still drops; a fresh projector,
+        # so no memo is shared
+        y = t.singles.copy()
+        k = int(rng.integers(m, projector.n - 1))
+        y[k] = min(y[k], 0.5 * (projector.lb[k] + projector.ub[k + 1]))
+        y[k + 1] = max(y[k + 1], 0.5 * (y[k] + projector.ub[k + 1]))
+        rise = ChainProjector(projector.domain, projector.n)
+        t = rise._target(projector.domain.inv_cumweight(y + projector.offs))
+        ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
+        if np.count_nonzero(t.drops >= m) != projector.n - 2 - m or rise._falls(t, m):
+            problems.append(f"instance {i}: not one rise at {k}")
+        elif not np.array_equal(rise._fit(t, m), ref):
+            problems.append(f"instance {i}: a rise at {k} does not keep SciPy's regression")
+        projector, x, m = _falling_suffix(rng, "flat", where)
+        t = projector._target(x)
+        ref = np.clip(isotonic_regression(t.trial[m:]).x, projector.lb[m], projector.ub[-1])
+        if not (np.array_equal(projector._fit(t, m), ref) and t.means is None):
+            problems.append(f"instance {i}: the flat regression changed")
+    assert not problems, problems
 
 
 def test_flat_projections_never_fall_back(monkeypatch):
@@ -951,6 +1024,56 @@ def test_secant_seed_survives_a_tangential_slope(monkeypatch, dm):
     assert stops[0] == m0, stops
     assert len(probes) == len(set(probes)) <= len(galloped) + 2, (sorted(probes), sorted(galloped))
     fresh = ChainProjector(projector.domain, n)
+    q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, 0, D, tau, minimize_free)
+    assert m == m_ref and np.array_equal(q, q_ref) and val == val_ref, (m, m_ref)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.05, 0.025, 0.0125, 0.00625])
+def test_saturated_step_runs_no_regression(monkeypatch, tau):
+    """On the study's saturated drain the singles of every suffix drop at
+    every pair, so a step runs no isotonic regression, its prediction
+    included.  On the first 200 prefixes past the door the predicted slope
+    stays within 1e-10 of the one from SciPy's clipped regressions mapped
+    through ``inv_cumweight``, with the same first stop; every suffix
+    before that stop sits at its lower bound throughout and reads its
+    positions off the packed table, which matches that map to a few ulps;
+    and the step returns the scan's prefix, positions and value bit for
+    bit."""
+    n = 16384
+    projector, q_prev, D, past = _saturated_study_step(n, tau)
+    honest, runs = _solver.isotonic_regression, [0]
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(_solver, "isotonic_regression", counted)
+    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    assert runs[0] == 0, runs
+    dom, lb, ub, offs = projector.domain, projector.lb, projector.ub, projector.offs
+    x = q_prev - tau * D.grad(q_prev)
+    t = projector._target(x)
+
+    def old_dist(k):
+        fit = t.singles[k:] if t.last_drop < k else np.clip(
+            honest(t.singles[k:], weights=t.trial[k:]).x, lb[k], ub[-1])
+        return float(np.square(dom.inv_cumweight(fit + offs[k:]) - x[k:]).sum())
+
+    prefixes = np.arange(past, past + 200)
+    dists = [old_dist(k) for k in range(past, past + 201)]
+    old = (dom.a - x[prefixes]) ** 2 + np.diff(dists)
+    new = np.array([projector.suffix_slope(x, int(k)) for k in prefixes])
+    assert np.abs(new - old).max() <= 1e-10, np.abs(new - old).max()
+    scale = projector.ds / (2.0 * tau)
+    stops = [int(np.argmax(scale * f >= -1e-15)) for f in (old, new)]
+    assert stops[0] == stops[1] > 0, stops
+    # the queue at the door: every suffix before the stop is packed
+    packed = [k for k in prefixes if projector._fit(t, int(k))[0] == lb[k]]
+    assert set(prefixes[: stops[1]]) <= set(packed), (stops, packed)
+    for k in packed:
+        mapped = dom.inv_cumweight(lb[k] + offs[k:])
+        assert np.all(np.abs(projector.packed[: n - k] - mapped) <= 4 * np.spacing(mapped)), k
+    fresh = ChainProjector(dom, n)
     q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, 0, D, tau, minimize_free)
     assert m == m_ref and np.array_equal(q, q_ref) and val == val_ref, (m, m_ref)
 
