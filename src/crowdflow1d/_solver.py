@@ -50,10 +50,10 @@ For an affine one the prefix is predicted from the trial regressions
 of the suffixes of the one target (:meth:`ChainProjector.suffix_slope`,
 no projection; a suffix at its lower bound throughout is the packed
 chain from the door, tabled once per projector), starting at the root
-of the line through its first two probes, and the candidates next to the prediction verify it,
-starting no lower than the samples whose targets are at or past the
-door when pinning those is certain to lower the objective, see
-:func:`solve_step`.
+of the line through its first two probes, and the candidates next to
+the prediction verify it, starting no lower than the samples whose
+targets are at or past the door when pinning those is certain to lower
+the objective, see :func:`solve_step`.
 """
 
 from __future__ import annotations
@@ -387,8 +387,9 @@ class ChainProjector:
         and there are ``n - 1 - m`` of them; a target whose last pair
         does not drop is answered without a search.
         """
-        last = self.n - 2
-        return m <= t.last_drop == last and t.drops.size - int(t.drops.searchsorted(m)) == last + 1 - m
+        if not m <= t.last_drop == self.n - 2:
+            return False
+        return t.drops.size - int(t.drops.searchsorted(m)) == self.n - 1 - m
 
     def _trial(self, t, m, solve):
         """Trial partition from one isotonic regression (:meth:`_fit`): its
