@@ -31,11 +31,12 @@ It is accepted only if its block values are in chain order and pass a
 multiplier (KKT) certificate, read off one running sum of the per-sample
 gradients over the pooled blocks; when the trial does not, pooling runs
 again with an exact solve per merge, started at the block's lower bound.
-The arrays that depend on the target alone (clipped singles, the trial's
-input, the certificate's scale, the weighted means of the suffixes and,
-once a partition needs them, the positions, gradients and verdicts of
-the blocks of one) are kept in a one-entry memo, since every candidate
-prefix of an affine step projects the same target.
+Everything that depends on the target alone (clipped singles and their
+positions, the trial's input, the certificate's scale, the suffix
+regressions and, once needed, the suffixes' weighted means and the
+gradients and verdicts of the blocks of one) is one record, kept in a
+one-entry memo, since every candidate prefix of an affine step projects
+the same target.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -59,7 +60,6 @@ the objective, see :func:`solve_step`.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,25 +73,21 @@ KKT_TOL = 1e-7
 # against a loop that never settles
 MAX_ITER = 1000000
 
-# the blocks of one of a target, read-only: every sample's position Q(single),
-# its gradient (the block's total), the samples whose block of one fails the
-# boundary certificate, and the samples j whose single lies above the next
-# one by more than GAP_TOL
-_Ones = namedtuple("_Ones", "pos grad fails drops")
-
-# arrays of one target, read-only: the target itself, its clipped singles,
-# the samples j where the singles decrease (singles[j+1] < singles[j]) and
-# the last of them (-1 if none), the certificate scale max(1, max|x|), the
-# trial's input (x - a - j*ds on flat domains, the weights w(Q(single))**-2
-# on radial ones), on flat domains the prefix sums of that input, and on
-# radial ones the positions Q(single) that the weights are read from; then,
-# by first sample, the clipped isotonic regressions of its suffixes, kept
-# as the trials and the prefix prediction run them
-# (:meth:`ChainProjector._fit`), on radial domains the weighted means of
-# the singles over each suffix, once a suffix whose singles drop at every
-# pair needs them, the prediction's squared distances of the suffixes
-# (:meth:`ChainProjector.suffix_slope`) and, once a partition of the
-# target has a block of one, that block's arrays (:meth:`ChainProjector._ones`)
+# the one record of everything that depends on a projection target, its
+# arrays read-only: the target itself, its clipped singles, the samples j
+# where the singles decrease (singles[j+1] < singles[j]) and the last of
+# them (-1 if none), the certificate scale max(1, max|x|), the trial's input
+# (x - a - j*ds on flat domains, the weights w(Q(single))**-2 on radial
+# ones), on flat domains the prefix sums of that input, and the positions
+# Q(single), where every block of one sits; then, by first sample, the
+# clipped isotonic regressions of its suffixes, kept as the trials and the
+# prefix prediction run them (:meth:`ChainProjector._fit`), on radial
+# domains the weighted means of the singles over each suffix, once a suffix
+# whose singles drop at every pair needs them, the prediction's squared
+# distances of the suffixes (:meth:`ChainProjector.suffix_slope`) and, once
+# a partition of the target has a block of one, the gradient of every
+# single (a block of one's total) and the samples whose block of one fails
+# the boundary certificate (:meth:`ChainProjector._ones`)
 @dataclass(eq=False)
 class _Target:
     x: np.ndarray
@@ -101,11 +97,12 @@ class _Target:
     scale: float
     trial: np.ndarray
     psum: np.ndarray | None
-    pos: np.ndarray | None
+    pos: np.ndarray
     fits: dict = field(default_factory=dict)
     means: np.ndarray | None = None
     dists: dict = field(default_factory=dict)
-    ones: _Ones | None = None
+    grad: np.ndarray | None = None
+    fails: np.ndarray | None = None
 
 
 class ChainProjector:
@@ -131,17 +128,14 @@ class ChainProjector:
 
     # -- scalar helpers -------------------------------------------------
 
-    def _positions(self, y, lo, hi):
-        return self.domain.inv_cumweight(y + self.offs[lo : hi + 1])
-
-    def _grad_sum(self, y, lo, hi, x):
-        """d/dy of the block objective sum (Q_i(y) - x_i)^2."""
-        q = self._positions(y, lo, hi)
+    def _grad_sum(self, t, y, lo, hi):
+        """d/dy of the block objective sum (Q_i(y) - x_i)^2 of target ``t``."""
+        q = self.domain.inv_cumweight(y + self.offs[lo : hi + 1])
         w = self.domain.weight(q)
-        return float((2.0 * (q - x[lo : hi + 1]) / w).sum())
+        return float((2.0 * (q - t.x[lo : hi + 1]) / w).sum())
 
-    def _solve_block(self, lo, hi, x, psum, start=None):
-        """Value of the pooled block ``lo..hi``.
+    def _solve_block(self, t, lo, hi, start=None):
+        """Value of the pooled block ``lo..hi`` of target ``t``.
 
         The block value minimizes ``sum (Q_i(y) - x_i)^2`` over
         ``lb[lo] <= y <= ub[hi]``.  Flat domains have a closed form.  On
@@ -164,10 +158,10 @@ class ChainProjector:
             raise FeasibilityError("sample chain does not fit in the domain")
         if self.flat:
             # closed form: y* = mean of (x_i - a - i*ds)
-            s = psum[hi + 1] - psum[lo]
+            s = t.psum[hi + 1] - t.psum[lo]
             return min(max(s / (hi - lo + 1), ylo), yhi)
         xtol, rtol = 1e-15, 4.0 * np.finfo(float).eps
-        xs = x[lo : hi + 1]
+        xs = t.x[lo : hi + 1]
         if xs.min() >= 0.0:
             a, h = self.domain.a, self.domain.half_angle
             offs = self.offs[lo : hi + 1]
@@ -195,14 +189,14 @@ class ChainProjector:
                 y += step
                 if step <= xtol + rtol * abs(y):
                     return y
-        glo = self._grad_sum(ylo, lo, hi, x)
+        glo = self._grad_sum(t, ylo, lo, hi)
         if glo >= 0.0:
             return ylo
-        ghi = self._grad_sum(yhi, lo, hi, x)
+        ghi = self._grad_sum(t, yhi, lo, hi)
         if ghi <= 0.0:
             return yhi
         return brentq(
-            lambda y: self._grad_sum(y, lo, hi, x),
+            lambda y: self._grad_sum(t, y, lo, hi),
             ylo,
             yhi,
             xtol=xtol,
@@ -230,17 +224,13 @@ class ChainProjector:
             # is a block of one
             none = np.zeros(0, dtype=int)
             return self._certified(t, m, none, none, np.zeros(0), strict=True)
-
-        def solve(lo, hi, start=None):
-            return self._solve_block(lo, hi, t.x, t.psum, start)
-
-        q = self._certified(t, m, *self._trial(t, m, solve))
+        q = self._certified(t, m, *self._trial(t, m))
         if q is None:
-            q = self._certified(t, m, *self._pool(t, m, solve), strict=True)
+            q = self._certified(t, m, *self._pool(t, m), strict=True)
         return q
 
     def _target(self, x):
-        """The :class:`_Target` arrays of ``x``, from the memo when it holds ``x``.
+        """The :class:`_Target` record of ``x``, from the memo when it holds ``x``.
 
         The memo keeps the last target's arrays and is keyed by the
         target's contents, so a target equal to the last one bit for bit
@@ -254,12 +244,12 @@ class ChainProjector:
         singles = np.clip(self.domain.cumweight(np.clip(x, a, R)) - self.offs, self.lb, self.ub)
         drops = np.flatnonzero(np.diff(singles) < 0.0)
         scale = max(1.0, float(np.max(np.abs(x))))
-        psum = pos = None
+        pos = self.domain.inv_cumweight(singles + self.offs)
+        psum = None
         if self.flat:
             trial = x - a - self.offs
             psum = np.concatenate([[0.0], np.cumsum(trial)])
         else:
-            pos = self.domain.inv_cumweight(singles + self.offs)
             trial = self.domain.weight(pos) ** -2.0
         for arr in (x, singles, drops, trial, psum, pos):
             if arr is not None:
@@ -269,21 +259,16 @@ class ChainProjector:
         return self._memo
 
     def _ones(self, t):
-        """The :data:`_Ones` arrays of target ``t``.
+        """Fill ``t.grad`` and ``t.fails``, the gradients and verdicts of the blocks of one.
 
         A block of one sits at its clipped target ``t.singles[j]`` in
-        every partition, so its position, its gradient and its verdicts
-        depend on the target alone.  Built once per target, and only
-        when a partition of it has a block of one.
+        every partition, at position ``t.pos[j]``, so its gradient and
+        its verdicts depend on the target alone.  Run once per target,
+        and only when a partition of it has a block of one.
         """
-        pos = t.pos if t.pos is not None else self.domain.inv_cumweight(t.singles + self.offs)
-        grad = 2.0 * (pos - t.x) / self.domain.weight(pos)
-        ones = _Ones(pos, grad,
-                     np.flatnonzero(~_ends_ok(t.singles, self.lb, self.ub, grad, KKT_TOL * t.scale)),
-                     np.flatnonzero(t.singles[1:] - t.singles[:-1] < -GAP_TOL))
-        for arr in ones:
-            arr.flags.writeable = False
-        return ones
+        t.grad = 2.0 * (t.pos - t.x) / self.domain.weight(t.pos)
+        t.fails = np.flatnonzero(~_ends_ok(t.singles, self.lb, self.ub, t.grad, KKT_TOL * t.scale))
+        t.grad.flags.writeable = t.fails.flags.writeable = False
 
     def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
         """Positions of a block partition that passes the certificate.
@@ -292,20 +277,17 @@ class ChainProjector:
         ``y_b`` (the trial and the exact pooling list their pooled blocks);
         every other sample from ``m`` on is a block of one at its clipped
         target ``t.singles[j]``, whose position, gradient and verdicts are
-        read from the target's :meth:`_ones`.  The certificate asks for
-        block values in chain order and for nonnegative multipliers
-        (:meth:`_kkt_violation`).  A failed certificate returns ``None``,
-        or raises when ``strict`` (targets already in order, or exact
-        pooling: neither has a fallback).
+        read from the target's record (:meth:`_ones`).  The certificate
+        asks for block values in chain order and for nonnegative
+        multipliers (:meth:`_kkt_violation`).  A failed certificate returns
+        ``None``, or raises when ``strict`` (targets already in order, or
+        exact pooling: neither has a fallback).
         """
         n = self.n
         sizes = hi_b - lo_b + 1
         count = int(sizes.sum())
-        ones = None
-        if count < n - m:
-            if t.ones is None:
-                t.ones = self._ones(t)
-            ones = t.ones
+        if count < n - m and t.grad is None:
+            self._ones(t)
         s0, s1 = (int(lo_b[0]), int(hi_b[-1]) + 1) if count else (m, m)
         # the listed blocks' samples, and the values from s0 to s1: the
         # block values when the blocks are contiguous, else one per sample
@@ -319,21 +301,20 @@ class ChainProjector:
         lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
         v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
         order = float((v[1:] - v[:-1]).min(initial=0.0))
-        if ones is not None and ones.drops.size:
-            i, j, k = np.searchsorted(ones.drops, (m, lo_v, hi_v - 1))
-            d = np.concatenate((ones.drops[i:j], ones.drops[k:]))
-            if d.size:
-                order = min(order, float((t.singles[d + 1] - t.singles[d]).min()))
+        i, j, k = np.searchsorted(t.drops, (m, lo_v, hi_v - 1))
+        d = np.concatenate((t.drops[i:j], t.drops[k:]))
+        if d.size:
+            order = min(order, float((t.singles[d + 1] - t.singles[d]).min()))
         if order < -GAP_TOL and not strict:
             return None
-        q = np.empty(n) if ones is None else ones.pos.copy()
+        q = t.pos.copy()
         q[:m] = self.domain.a
         if count:
             q[at] = self.domain.inv_cumweight(np.repeat(y_b, sizes) + self.offs[at])
         if order < -GAP_TOL:
             bad = ("projection certificate failed: block values out of chain order", order)
         else:
-            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b, ones)
+            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b)
         if bad is not None:
             if strict:
                 raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
@@ -391,7 +372,7 @@ class ChainProjector:
             return False
         return t.drops.size - int(t.drops.searchsorted(m)) == self.n - 1 - m
 
-    def _trial(self, t, m, solve):
+    def _trial(self, t, m):
         """Trial partition from one isotonic regression (:meth:`_fit`): its
         pooled blocks as (lo, hi, value) arrays.
 
@@ -403,7 +384,7 @@ class ChainProjector:
         same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
         edges = np.flatnonzero(same[1:] != same[:-1]) + m
         lo_b, hi_b = edges[::2], edges[1::2]
-        return lo_b, hi_b, np.array([solve(int(lo), int(hi), float(fit[lo - m]))
+        return lo_b, hi_b, np.array([self._solve_block(t, int(lo), int(hi), float(fit[lo - m]))
                                      for lo, hi in zip(lo_b, hi_b)], dtype=float)
 
     def suffix_slope(self, x, m):
@@ -425,8 +406,7 @@ class ChainProjector:
         if t.last_drop < m:
             # the box-clipped targets are in order from m on: both suffix
             # regressions are the singles, which differ in sample m alone
-            qm = float(self.domain.inv_cumweight(t.singles[m] + self.offs[m]))
-            return (a - xm) ** 2 - (qm - xm) ** 2
+            return (a - xm) ** 2 - (float(t.pos[m]) - xm) ** 2
 
         def dist(k):
             if k == self.n:
@@ -443,12 +423,12 @@ class ChainProjector:
 
         return (a - xm) ** 2 + dist(m + 1) - dist(m)
 
-    def _pool(self, t, m, solve):
+    def _pool(self, t, m):
         """Exact pooling of adjacent violators: the pooled blocks as (lo, hi, value) arrays.
 
-        ``solve(lo, hi)`` gives the value of a merged block and runs on
-        every merge.  This is the fallback for a trial partition that
-        fails the certificate; its own partition must pass.
+        Every merge solves its block from the lower bound
+        (:meth:`_solve_block`).  This is the fallback for a trial partition
+        that fails the certificate; its own partition must pass.
         """
         lo_s, y_s = [], []
         for j in range(m, self.n):
@@ -456,7 +436,7 @@ class ChainProjector:
             while y_s and y_s[-1] > y + GAP_TOL:
                 lo = lo_s.pop()
                 y_s.pop()
-                y = solve(lo, j)
+                y = self._solve_block(t, lo, j)
             lo_s.append(lo)
             y_s.append(y)
         lo_s = np.asarray(lo_s, dtype=int)
@@ -464,7 +444,7 @@ class ChainProjector:
         pooled = hi_s > lo_s
         return lo_s[pooled], hi_s[pooled], np.asarray(y_s, dtype=float)[pooled]
 
-    def _kkt_violation(self, q, t, m, at, lo_b, hi_b, y_b, ones):
+    def _kkt_violation(self, q, t, m, at, lo_b, hi_b, y_b):
         """Multiplier nonnegativity certificate for the projection.
 
         A block total, the sum of the per-sample gradients over the block,
@@ -476,19 +456,19 @@ class ChainProjector:
         block is clamped there), so the smallest is
         ``c[hi] + beta - max(c[lo..hi-1])``, and these must be
         nonnegative.  A block of one has no pair inside, and its total is
-        its gradient, checked through ``ones.fails``.  Returns ``None`` if
+        its gradient, checked through ``t.fails``.  Returns ``None`` if
         the certificate holds, else a ``(message, gap)`` pair.
         """
         tol = KKT_TOL * t.scale
         # (first sample, total) of the first block that fails at its
         # boundary, listed or of one
         bad = []
-        if ones is not None and ones.fails.size:
+        if t.fails is not None and t.fails.size:
             # the failing samples that are blocks of one: at or past m and
             # in no listed block
-            j = ones.fails
+            j = t.fails
             j = j[(j >= m) & (np.append(lo_b, self.n)[np.searchsorted(hi_b, j)] > j)]
-            bad += [(int(j[0]), float(ones.grad[j[0]]))] if j.size else []
+            bad += [(int(j[0]), float(t.grad[j[0]]))] if j.size else []
         if lo_b.size:
             qb = q[at]
             g = 2.0 * (qb - t.x[at]) / self.domain.weight(qb)
@@ -531,18 +511,16 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     """Minimization of the step objective with the pinned prefix ``m``.
 
     Returns ``(q, value)``: the full position array and its step
-    objective.  An affine ``D`` (``lam == curv_ub == 0``) makes the
-    objective a squared distance to ``q_prev - tau*D'``, so its one
-    projection is the minimizer and ``warm`` is not read.  A curved ``D``
-    runs projected gradient iterations from the previous configuration
-    (or ``warm``) with the new prefix pinned, which is always feasible.
-    The loop stops when a projection returns its start or does not lower
-    the objective, or when the next target equals the last one bit for
-    bit: a projection is a function of its target, so going on would only
-    repeat it.  The step ``theta*tau`` is ``1/lip``.
+    objective.  An affine ``D`` (``D.affine``) makes the objective a
+    squared distance to ``q_prev - tau*D'``, so its one projection is the
+    minimizer and ``warm`` is not read.  A curved ``D`` runs projected
+    gradient iterations from the previous configuration (or ``warm``)
+    with the new prefix pinned, which is always feasible.  The loop stops
+    when a projection returns its start or does not lower the objective.
+    The step ``theta*tau`` is ``1/lip``.
     """
     ds = projector.ds
-    if D.lam == 0.0 and D.curv_ub == 0.0:
+    if D.affine:
         q = projector.project(q_prev - tau * D.grad(q_prev), m)
         return q, step_objective(q, q_prev, D, tau, ds)
     a = projector.domain.a
@@ -551,12 +529,8 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
     theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
     eta = theta * tau
     best = step_objective(q, q_prev, D, tau, ds)
-    target = None
     for _ in range(MAX_ITER):
-        prev, target = target, q_prev + (1.0 - theta) * (q - q_prev) - eta * D.grad(q)
-        if prev is not None and np.array_equal(target, prev):
-            return q, best
-        q_new = projector.project(target, m)
+        q_new = projector.project(q_prev + (1.0 - theta) * (q - q_prev) - eta * D.grad(q), m)
         if np.array_equal(q_new[m:], q[m:]):
             return q_new, best
         val = step_objective(q_new, q_prev, D, tau, ds)
@@ -633,7 +607,7 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     property structural.
 
     A curved ``D`` runs that scan, warm chain included.  An affine ``D``
-    (``lam == curv_ub == 0``) has candidates that do not depend on their
+    (``D.affine``) has candidates that do not depend on their
     warm start, all projecting the one target ``x = q_prev - tau*D'``,
     so the objective of candidate ``m`` is ``ds/(2 tau)`` times its
     squared distance to ``x``, up to a constant, and its discrete slope
@@ -681,7 +655,7 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         before = candidate(m)[1]
         return candidate(m + 1)[1] < before - 1e-15
 
-    if D.lam == 0.0 and D.curv_ub == 0.0:
+    if D.affine:
         x = q_prev - tau * D.grad(q_prev)
         scale = projector.ds / (2.0 * tau)
         slopes = {}

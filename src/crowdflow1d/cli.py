@@ -152,6 +152,14 @@ class ScenarioConfig:
             raise ConfigError(
                 f"n_cells must be at least 1, got {self.n_cells}", field="n_cells"
             )
+        # a count that cannot hold even one float64 array fails here, not in
+        # the run; one that passes may still run out of memory later
+        for count, name in ((self.n_samples, "n_samples"), (self.n_cells, "n_cells")):
+            try:
+                np.empty(count)
+            except (MemoryError, ValueError) as e:
+                raise ConfigError(f"{name} = {count} is too large to allocate: {e}",
+                                  field=name) from e
         if not (np.isfinite(self.a) and self.a >= 0.0):
             raise ConfigError(f"a must be finite and >= 0, got {self.a}", field="a")
         if not (np.isfinite(self.R) and self.R > self.a):
@@ -643,14 +651,17 @@ def _assemble_config(args):
     updates = {}
     if args.out:
         updates["out_dir"] = args.out
+    # each command reads its own section alone, so a key of the other's in
+    # its file would be ignored: a run steps its [run] tau to its [run] T,
+    # and a study sweeps its [study] taus to its [study] T, at sample and
+    # cell counts of its own
+    other = "study" if args.command == "run" else "run"
+    ini = _read_ini(args.config) if args.config else None
+    if ini is not None and ini.has_section(other) and ini.options(other):
+        field = SCENARIO_KEYS[other][ini.options(other)[0]][2]
+        raise ConfigError(f"a {args.command} reads no [{other}] key, got {field!r}; it "
+                          f"reads [{args.command}]", field=field)
     if args.command == "study":
-        # a study sweeps its [study] taus to its [study] T, at sample and
-        # cell counts of its own, so a [run] key in its file would be ignored
-        ini = _read_ini(args.config) if args.config else None
-        if ini is not None and ini.has_section("run") and ini.options("run"):
-            field = SCENARIO_KEYS["run"][ini.options("run")[0]][2]
-            raise ConfigError(f"a study reads no [run] key, got {field!r}; it sweeps "
-                              "the [study] taus to the [study] T", field=field)
         # the horizon and snapshots are the run command's; a study has its own T
         updates["snapshots"] = ()
         updates["T"] = None

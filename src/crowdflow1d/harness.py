@@ -212,13 +212,6 @@ class MomentumRateReport:
     def summary(self):
         return f"order={self.fitted_order:.4f} r2={self.r_squared:.4f}"
 
-    def to_csv(self, path_or_buf):
-        with _csv_file(path_or_buf, "w") as f:
-            wr = csv.writer(f)
-            wr.writerow(["tau", "momentum_gap"])
-            for tau, d in zip(self.taus, self.discrepancies):
-                wr.writerow([repr(float(tau)), repr(float(d))])
-
 
 def momentum_rate_study(scenario=None, taus=(0.1, 0.05, 0.025, 0.0125, 0.00625),
                         T=3.0, n_samples=4096, n_cells=2048):

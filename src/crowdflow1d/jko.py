@@ -63,6 +63,11 @@ class PotentialD:
     lam: float = 0.0
     curv_ub: float = 0.0
 
+    @property
+    def affine(self):
+        """Whether ``D`` is declared affine: ``lam == curv_ub == 0``."""
+        return self.lam == 0.0 and self.curv_ub == 0.0
+
     @classmethod
     def distance_to_exit(cls, domain):
         """``D(r) = r - a``: shortest distance to the door."""

@@ -376,10 +376,6 @@ class QuantileFn:
     def n(self):
         return self.q.size
 
-    @property
-    def s(self):
-        return (np.arange(self.n) + 0.5) / self.n
-
 
 def quantile_of(m, n_samples=4096):
     """Sample the quantile function of a probability measure.

@@ -75,6 +75,10 @@ def test_bad_values_report_their_field(tmp_path):
                  id="snapshot-below-one-step"),
     pytest.param("run", [], "[run]\nn_samples = 1\n", "n_samples", id="n_samples-1"),
     pytest.param("run", [], "[run]\nn_cells = 0\n", "n_cells", id="n_cells-0"),
+    pytest.param("run", [], "[run]\nn_samples = 100000000000000000000\n", "n_samples",
+                 id="n_samples-unallocatable"),
+    pytest.param("run", [], "[run]\nn_cells = 100000000000000000000\n", "n_cells",
+                 id="n_cells-unallocatable"),
     pytest.param("study", ["--T", "nan"], "", "study T", id="study-T-nan"),
     pytest.param("study", [], "[study]\ntaus = 0.1 0.05 0.025 -0.0125\n", "taus",
                  id="taus-negative"),
@@ -87,6 +91,9 @@ def test_bad_values_report_their_field(tmp_path):
     pytest.param("study", [], "[run]\nn_samples = 128\n", "n_samples", id="study-run-n_samples"),
     pytest.param("study", [], "[run]\nn_cells = 64\n", "n_cells", id="study-run-n_cells"),
     pytest.param("study", [], "[run]\nT = 0.5\n", "T", id="study-run-T"),
+    pytest.param("run", [], "[study]\ntaus = 0.1, 0.05, 0.025, 0.0125\n", "taus",
+                 id="run-study-taus"),
+    pytest.param("run", [], "[study]\nT = 0.5\n", "study T", id="run-study-T"),
     pytest.param("run", [], "[domain]\na = nan\n", "a", id="a-nan"),
     pytest.param("run", [], "[domain]\na = -1\n", "a", id="a-negative"),
     pytest.param("run", [], "[domain]\nR = inf\n", "R", id="R-inf"),

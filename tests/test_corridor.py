@@ -77,6 +77,15 @@ def test_frozen_profile_past_regime_end():
     assert prof.density(prof.b + prof.t + 1.0) == pytest.approx(0.0)
 
 
+def test_density_inside_the_rarefaction_fan():
+    """Between the saturated block and the front ``R - t`` the closed
+    corridor's density is the fan ``rho0 * (1 + t/r)``."""
+    prof = profile_no_exit(1.5, 0.4, 10.0)
+    r = np.linspace(prof.b, prof.R - prof.t, 9)[1:-1]
+    assert prof.b < r[0] and r[-1] < prof.R - prof.t
+    assert prof.density(r) == pytest.approx(0.4 * (1.0 + 1.5 / r), rel=1e-15)
+
+
 def test_profile_mass_accounting():
     prof = profile_no_exit(1.5, 0.4, 10.0)
     assert prof.interior_mass() == pytest.approx(1.0, abs=1e-12)

@@ -243,6 +243,24 @@ def test_step_fields_structure():
     assert diag.dual_violation <= 5e-3
 
 
+def test_fields_of_an_empty_interior():
+    """A flat door domain [1, 3] at uniform density 0.5 is drained within
+    four steps of tau = 0.5.  A step with no free sample left has the
+    fields of the empty interior: the whole mass at the door, no
+    pressure, the level at the door value ``D(a)`` and the free velocity
+    ``-D'``."""
+    dom = Domain1D(1.0, 3.0, "flat", None, True)
+    D = PotentialD.distance_to_exit(dom)
+    traj = run_flow(Measure1D.uniform(dom, 0.5, 64), D, 0.5, 2.5, n_samples=64, n_cells=64)
+    assert [step.m_exit for step in traj.steps] == [16, 32, 48, 64, 64]
+    for step in traj.steps[3:]:
+        assert step.rho_next.exit_mass == 1.0
+        assert np.all(step.rho_next.rho == 0.0)
+        assert np.all(step.pressure == 0.0)
+        assert step.level_l == float(D.fn(dom.a))
+        assert np.array_equal(step.velocity, -D.grad(step.grid))
+
+
 def test_trajectory_csv_round_trip():
     traj, _ = _small_run(fig4_preset(), T=0.25)
     buf = io.StringIO()

@@ -13,10 +13,12 @@ from crowdflow1d.errors import (
     MonotonicityError,
 )
 from crowdflow1d.measures import (
+    CellGeometry,
     Domain1D,
     Measure1D,
     _smallest_reaching,
     _spill_excess,
+    bin_quantiles_to_cells,
     density_of,
     quantile_of,
 )
@@ -203,6 +205,22 @@ def test_exit_atom_enters_cdf_and_quantiles():
     qf = quantile_of(m, 128)
     plateau = qf.q[qf.q <= dom.a + 1e-12]
     assert plateau.size == qf.exit_plateau == 32  # 0.25 * 128
+
+
+def test_one_free_sample_lands_in_one_cell():
+    """With every sample but the last pinned on the door, the exit holds
+    all but ``1/n`` of the mass and the free sample's ``1/n`` lands in
+    the one cell that holds it."""
+    dom = Domain1D(1.0, 3.0, "flat", None, True)
+    cells = CellGeometry(dom, 16)
+    q = np.full(8, dom.a)
+    q[-1] = 2.3
+    edges, mass, exit_mass = bin_quantiles_to_cells(q, 7, cells)
+    assert exit_mass == 7 / 8
+    k = int(np.searchsorted(edges, 2.3)) - 1
+    assert edges[k] < 2.3 <= edges[k + 1]
+    assert mass[k] == 1 / 8
+    assert np.count_nonzero(mass) == 1
 
 
 def test_interface_estimate_block_edge():

@@ -105,7 +105,7 @@ def test_projection_matches_a_generic_constrained_solver():
     assert compared >= 0.9 * N_INSTANCES
 
 
-def _on_lower_bound(self, t, m, solve):
+def _on_lower_bound(self, t, m):
     """A wrong trial partition: every sample in one block on its lower bound."""
     return np.array([m]), np.array([self.n - 1]), np.array([self.lb[m]])
 
@@ -121,9 +121,9 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
     honest_pool = ChainProjector._pool
     pools = []
 
-    def counted(self, t, m, solve):
+    def counted(self, t, m):
         pools[-1] += 1
-        return honest_pool(self, t, m, solve)
+        return honest_pool(self, t, m)
 
     monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     monkeypatch.setattr(ChainProjector, "_pool", counted)
@@ -148,9 +148,10 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
 def _reference_block(projector, lo, hi, x):
     """The radial block solve by endpoint tests and ``brentq``."""
     ylo, yhi = projector.lb[lo], projector.ub[hi]
+    t = projector._target(x)
 
     def grad(y):
-        return projector._grad_sum(y, lo, hi, x)
+        return projector._grad_sum(t, y, lo, hi)
 
     if grad(ylo) >= 0.0:
         return ylo
@@ -194,7 +195,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
         # from the lower bound, then warm-started below it, left of the
         # root, at it, right of it and past the upper bound
         for start in (None, ylo - 1.0, 0.5 * (ylo + ref), ref, 0.5 * (ref + yhi), yhi + 1.0):
-            y = projector._solve_block(lo, hi, x, None, start)
+            y = projector._solve_block(projector._target(x), lo, hi, start)
             if abs(y - ref) > 1e-13 * max(1.0, abs(ref)):
                 problems.append(f"block {i} from {start!r}: {y!r} against brentq's {ref!r}")
         if ref == ylo:
@@ -210,7 +211,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     dom = Domain1D(0.0, 3.0, "radial", 0.3, False)
     projector = ChainProjector(dom, 4)
     x = np.array([-0.1, 2.5, 2.5, 2.5])
-    y = projector._solve_block(0, 3, x, None)
+    y = projector._solve_block(projector._target(x), 0, 3)
     assert calls
     assert projector.lb[0] < y < projector.ub[3]
     assert y == _reference_block(projector, 0, 3, x)
@@ -219,7 +220,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     calls.clear()
     x = np.zeros(4)
     for start in (None, projector.lb[1], projector.ub[3]):
-        assert projector._solve_block(2, 3, x, None, start) == projector.lb[2]
+        assert projector._solve_block(projector._target(x), 2, 3, start) == projector.lb[2]
     assert not calls
 
 
@@ -261,9 +262,9 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
     events, verdicts = [], []
     honest_trial, honest_kkt = ChainProjector._trial, ChainProjector._kkt_violation
 
-    def trial(self, t, m, solve):
+    def trial(self, t, m):
         events.append("trial")
-        return honest_trial(self, t, m, solve)
+        return honest_trial(self, t, m)
 
     def kkt(self, *args):
         verdicts.append(honest_kkt(self, *args))
@@ -277,7 +278,7 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
     # the honest map: the path as labelled, every certificate passes and
     # no block of one fails
     assert ("trial" in events) == (path == "trial"), events
-    assert verdicts == [None, None] and projector._memo.ones.fails.size == 0
+    assert verdicts == [None, None] and projector._memo.fails.size == 0
     honest_cumweight = Domain1D.cumweight
     monkeypatch.setattr(Domain1D, "cumweight", lambda self, r: honest_cumweight(self, r) + 0.01)
     projector, memo = ChainProjector(dom, x.size), None
@@ -289,7 +290,7 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
         memo = projector._memo
         assert len(verdicts) == (2 if path == "trial" else 1), verdicts
         assert all(v and v[0].endswith("at a block boundary") for v in verdicts), verdicts
-    assert memo.ones.fails.size, memo.ones
+    assert memo.fails.size, memo.fails
 
 
 def test_blocks_of_one_are_built_once_per_target(monkeypatch):
@@ -537,9 +538,9 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             events.append("strict" if strict else "trial")
         return q
 
-    def pool(self, t, m, solve):
+    def pool(self, t, m):
         events.append("pool")
-        return honest_pool(self, t, m, solve)
+        return honest_pool(self, t, m)
 
     monkeypatch.setattr(ChainProjector, "_certified", certified)
     monkeypatch.setattr(ChainProjector, "_pool", pool)
@@ -564,7 +565,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         # the target's arrays are kept for the next call and must not change
         memo = projector._memo
         for arr in (memo.x, memo.singles, memo.drops, memo.trial, memo.psum, memo.pos,
-                    memo.means, *memo.fits.values(), *(memo.ones or ())):
+                    memo.means, *memo.fits.values(), memo.grad, memo.fails):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0.0
@@ -675,13 +676,13 @@ def test_flat_projections_never_fall_back(monkeypatch):
     honest_pool = ChainProjector._pool
     honest_trial = ChainProjector._trial
 
-    def pool(self, t, m, solve):
+    def pool(self, t, m):
         pools[0] += 1
-        return honest_pool(self, t, m, solve)
+        return honest_pool(self, t, m)
 
-    def trial(self, t, m, solve):
+    def trial(self, t, m):
         trials[0] += 1
-        return honest_trial(self, t, m, solve)
+        return honest_trial(self, t, m)
 
     monkeypatch.setattr(ChainProjector, "_pool", pool)
     monkeypatch.setattr(ChainProjector, "_trial", trial)
