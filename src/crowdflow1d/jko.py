@@ -27,7 +27,9 @@ from .measures import (
     CellGeometry,
     Measure1D,
     QuantileFn,
+    _clip,
     _csv_file,
+    _last_of_ties,
     bin_quantiles_to_cells,
     cell_integrals,
     density_of,
@@ -191,27 +193,31 @@ def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
     if qi.size == 0:
         return geom.u_free, geom.d_door, np.zeros_like(grid), geom.d_door
     # samples give the map exactly: t(q_next_j) = q_prev_j
-    keep = np.concatenate([np.diff(qi) > 1e-13 * max(1.0, domain.R), [True]])
+    keep = _last_of_ties(qi, 1e-13 * max(1.0, domain.R))
     qk, pk = qi[keep], pi[keep]
 
     r_nodes = geom.r_nodes
     # beyond the sampled range the map translates with the edge sample's
-    # displacement
+    # displacement: on the nodes below qk[0] and on those above qk[-1]
     t_nodes = np.interp(r_nodes, qk, pk)
-    t_nodes = np.where(r_nodes < qk[0], r_nodes + (pk[0] - qk[0]), t_nodes)
-    t_nodes = np.where(r_nodes > qk[-1], r_nodes + (pk[-1] - qk[-1]), t_nodes)
+    lo = r_nodes.searchsorted(qk[0])
+    hi = r_nodes.searchsorted(qk[-1], side="right")
+    t_nodes[:lo] = r_nodes[:lo] + (pk[0] - qk[0])
+    t_nodes[hi:] = r_nodes[hi:] + (pk[-1] - qk[-1])
     v_map = (grid - t_nodes[1:-1]) / tau  # equals the step velocity on the support
     # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0)
-    dphi = np.clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
-    phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * geom.dr)])
+    dphi = _clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
+    phi = np.empty(r_nodes.size)
+    phi[0] = 0.0
+    (0.5 * (dphi[1:] + dphi[:-1]) * geom.dr).cumsum(out=phi[1:])
     phi -= phi[-1]
     phi_mid = phi[1:-1]
     big_f = geom.d_mids + phi_mid / tau
     interior = 1.0 - exit_mass
-    order = np.argsort(big_f, kind="stable")
+    order = big_f.argsort(kind="stable")
     fs = big_f[order]
-    cum = np.cumsum(geom.dW[order])
-    k = int(np.searchsorted(cum, interior - 1e-12))
+    cum = geom.dW[order].cumsum()
+    k = int(cum.searchsorted(interior - 1e-12))
     k = min(k, len(order) - 1)
     # the level sits at the capacity crossing, between the last cell
     # inside and the first outside; on exit domains the door marginal
@@ -222,7 +228,7 @@ def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
         door_level = geom.d_door + phi[0] / tau
     else:
         door_level = np.inf
-    pressure = np.clip(level - big_f, 0.0, None)
+    pressure = np.maximum(level - big_f, 0.0)
     return v_map, level, pressure, door_level
 
 
@@ -346,18 +352,13 @@ class FlowTrajectory:
         with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["k", "t", "w2_increment", "energy", "exit_mass", "b_estimate"])
-            for k, m in enumerate(self.iterates):
-                inc = self.steps[k - 1].w2_increment if k > 0 else 0.0
-                wr.writerow(
-                    [
-                        k,
-                        repr(float(self.times[k])),
-                        repr(float(inc)),
-                        repr(float(self.energy_series[k])),
-                        repr(float(m.exit_mass)),
-                        repr(float(m.interface_estimate())),
-                    ]
-                )
+            incs = [0.0] + [float(s.w2_increment) for s in self.steps]
+            wr.writerows(
+                [k, repr(t), repr(inc), repr(e), repr(float(m.exit_mass)),
+                 repr(float(m.interface_estimate()))]
+                for k, (t, inc, e, m) in enumerate(zip(self.times.tolist(), incs,
+                                                       self.energy_series.tolist(), self.iterates))
+            )
 
 
 def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
@@ -440,19 +441,25 @@ def pressure_velocity_checks(step, D, rng=None):
     -------
     DecompositionDiagnostics
     """
+    dec, comp = _decomposition_residuals(step, D)
     m = step.rho_next
-    dom = m.domain
-    grid = step.grid
+    dual = _dual_violation(m.domain, step.grid, m.cell_weights(), m.rho, step.velocity, rng)
+    return DecompositionDiagnostics(dec, comp, dual)
+
+
+def _decomposition_residuals(step, D):
+    """The decomposition and complementarity residuals of
+    :func:`pressure_velocity_checks`, without its dual condition."""
+    m = step.rho_next
     dW = m.cell_weights()
     rho = m.rho
-    u_free = -np.asarray(D.grad(grid), dtype=float)
+    u_free = -np.asarray(D.grad(step.grid), dtype=float)
     p_prime = pressure_gradient(step, D)
     res = u_free - step.velocity - p_prime
     supp = rho > 0.0
     dec = float(np.sqrt(((res[supp] ** 2) * rho[supp] * dW[supp]).sum()))
     comp = float(abs((p_prime * step.velocity * rho * dW).sum()))
-    dual = _dual_violation(dom, grid, dW, rho, step.velocity, rng)
-    return DecompositionDiagnostics(dec, comp, dual)
+    return dec, comp
 
 
 def _dual_violation(dom, grid, dW, rho, velocity, rng):

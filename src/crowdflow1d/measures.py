@@ -15,6 +15,7 @@ import csv
 import io
 import os
 from contextlib import contextmanager
+from functools import cache
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,26 @@ from .errors import (
 )
 
 DENSITY_TOL = 1e-9
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` in two ufunc calls, bit for bit.
+
+    The bound goes first: on a tie ``np.maximum`` and ``np.minimum``
+    return their second argument, so a zero keeps its sign as in
+    ``np.clip``.
+    """
+    return np.minimum(hi, np.maximum(lo, x))
+
+
+def _last_of_ties(x, atol):
+    """Mask of the last entry of each run of nondecreasing ``x`` whose
+    steps are at most ``atol``: the entries followed by a larger step,
+    and the last entry."""
+    keep = np.empty(x.size, dtype=bool)
+    np.greater(x[1:] - x[:-1], atol, out=keep[:-1])
+    keep[-1] = True
+    return keep
 
 
 @contextmanager
@@ -140,14 +161,14 @@ class Measure1D:
         rho = np.asarray(self.rho, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or rho.shape != (edges.size - 1,):
             raise FeasibilityError("edges must be (n+1,) and rho (n,)")
-        if np.any(np.diff(edges) <= 0.0):
+        if (edges[1:] - edges[:-1] <= 0.0).any():
             raise MonotonicityError("cell edges must be strictly increasing")
         d = self.domain
         if not (abs(edges[0] - d.a) < 1e-9 and abs(edges[-1] - d.R) < 1e-9):
             raise DomainMismatchError(
                 f"edges span [{edges[0]}, {edges[-1]}], domain is [{d.a}, {d.R}]"
             )
-        if np.any(rho < -DENSITY_TOL) or np.any(rho > 1.0 + DENSITY_TOL):
+        if (rho < -DENSITY_TOL).any() or (rho > 1.0 + DENSITY_TOL).any():
             raise FeasibilityError(
                 f"density outside [0, 1]: min={rho.min()}, max={rho.max()}"
             )
@@ -160,7 +181,7 @@ class Measure1D:
             edges = edges.copy()
             edges.flags.writeable = False
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "rho", np.clip(rho, 0.0, 1.0))
+        object.__setattr__(self, "rho", _clip(rho, 0.0, 1.0))
         self.rho.flags.writeable = False
 
     # -- construction helpers ------------------------------------------
@@ -283,8 +304,8 @@ class Measure1D:
         with _csv_file(path_or_buf, "w") as f:
             wr = csv.writer(f)
             wr.writerow(["r_left", "r_right", "rho"])
-            for lo, hi, rho in zip(self.edges[:-1], self.edges[1:], self.rho):
-                wr.writerow([repr(float(lo)), repr(float(hi)), repr(float(rho))])
+            edges = list(map(repr, self.edges.tolist()))
+            wr.writerows(zip(edges[:-1], edges[1:], map(repr, self.rho.tolist())))
             wr.writerow(["exit_mass", repr(float(self.exit_mass)), ""])
 
     @classmethod
@@ -367,7 +388,7 @@ class QuantileFn:
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        if np.any(np.diff(q) < -1e-12):
+        if (q[1:] - q[:-1] < -1e-12).any():
             raise MonotonicityError("quantile samples must be nondecreasing")
         q.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -433,11 +454,24 @@ class CellGeometry:
             arr.flags.writeable = False
 
 
+@cache
+def _gauss_rule():
+    """The 5-point Gauss-Legendre nodes and weights on [-1, 1], read-only.
+
+    Built on first use rather than at import: ``leggauss`` solves an
+    eigenvalue problem, and loading LAPACK for it costs a run that never
+    integrates about 1 MB of memory.
+    """
+    nodes, wts = np.polynomial.legendre.leggauss(5)
+    nodes.flags.writeable = wts.flags.writeable = False
+    return nodes, wts
+
+
 def cell_integrals(domain, edges, fn):
     """Integral of ``fn`` against ``w dr`` on each cell of ``edges``, by a
     5-point Gauss rule per cell; ``fn`` gets one ``(n_cells, 5)`` array and
     must keep its shape."""
-    nodes, wts = np.polynomial.legendre.leggauss(5)
+    nodes, wts = _gauss_rule()
     lo, hi = edges[:-1], edges[1:]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     r = mid[:, None] + half[:, None] * nodes[None, :]
@@ -460,27 +494,29 @@ def bin_quantiles_to_cells(q, plateau, cells):
     edges = cells.edges
     if m >= n:
         return edges, np.zeros(cells.n_cells), 1.0
-    s_mid = (np.arange(m, n) + 0.5) / n
-    zi = np.asarray(domain.cumweight(np.clip(q[m:], domain.a, domain.R)))
+    zi = np.asarray(domain.cumweight(_clip(q[m:], domain.a, domain.R)))
     if zi.size == 1:
         zz = np.concatenate([zi, zi])
         ss = np.array([exit_mass, 1.0])
     else:
+        # the samples' (z, s) between the two extrapolated half-sample tails
         half = 0.5 / n
-        z_lo = max(zi[0] - (zi[1] - zi[0]) * 0.5, 0.0)
-        z_hi = min(zi[-1] + (zi[-1] - zi[-2]) * 0.5, domain.total_weight)
-        zz = np.concatenate([[z_lo], zi, [z_hi]])
-        ss = np.concatenate([[s_mid[0] - half], s_mid, [s_mid[-1] + half]])
-        ss[0] = max(ss[0], exit_mass)
+        zz, ss = np.empty(zi.size + 2), np.empty(zi.size + 2)
+        zz[0] = max(zi[0] - (zi[1] - zi[0]) * 0.5, 0.0)
+        zz[1:-1] = zi
+        zz[-1] = min(zi[-1] + (zi[-1] - zi[-2]) * 0.5, domain.total_weight)
+        ss[1:-1] = (np.arange(m, n) + 0.5) / n
+        ss[0] = max(ss[1] - half, exit_mass)
+        ss[-1] = ss[-2] + half
     atol = 1e-14 * max(1.0, domain.total_weight)
     # collapse duplicate positions keeping the largest s (right-continuous CDF)
-    keep = np.concatenate([np.diff(zz) > atol, [True]])
+    keep = _last_of_ties(zz, atol)
     zz, ss = zz[keep], ss[keep]
     cdf_edges = np.interp(cells.z_edges, zz, ss, left=exit_mass, right=1.0)
     cdf_edges[0] = exit_mass
     cdf_edges[-1] = 1.0
-    cdf_edges = np.maximum.accumulate(cdf_edges)
-    return edges, np.diff(cdf_edges), exit_mass
+    np.maximum.accumulate(cdf_edges, out=cdf_edges)
+    return edges, cdf_edges[1:] - cdf_edges[:-1], exit_mass
 
 
 def density_of(qf, n_cells=2048, cells=None):
@@ -503,7 +539,7 @@ def density_of(qf, n_cells=2048, cells=None):
     edges, cell_mass, exit_mass = bin_quantiles_to_cells(qf.q, qf.exit_plateau, cells)
     dW = cells.dW
     rho = cell_mass / dW
-    over = np.clip(rho - 1.0, 0.0, None) @ dW
+    over = np.maximum(rho - 1.0, 0.0) @ dW
     if over > 1e-6:
         raise FeasibilityError(f"quantile samples overfill cells by {over}")
     rho = _spill_excess(rho, dW) if over > 0.0 else rho
@@ -519,16 +555,22 @@ def _spill_excess(rho, dW):
     more excess than room passes the rest to the empty cell after it
     (before it, at ``R``), else raises :class:`FeasibilityError`.
     """
+    n = rho.size
     gap = rho * dW - dW
     occupied = rho > 0.0
     # room beyond twice the excess is never used; clipping it bounds rounding and walls runs apart
-    wall = 2.0 * np.clip(gap, 0.0, None).sum()
-    g = np.concatenate([[0.0], np.cumsum(np.where(occupied, np.maximum(gap, -wall), -wall))])
-    start = np.append(occupied & ~np.concatenate([[False], occupied[:-1]]), False)
+    wall = 2.0 * np.maximum(gap, 0.0).sum()
+    g = np.empty(n + 1)
+    g[0] = 0.0
+    np.where(occupied, np.maximum(gap, -wall), -wall).cumsum(out=g[1:])
+    # edge i starts a run when cell i is occupied and cell i - 1 is not
+    start = np.empty(n + 1, dtype=bool)
+    start[0], start[n] = occupied[0], False
+    np.greater(occupied[1:], occupied[:-1], out=start[1:n])
     pin = np.minimum.accumulate(np.where(start, g, np.inf))
     capped = np.minimum(np.maximum.accumulate(g[::-1])[::-1], pin)
     shift = np.maximum(capped, g[-1]) - g
-    out = rho + np.diff(shift) / dW
-    if shift[0] > 0.0 or np.any(out[~occupied] > 1.0):
+    out = rho + (shift[1:] - shift[:-1]) / dW
+    if shift[0] > 0.0 or (out[~occupied] > 1.0).any():
         raise FeasibilityError("binned mass exceeds the capacity of the cells it occupies")
     return np.minimum(out, 1.0)

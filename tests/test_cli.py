@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crowdflow1d import cli
 from crowdflow1d.cli import (
     ScenarioConfig,
     config_from_preset,
@@ -266,6 +267,19 @@ def test_svg_renders_the_cap_line():
     assert svg.count("<path") >= 1
     assert "stroke-dasharray" in svg  # the rho = 1 capacity line
     assert "probe" in svg
+    # the outline's points of a ramp against the per-point axis maps
+    m = Measure1D(m.domain, m.edges, np.linspace(0.0, 1.0, 64))
+    svg = density_svg(m)
+    dom = m.domain
+    plot_w = cli.SVG_W - cli.MARGIN_L - cli.MARGIN_R
+    plot_h = cli.SVG_H - cli.MARGIN_T - cli.MARGIN_B
+    path = svg.split('<path d="')[1].split('"')[0].split()
+    assert len(path) == 2 * m.rho.size
+    for i in (0, 1, 2, 63, 64, 127):
+        r, rho = m.edges[(i + 1) // 2], m.rho[i // 2]
+        x = cli.MARGIN_L + (r - dom.a) / (dom.R - dom.a) * plot_w
+        y = cli.MARGIN_T + (cli.RHO_TOP - rho) / cli.RHO_TOP * plot_h
+        assert path[i] == f"{'M' if i == 0 else 'L'}{x:.2f},{y:.2f}"
 
 
 def test_step_table_density_loads_exactly(tmp_path):

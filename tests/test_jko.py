@@ -18,7 +18,7 @@ from crowdflow1d.jko import (
     run_flow,
     step_size_cap,
 )
-from crowdflow1d.measures import Domain1D, Measure1D, QuantileFn, density_of
+from crowdflow1d.measures import CellGeometry, Domain1D, Measure1D, QuantileFn, density_of
 from crowdflow1d.transport import w2_1d
 
 FLAT3 = Domain1D(0.0, 3.0, "flat", None, False)
@@ -259,6 +259,85 @@ def test_fields_of_an_empty_interior():
         assert np.all(step.pressure == 0.0)
         assert step.level_l == float(D.fn(dom.a))
         assert np.array_equal(step.velocity, -D.grad(step.grid))
+
+
+def _grid_fields_reference(geom, tau, q_prev, q_next, m, exit_mass):
+    """``jko._grid_fields`` as it read with ``np.where`` extrapolation,
+    ``np.clip`` and concatenated running sums, kept as the bitwise
+    reference of the sliced version."""
+    domain, grid = geom.domain, geom.mids
+    qi, pi = q_next[m:], q_prev[m:]
+    keep = np.concatenate([np.diff(qi) > 1e-13 * max(1.0, domain.R), [True]])
+    qk, pk = qi[keep], pi[keep]
+    r_nodes = geom.r_nodes
+    t_nodes = np.interp(r_nodes, qk, pk)
+    t_nodes = np.where(r_nodes < qk[0], r_nodes + (pk[0] - qk[0]), t_nodes)
+    t_nodes = np.where(r_nodes > qk[-1], r_nodes + (pk[-1] - qk[-1]), t_nodes)
+    v_map = (grid - t_nodes[1:-1]) / tau
+    dphi = np.clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
+    phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * geom.dr)])
+    phi -= phi[-1]
+    big_f = geom.d_mids + phi[1:-1] / tau
+    order = np.argsort(big_f, kind="stable")
+    fs = big_f[order]
+    cum = np.cumsum(geom.dW[order])
+    k = min(int(np.searchsorted(cum, 1.0 - exit_mass - 1e-12)), len(order) - 1)
+    level = float(0.5 * (fs[k] + fs[k + 1])) if k + 1 < len(order) else float(fs[k])
+    door_level = geom.d_door + phi[0] / tau if domain.has_exit else np.inf
+    return v_map, level, np.clip(level - big_f, 0.0, None), door_level
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _door_samples_on_nodes():
+    """Flat door domain [0.7, 5.1] in 8 cells: two absorbed samples, the
+    first kept free sample on the midpoint of cell 2 and the last, a
+    repeated position, on that of cell 6.  At both nodes the map
+    extrapolated from the end sample, ``q + (p - q)``, is not ``p`` in
+    floats, though the fields read only ``q - t``, which is the same for
+    both."""
+    dom = Domain1D(0.7, 5.1, "flat", None, True)
+    mids = CellGeometry(dom, 8).mids
+    q_next = np.array([0.7, 0.7, mids[2], 2.5, 3.0, 3.0, 3.6, mids[6], mids[6]])
+    q_prev = np.array([0.72, 0.8, 0.85, 1.0, 1.2, 1.3, 1.5, 1.7, 1.95])
+    return dom, 8, q_prev, q_next, 2
+
+
+def _apex_samples_off_nodes():
+    """Radial apex domain [0, 4] in 16 cells, seeded free samples inside
+    [0.5, 3.5] with repeats, no absorbed prefix."""
+    dom = Domain1D(0.0, 4.0, "radial", 0.25, False)
+    rng = np.random.default_rng(11)
+    q_next = np.sort(np.repeat(rng.uniform(0.5, 3.5, 20), rng.integers(1, 3, 20)))
+    q_prev = np.minimum(q_next + rng.uniform(0.0, 0.2, q_next.size), dom.R)
+    return dom, 16, np.sort(q_prev), q_next, 0
+
+
+@pytest.mark.parametrize("case", [_door_samples_on_nodes, _apex_samples_off_nodes])
+def test_grid_fields_extrapolation_matches_the_masked_formula(case):
+    """The map beyond the kept samples is extrapolated on the nodes below
+    the first and above the last by slices at ``searchsorted``; every
+    output equals the masked reference bit for bit, with nodes exactly
+    at the end samples, nodes on both sides beyond them and an absorbed
+    prefix."""
+    dom, n_cells, q_prev, q_next, m = case()
+    D = PotentialD.distance_to_exit(dom)
+    geom = jko._RunGeometry(dom, n_cells, D)
+    free = q_next[m:]
+    first, last = free[0], free[-1]
+    assert (geom.r_nodes < first).sum() >= 1 and (geom.r_nodes > last).sum() >= 1
+    if m:
+        assert first in geom.r_nodes and last in geom.r_nodes
+        assert first + (q_prev[m] - first) != q_prev[m]
+        assert last + (q_prev[-1] - last) != q_prev[-1]
+    exit_mass = m / q_next.size
+    for tau in (0.05, 0.3):
+        got = jko._grid_fields(geom, tau, q_prev, q_next, m, exit_mass)
+        want = _grid_fields_reference(geom, tau, q_prev, q_next, m, exit_mass)
+        assert all(_same_bits(g, w) for g, w in zip(got, want)), (got, want)
 
 
 def test_trajectory_csv_round_trip():

@@ -16,6 +16,7 @@ from crowdflow1d.measures import (
     CellGeometry,
     Domain1D,
     Measure1D,
+    _clip,
     _smallest_reaching,
     _spill_excess,
     bin_quantiles_to_cells,
@@ -338,6 +339,39 @@ def test_spill_excess_is_a_capped_envelope_within_each_run(slack):
         assert np.abs((out - _walk_spill(rho, dW)) * dW).max() <= excess
         # cells below the cap only gain
         assert np.all(out[rho <= 1.0] >= rho[rho <= 1.0])
+
+
+def _spill_reference(rho, dW):
+    """``_spill_excess`` as it read with ``np.clip``, concatenated running
+    sums and run starts, kept as the bitwise reference."""
+    gap = rho * dW - dW
+    occupied = rho > 0.0
+    wall = 2.0 * np.clip(gap, 0.0, None).sum()
+    g = np.concatenate([[0.0], np.cumsum(np.where(occupied, np.maximum(gap, -wall), -wall))])
+    start = np.append(occupied & ~np.concatenate([[False], occupied[:-1]]), False)
+    pin = np.minimum.accumulate(np.where(start, g, np.inf))
+    capped = np.minimum(np.maximum.accumulate(g[::-1])[::-1], pin)
+    shift = np.maximum(capped, g[-1]) - g
+    return np.minimum(rho + np.diff(shift) / dW, 1.0)
+
+
+@pytest.mark.parametrize("slack", [1e-15, 1e-9, 1e-6])
+def test_spill_excess_matches_the_concatenated_formula(slack):
+    for seed in range(25):
+        rho, dW, _ = _binned_runs(np.random.default_rng(seed), slack)
+        out, want = _spill_excess(rho, dW), _spill_reference(rho, dW)
+        assert np.array_equal(out.view(np.int64), want.view(np.int64))
+
+
+def test_clip_matches_np_clip_bit_for_bit():
+    """Signed zeros, NaN and values on a bound come out of ``_clip`` as
+    out of ``np.clip``."""
+    rng = np.random.default_rng(3)
+    pool = np.array([-0.0, 0.0, -1.0, 1.0, 0.5, 2.0, np.nan, np.inf, -np.inf])
+    for lo, hi in [(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0), (-1.0, -0.0), (0.5, 2.0)]:
+        for n in (1, 3, 8, 17, 64):
+            x = rng.choice(pool, n)
+            assert np.array_equal(_clip(x, lo, hi).view(np.int64), np.clip(x, lo, hi).view(np.int64))
 
 
 def test_spill_excess_passes_a_full_runs_rest_past_it():

@@ -524,10 +524,8 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     """Projecting a target after a warm-up target returns the same bits
     as a fresh projector, and so does projecting it again at other
     prefixes in shuffled order, which reuses the projector's memo of the
-    target's arrays.  Projected gradient stops on a repeated target
-    because projecting it again could only give the same projection.
-    The trial that puts every sample in one block on its lower bound
-    forces the exact fallback."""
+    target's arrays.  The trial that puts every sample in one block on
+    its lower bound forces the exact fallback."""
     events = []
     honest_certified = ChainProjector._certified
     honest_pool = ChainProjector._pool
@@ -753,7 +751,7 @@ def test_affine_potential_costs_one_projection(monkeypatch):
         dom = _dyadic_exit_domain(rng)
         if flow % 2:
             D = _equal_slope_table(rng, dom)
-            assert D.lam == 0.0 and D.curv_ub == 0.0
+            assert D.affine
         else:
             D = PotentialD.distance_to_exit(dom)
         rho0 = Measure1D.random_feasible(dom, 64, rng, exit_mass=float(rng.uniform(0.02, 0.3)))
@@ -849,7 +847,7 @@ def test_prefix_search_matches_the_linear_scan(monkeypatch):
     monkeypatch.setattr(_solver, "minimize_free", counted)
     monkeypatch.setattr(jko, "solve_step", checked)
     for label, rho0, D, tau, n in _affine_exit_flows():
-        assert D.lam == 0.0 and D.curv_ub == 0.0
+        assert D.affine
         run_flow(rho0, D, tau, 4 * tau, n_samples=n, n_cells=64)
     assert not problems, problems
     assert jumps["saturated"] >= 50 and "absorbed" in emptied, (jumps, emptied)
