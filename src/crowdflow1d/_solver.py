@@ -32,11 +32,14 @@ multiplier (KKT) certificate, read off one running sum of the per-sample
 gradients over the pooled blocks; when the trial does not, pooling runs
 again with an exact solve per merge, started at the block's lower bound.
 Everything that depends on the target alone (clipped singles and their
-positions, the trial's input, the certificate's scale, the suffix
-regressions and, once needed, the suffixes' weighted means and the
-gradients and verdicts of the blocks of one) is one record, kept in a
-one-entry memo, since every candidate prefix of an affine step projects
-the same target.
+positions, where the singles drop, the trial's input, the certificate's
+scale, the suffix regressions and, once needed, the suffixes' weighted
+means, the gaps at the drops and the gradients and verdicts of the
+blocks of one) is one record, kept in a one-entry memo, since every
+candidate prefix of an affine step projects the same target.  The step
+derives that target once, read-only, and the record keeps it uncopied
+and matches it by identity; any other target is copied and matched by
+content.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -66,6 +69,7 @@ import numpy as np
 from scipy.optimize import brentq, isotonic_regression
 
 from .errors import FeasibilityError, SolverFailureError
+from .measures import _clip
 
 GAP_TOL = 1e-12
 KKT_TOL = 1e-7
@@ -74,20 +78,23 @@ KKT_TOL = 1e-7
 MAX_ITER = 1000000
 
 # the one record of everything that depends on a projection target, its
-# arrays read-only: the target itself, its clipped singles, the samples j
-# where the singles decrease (singles[j+1] < singles[j]) and the last of
-# them (-1 if none), the certificate scale max(1, max|x|), the trial's input
-# (x - a - j*ds on flat domains, the weights w(Q(single))**-2 on radial
-# ones), on flat domains the prefix sums of that input, and the positions
-# Q(single), where every block of one sits; then, by first sample, the
-# clipped isotonic regressions of its suffixes, kept as the trials and the
-# prefix prediction run them (:meth:`ChainProjector._fit`), on radial
-# domains the weighted means of the singles over each suffix, once a suffix
-# whose singles drop at every pair needs them, the prediction's squared
-# distances of the suffixes (:meth:`ChainProjector.suffix_slope`) and, once
-# a partition of the target has a block of one, the gradient of every
-# single (a block of one's total) and the samples whose block of one fails
-# the boundary certificate (:meth:`ChainProjector._ones`)
+# arrays read-only: the target itself (the caller's array when it is a
+# read-only float array that owns its data, else a copy), its clipped
+# singles, the samples j where the singles decrease (singles[j+1] <
+# singles[j]) and the last of them (-1 if none), the certificate scale
+# max(1, max|x|), the trial's input (x - a - j*ds on flat domains, the
+# weights w(Q(single))**-2 on radial ones), on flat domains the prefix sums
+# of that input, and the positions Q(single), where every block of one
+# sits; then, by first sample, the clipped isotonic regressions of its
+# suffixes, kept as the trials and the prefix prediction run them
+# (:meth:`ChainProjector._fit`), on radial domains the weighted means of
+# the singles over each suffix, once a suffix whose singles drop at every
+# pair needs them, the prediction's squared distances of the suffixes
+# (:meth:`ChainProjector.suffix_slope`), once a certificate reads a drop
+# outside its listed blocks, the gaps singles[j+1] - singles[j] at the
+# drops, and, once a partition of the target has a block of one, the
+# gradient of every single (a block of one's total) and the samples whose
+# block of one fails the boundary certificate (:meth:`ChainProjector._ones`)
 @dataclass(eq=False)
 class _Target:
     x: np.ndarray
@@ -101,6 +108,7 @@ class _Target:
     fits: dict = field(default_factory=dict)
     means: np.ndarray | None = None
     dists: dict = field(default_factory=dict)
+    gaps: np.ndarray | None = None
     grad: np.ndarray | None = None
     fails: np.ndarray | None = None
 
@@ -234,16 +242,24 @@ class ChainProjector:
 
         The memo keeps the last target's arrays and is keyed by the
         target's contents, so a target equal to the last one bit for bit
-        reuses them whatever the prefix.
+        reuses them whatever the prefix.  A read-only float array that
+        owns its data changes only if its owner makes it writeable again,
+        which the solver never does, so the record keeps it uncopied and
+        answers it again by identity: the one target of an affine step
+        (:func:`solve_step`) is built once and never compared element by
+        element.  Any other array, a read-only view of a writeable buffer
+        included, is copied.
         """
         t = self._memo
-        if t is not None and t.x[-1] == x[-1] and np.array_equal(t.x, x):
+        if t is not None and (t.x is x or t.x[-1] == x[-1] and np.array_equal(t.x, x)):
             return t
         a, R = self.domain.a, self.domain.R
-        x = np.array(x, dtype=float)
-        singles = np.clip(self.domain.cumweight(np.clip(x, a, R)) - self.offs, self.lb, self.ub)
-        drops = np.flatnonzero(np.diff(singles) < 0.0)
-        scale = max(1.0, float(np.max(np.abs(x))))
+        if not (isinstance(x, np.ndarray) and x.dtype == float and x.base is None
+                and not x.flags.writeable):
+            x = np.array(x, dtype=float)
+        singles = _clip(self.domain.cumweight(_clip(x, a, R)) - self.offs, self.lb, self.ub)
+        drops = (singles[1:] < singles[:-1]).nonzero()[0]
+        scale = max(1.0, float(abs(x).max()))
         pos = self.domain.inv_cumweight(singles + self.offs)
         psum = None
         if self.flat:
@@ -264,11 +280,28 @@ class ChainProjector:
         A block of one sits at its clipped target ``t.singles[j]`` in
         every partition, at position ``t.pos[j]``, so its gradient and
         its verdicts depend on the target alone.  Run once per target,
-        and only when a partition of it has a block of one.
+        and only when a partition of it has a block of one.  A total
+        within the tolerance passes whatever its box, so the box tests
+        run only on the samples where ``~(|grad| <= tol)``, which also
+        holds for a NaN gradient.
         """
+        tol = KKT_TOL * t.scale
         t.grad = 2.0 * (t.pos - t.x) / self.domain.weight(t.pos)
-        t.fails = np.flatnonzero(~_ends_ok(t.singles, self.lb, self.ub, t.grad, KKT_TOL * t.scale))
+        j = (~(abs(t.grad) <= tol)).nonzero()[0]
+        t.fails = j[~_ends_ok(t.singles[j], self.lb[j], self.ub[j], t.grad[j], tol)]
         t.grad.flags.writeable = t.fails.flags.writeable = False
+
+    def _gaps(self, t):
+        """The gaps ``singles[j+1] - singles[j]`` at the drops of target ``t``, built on first use.
+
+        A certificate reads them only for the drops outside its listed
+        blocks; the partitions of a saturated drain list every free
+        sample, so their targets never build them.
+        """
+        if t.gaps is None:
+            t.gaps = t.singles[t.drops + 1] - t.singles[t.drops]
+            t.gaps.flags.writeable = False
+        return t.gaps
 
     def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
         """Positions of a block partition that passes the certificate.
@@ -284,37 +317,43 @@ class ChainProjector:
         exact pooling: neither has a fallback).
         """
         n = self.n
+        # a partition's block sizes and where each block starts and ends
+        # among the listed samples, for the certificate too
         sizes = hi_b - lo_b + 1
-        count = int(sizes.sum())
+        ends = sizes.cumsum()
+        starts = ends - sizes
+        count = int(ends[-1]) if ends.size else 0
         if count < n - m and t.grad is None:
             self._ones(t)
         s0, s1 = (int(lo_b[0]), int(hi_b[-1]) + 1) if count else (m, m)
         # the listed blocks' samples, and the values from s0 to s1: the
         # block values when the blocks are contiguous, else one per sample
         at, span = slice(s0, s1), y_b
+        if count:
+            y_at = np.repeat(y_b, sizes)
         if count < s1 - s0:
-            at = np.arange(count) + np.repeat(lo_b - np.cumsum(sizes) + sizes, sizes)
+            at = np.arange(count) + np.repeat(lo_b - starts, sizes)
             span = t.singles[s0:s1].copy()
-            span[at - s0] = np.repeat(y_b, sizes)
+            span[at - s0] = y_at
         # chain order: step by step from the sample before s0 to the one at
         # s1, and further out where the singles drop
         lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
         v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
         order = float((v[1:] - v[:-1]).min(initial=0.0))
-        i, j, k = np.searchsorted(t.drops, (m, lo_v, hi_v - 1))
-        d = np.concatenate((t.drops[i:j], t.drops[k:]))
-        if d.size:
-            order = min(order, float((t.singles[d + 1] - t.singles[d]).min()))
+        i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
+        if i < j or k < t.drops.size:
+            gaps = self._gaps(t)
+            order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
         if order < -GAP_TOL and not strict:
             return None
         q = t.pos.copy()
         q[:m] = self.domain.a
         if count:
-            q[at] = self.domain.inv_cumweight(np.repeat(y_b, sizes) + self.offs[at])
+            q[at] = self.domain.inv_cumweight(y_at + self.offs[at])
         if order < -GAP_TOL:
             bad = ("projection certificate failed: block values out of chain order", order)
         else:
-            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b)
+            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b, starts, ends)
         if bad is not None:
             if strict:
                 raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
@@ -344,7 +383,7 @@ class ChainProjector:
                 # box-clipped targets in order are their own regression
                 return t.singles[m:]
             if self.flat:
-                fit = np.clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
+                fit = _clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
             elif self._falls(t, m):
                 if t.means is None:
                     # suffix sums, from the last sample down
@@ -355,7 +394,7 @@ class ChainProjector:
                 fit = np.full(self.n - m, min(max(t.means[m], self.lb[m]), self.ub[-1]))
             else:
                 fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-                fit = np.clip(fit, self.lb[m], self.ub[-1])
+                fit = _clip(fit, self.lb[m], self.ub[-1])
             t.fits[m] = fit
             fit.flags.writeable = False
         return fit
@@ -381,8 +420,10 @@ class ChainProjector:
         and the partition must still pass the certificate.
         """
         fit = self._fit(t, m)
-        same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
-        edges = np.flatnonzero(same[1:] != same[:-1]) + m
+        # same[j] tells whether fit[j] equals fit[j-1], False at both ends
+        same = np.zeros(fit.size + 1, dtype=bool)
+        np.equal(fit[1:], fit[:-1], out=same[1:-1])
+        edges = (same[1:] != same[:-1]).nonzero()[0] + m
         lo_b, hi_b = edges[::2], edges[1::2]
         return lo_b, hi_b, np.array([self._solve_block(t, int(lo), int(hi), float(fit[lo - m]))
                                      for lo, hi in zip(lo_b, hi_b)], dtype=float)
@@ -444,7 +485,7 @@ class ChainProjector:
         pooled = hi_s > lo_s
         return lo_s[pooled], hi_s[pooled], np.asarray(y_s, dtype=float)[pooled]
 
-    def _kkt_violation(self, q, t, m, at, lo_b, hi_b, y_b):
+    def _kkt_violation(self, q, t, m, at, lo_b, hi_b, y_b, starts, ends):
         """Multiplier nonnegativity certificate for the projection.
 
         A block total, the sum of the per-sample gradients over the block,
@@ -456,8 +497,10 @@ class ChainProjector:
         block is clamped there), so the smallest is
         ``c[hi] + beta - max(c[lo..hi-1])``, and these must be
         nonnegative.  A block of one has no pair inside, and its total is
-        its gradient, checked through ``t.fails``.  Returns ``None`` if
-        the certificate holds, else a ``(message, gap)`` pair.
+        its gradient, checked through ``t.fails``.  The listed blocks
+        start at ``starts`` among the samples ``at`` and end before
+        ``ends``.  Returns ``None`` if the certificate holds, else a
+        ``(message, gap)`` pair.
         """
         tol = KKT_TOL * t.scale
         # (first sample, total) of the first block that fails at its
@@ -467,17 +510,16 @@ class ChainProjector:
             # the failing samples that are blocks of one: at or past m and
             # in no listed block
             j = t.fails
-            j = j[(j >= m) & (np.append(lo_b, self.n)[np.searchsorted(hi_b, j)] > j)]
+            j = j[(j >= m) & (np.append(lo_b, self.n)[hi_b.searchsorted(j)] > j)]
             bad += [(int(j[0]), float(t.grad[j[0]]))] if j.size else []
         if lo_b.size:
             qb = q[at]
             g = 2.0 * (qb - t.x[at]) / self.domain.weight(qb)
-            sizes = hi_b - lo_b + 1
-            starts = np.cumsum(sizes) - sizes
             totals = np.add.reduceat(g, starts)
-            ok_end = _ends_ok(y_b, self.lb[lo_b], self.ub[hi_b], totals, tol)
+            ub = self.ub[hi_b]
+            ok_end = _ends_ok(y_b, self.lb[lo_b], ub, totals, tol)
             if not ok_end.all():
-                k = int(np.argmin(ok_end))
+                k = int(ok_end.argmin())
                 bad.append((int(lo_b[k]), float(totals[k])))
         if bad:
             return ("projection certificate failed at a block boundary", min(bad)[1])
@@ -486,10 +528,10 @@ class ChainProjector:
         # with c[hi] in the maximum too, c[hi] + beta - max(c[lo..hi]) is
         # that smallest multiplier where it is negative, and nonnegative
         # elsewhere
-        c = np.cumsum(g)
+        c = g.cumsum()
         peak = np.maximum.reduceat(c, starts)
-        beta = np.where(y_b >= self.ub[hi_b] - GAP_TOL, np.maximum(-totals, 0.0), 0.0)
-        worst = float((c[starts + sizes - 1] + beta - peak).min())
+        beta = np.where(y_b >= ub - GAP_TOL, np.maximum(-totals, 0.0), 0.0)
+        worst = float((c[ends - 1] + beta - peak).min())
         if worst < -tol:
             return ("projection certificate failed inside a block", worst)
         return None
@@ -507,21 +549,22 @@ def step_objective(q, p, D, tau, ds):
     return float(((D.fn(q) + move * move / (2.0 * tau)) * ds).sum())
 
 
-def minimize_free(projector, q_prev, m, D, tau, *, warm=None):
+def minimize_free(projector, q_prev, m, D, tau, *, warm=None, _x=None):
     """Minimization of the step objective with the pinned prefix ``m``.
 
     Returns ``(q, value)``: the full position array and its step
     objective.  An affine ``D`` (``D.affine``) makes the objective a
-    squared distance to ``q_prev - tau*D'``, so its one projection is the
-    minimizer and ``warm`` is not read.  A curved ``D`` runs projected
-    gradient iterations from the previous configuration (or ``warm``)
-    with the new prefix pinned, which is always feasible.  The loop stops
-    when a projection returns its start or does not lower the objective.
-    The step ``theta*tau`` is ``1/lip``.
+    squared distance to ``x = q_prev - tau*D'``, so its one projection is
+    the minimizer and ``warm`` is not read; :func:`solve_step` passes the
+    ``x`` that it has derived once for the step as ``_x``.  A curved ``D``
+    runs projected gradient iterations from the previous configuration
+    (or ``warm``) with the new prefix pinned, which is always feasible.
+    The loop stops when a projection returns its start or does not lower
+    the objective.  The step ``theta*tau`` is ``1/lip``.
     """
     ds = projector.ds
     if D.affine:
-        q = projector.project(q_prev - tau * D.grad(q_prev), m)
+        q = projector.project(q_prev - tau * D.grad(q_prev) if _x is None else _x, m)
         return q, step_objective(q, q_prev, D, tau, ds)
     a = projector.domain.a
     q = (warm if warm is not None else q_prev).copy()
@@ -638,6 +681,12 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         return q, 0, val
     n = projector.n
     found = {}
+    x = None
+    if D.affine:
+        # the one target of every candidate and every probe, read-only so
+        # that the projector keeps it uncopied and matches it by identity
+        x = q_prev - tau * D.grad(q_prev)
+        x.flags.writeable = False
 
     def candidate(m):
         if m not in found:
@@ -647,7 +696,7 @@ def solve_step(projector, q_prev, m_prev, D, tau):
             else:
                 below = [k for k in found if k < m]
                 warm = found[max(below)][0] if below else None
-                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm)
+                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm, _x=x)
         return found[m]
 
     def lowers(m):
@@ -656,7 +705,6 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         return candidate(m + 1)[1] < before - 1e-15
 
     if D.affine:
-        x = q_prev - tau * D.grad(q_prev)
         scale = projector.ds / (2.0 * tau)
         slopes = {}
 

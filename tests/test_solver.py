@@ -329,6 +329,122 @@ def test_blocks_of_one_are_built_once_per_target(monkeypatch):
     assert not built
 
 
+def _same_bits(a, b):
+    """Whether two arrays (or scalars) have the same dtype, shape and bytes."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _edge_target(rng, kind):
+    """A projector and a target with signed zeros, entries on the door and
+    on the far wall, entries past both, a run of ties and one NaN; on
+    domains without an exit (flat from 0, or radial from the apex) the
+    target may be negative."""
+    n = int(rng.integers(8, 65))
+    has_exit = bool(rng.uniform() < 0.5)
+    a = float(rng.integers(0, 5)) / 4.0 if has_exit else 0.0
+    cap = float(rng.uniform(1.0, 3.0))
+    if kind == "flat":
+        dom = Domain1D(a, a + cap, "flat", None, has_exit)
+    else:
+        al = float(rng.uniform(0.05, 0.5))
+        dom = Domain1D(a, float(np.sqrt(a * a + cap / al)), "radial", al, has_exit)
+    span = dom.R - dom.a
+    x = rng.uniform(dom.a - 0.5 * span, dom.R + 0.5 * span, n)
+    if rng.uniform() < 0.5:
+        x = np.sort(x)
+    k = rng.permutation(n)
+    x[k[0]], x[k[1]], x[k[2]], x[k[3]] = -0.0, 0.0, dom.a, dom.R
+    run = int(rng.integers(0, n - 3))
+    x[run : run + 3] = x[run]
+    if has_exit:
+        x = np.maximum(x, 0.0)
+        x[k[0]] = -0.0
+    x[k[4]] = np.nan
+    return ChainProjector(dom, n), x, int(k[4])
+
+
+@pytest.mark.parametrize("kind", ["flat", "radial"])
+@pytest.mark.parametrize("shift", [0.0, 0.01])
+def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
+    """Every field of a target's record, the verdicts of its blocks of
+    one and the gaps of its drops are the bits of the formulas they
+    replaced (``np.clip``, ``np.diff``, ``flatnonzero``, ``_ends_ok`` on
+    every sample), on targets with signed zeros, entries on the domain's
+    ends, ties and one NaN, whose sample is still listed as failing.
+    The honest domain map leaves blocks of one with a gradient only where
+    a box absorbs it; a shifted map puts them off their targets, so that
+    many fail.  On the target without its NaN, the clipped suffix
+    regressions and the trial's blocks are those of ``np.clip`` and of
+    the concatenated run mask."""
+    if shift:
+        honest_cumweight = Domain1D.cumweight
+        monkeypatch.setattr(Domain1D, "cumweight",
+                            lambda self, r: honest_cumweight(self, r) + shift)
+    problems, seen = [], Counter()
+    for i in range(40):
+        rng = np.random.default_rng([47, i])
+        projector, x, nan_at = _edge_target(rng, kind)
+        dom, lb, ub, offs = projector.domain, projector.lb, projector.ub, projector.offs
+        clean = x.copy()
+        clean[nan_at] = clean[nan_at - 1]
+        for target in (x, clean):
+            singles = np.clip(dom.cumweight(np.clip(target, dom.a, dom.R)) - offs, lb, ub)
+            drops = np.flatnonzero(np.diff(singles) < 0.0)
+            pos = dom.inv_cumweight(singles + offs)
+            trial = target - dom.a - offs if projector.flat else dom.weight(pos) ** -2.0
+            scale = max(1.0, float(np.max(np.abs(target))))
+            grad = 2.0 * (pos - target) / dom.weight(pos)
+            old = {
+                "x": target, "singles": singles, "drops": drops,
+                "gaps": singles[drops + 1] - singles[drops],
+                "last_drop": int(drops[-1]) if drops.size else -1, "scale": scale,
+                "trial": trial,
+                "psum": np.concatenate([[0.0], np.cumsum(trial)]) if projector.flat else None,
+                "pos": pos, "grad": grad,
+                "fails": np.flatnonzero(~_solver._ends_ok(singles, lb, ub, grad,
+                                                          _solver.KKT_TOL * scale)),
+            }
+            t = projector._target(target)
+            projector._gaps(t)
+            projector._ones(t)
+            for name, value in old.items():
+                if not _same_bits(getattr(t, name), value):
+                    problems.append(f"{kind} {i}: {name} differs")
+            seen["drops"] += drops.size
+            seen["fails"] += t.fails.size
+            seen["off"] += np.count_nonzero(~(np.abs(grad) <= _solver.KKT_TOL * scale))
+            if target is x and nan_at not in t.fails:
+                problems.append(f"{kind} {i}: the NaN sample {nan_at} is not listed as failing")
+        # t is now the record of the target without its NaN
+        for m in (0, x.size // 2):
+            fit = projector._fit(t, m)
+            # a radial suffix that drops at every pair is its mean, not SciPy's
+            if t.last_drop >= m and (projector.flat or not projector._falls(t, m)):
+                if projector.flat:
+                    ref = isotonic_regression(t.trial[m:]).x
+                else:
+                    ref = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
+                if not _same_bits(fit, np.clip(ref, lb[m], ub[-1])):
+                    problems.append(f"{kind} {i}: the regression from {m} differs")
+                seen["regressions"] += 1
+            same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
+            edges = np.flatnonzero(same[1:] != same[:-1]) + m
+            lo_b, hi_b, _ = projector._trial(t, m)
+            if not (_same_bits(lo_b, edges[::2]) and _same_bits(hi_b, edges[1::2])):
+                problems.append(f"{kind} {i}: the trial's blocks from {m} differ")
+            seen["blocks"] += lo_b.size
+    assert not problems, problems
+    assert min(seen[key] for key in ("drops", "regressions", "blocks")) >= 40, seen
+    # each of the 40 targets with a NaN fails there; under the honest map
+    # no other block of one fails, though many have a gradient off the
+    # tolerance, which a box absorbs
+    if shift:
+        assert seen["fails"] >= 40 + 200, seen
+    else:
+        assert seen["fails"] == 40 and seen["off"] >= 40 + 200, seen
+
+
 def _suffix_sum_certificate(projector, q, x, m, lo_s, hi_s, y_s):
     """The multiplier certificate from reversed suffix sums, sample by sample."""
     sizes = hi_s - lo_s + 1
@@ -562,7 +678,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
             problems.append(f"instance {i} ({path}): projection depends on the warm-up")
         # the target's arrays are kept for the next call and must not change
         memo = projector._memo
-        for arr in (memo.x, memo.singles, memo.drops, memo.trial, memo.psum, memo.pos,
+        for arr in (memo.x, memo.singles, memo.drops, memo.gaps, memo.trial, memo.psum, memo.pos,
                     memo.means, *memo.fits.values(), memo.grad, memo.fails):
             if arr is not None:
                 with pytest.raises(ValueError, match="read-only"):
@@ -573,13 +689,33 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         scratch[:] = x
         if not np.array_equal(projector.project(scratch, m), fresh):
             problems.append(f"instance {i}: the memo follows the caller's array")
+        # nor may a read-only view of a writeable buffer, which the caller
+        # may overwrite through the buffer
+        scratch = warm_up.copy()
+        view = scratch[:]
+        view.flags.writeable = False
+        projector.project(view, m)
+        scratch[:] = x
+        if not np.array_equal(projector.project(view, m), fresh):
+            problems.append(f"instance {i}: the memo follows a read-only view")
+        # a read-only array that owns its data is kept uncopied, as the
+        # target of an affine step is
+        projector = ChainProjector(dom, x.size)
+        kept = x.copy()
+        kept.flags.writeable = False
+        if not np.array_equal(projector.project(kept, m), fresh):
+            problems.append(f"instance {i}: a kept target projects differently")
         memo = projector._memo
+        if memo.x is not kept:
+            problems.append(f"instance {i}: a read-only target that owns its data was copied")
         if not dom.has_exit:
             continue
         # the same target at other prefixes, as the candidates of one step
-        # project it: every call reuses the memo and matches a fresh projector
-        for k in np.random.default_rng([23, i, 1]).permutation(np.arange(m, x.size))[:4]:
-            again = projector.project(x, int(k))
+        # project it (the kept array, or an equal one): every call reuses
+        # the memo and matches a fresh projector
+        prefixes = np.random.default_rng([23, i, 1]).permutation(np.arange(m, x.size))[:4]
+        for j, k in enumerate(prefixes):
+            again = projector.project(kept if j % 2 else x, int(k))
             if projector._memo is not memo:
                 problems.append(f"instance {i}, prefix {k}: the memo was not reused")
             if not np.array_equal(again, ChainProjector(dom, x.size).project(x, int(k))):
@@ -728,17 +864,17 @@ def test_affine_potential_costs_one_projection(monkeypatch):
         projections[0] += 1
         return honest_project(self, x, m)
 
-    def checked(projector, q_prev, m, D, tau, *, warm=None):
+    def checked(projector, q_prev, m, D, tau, *, warm=None, _x=None):
         expected = projector.project(q_prev - tau * D.grad(q_prev), m)
         projections[0] = 0
-        q, val = honest_minimize(projector, q_prev, m, D, tau, warm=warm)
+        q, val = honest_minimize(projector, q_prev, m, D, tau, warm=warm, _x=_x)
         where = f"flow {flow}, m={m}"
         if projections[0] != 1:
             problems.append(f"{where}: {projections[0]} projections")
         if not np.array_equal(q, expected):
             problems.append(f"{where}: not the projection of q_prev - tau*D'")
         wall = np.full_like(q_prev, projector.domain.R)
-        if not np.array_equal(honest_minimize(projector, q_prev, m, D, tau, warm=wall)[0], q):
+        if not np.array_equal(honest_minimize(projector, q_prev, m, D, tau, warm=wall, _x=_x)[0], q):
             problems.append(f"{where}: the warm start changes the minimizer")
         calls[0] += 1
         return q, val
@@ -871,10 +1007,10 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
     honest_step, honest_minimize, honest_stop = jko.solve_step, _solver.minimize_free, _solver._first_stop
     calls, stops, problems, steps, prefixes = [0], [], [], Counter(), []
 
-    def counted(projector, q_prev, m, D, tau, *, warm=None):
+    def counted(projector, q_prev, m, D, tau, *, warm=None, _x=None):
         calls[0] += 1
         prefixes.append(m)
-        return honest_minimize(projector, q_prev, m, D, tau, warm=warm)
+        return honest_minimize(projector, q_prev, m, D, tau, warm=warm, _x=_x)
 
     def first_stop(*args):
         # the first search of a step is the prediction's
@@ -965,6 +1101,48 @@ def test_prediction_runs_no_projection(monkeypatch):
     assert counts["suffix_slope"] >= 4, counts
     assert counts["project", True] == counts["minimize_free", True] == 0, counts
     assert counts["project", False] == counts["minimize_free", False] <= 3, counts
+
+
+def test_affine_step_builds_one_target(monkeypatch):
+    """An affine step derives its target ``q_prev - tau*D'`` once: on the
+    exit steps of a fig4-like drain at 1024 samples, every step calls
+    ``D.grad`` once and builds one target record, however many
+    prediction probes and candidates project that target."""
+    built, grads, calls = [0], [0], Counter()
+    honest_target, honest_minimize = _solver._Target, _solver.minimize_free
+    honest_slope = ChainProjector.suffix_slope
+
+    def target(*args):
+        built[0] += 1
+        return honest_target(*args)
+
+    def minimize(*args, **kwargs):
+        calls["candidates"] += 1
+        return honest_minimize(*args, **kwargs)
+
+    def slope(self, x, m):
+        calls["probes"] += 1
+        return honest_slope(self, x, m)
+
+    monkeypatch.setattr(_solver, "_Target", target)
+    monkeypatch.setattr(_solver, "minimize_free", minimize)
+    monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
+    p = fig4_preset()
+    distance = PotentialD.distance_to_exit(p.domain())
+
+    def grad(r):
+        grads[0] += 1
+        return distance.grad(r)
+
+    D = PotentialD(distance.fn, grad)
+    assert D.affine
+    projector = ChainProjector(p.domain(), 1024)
+    q, m = quantile_of(p.initial(64), 1024).q, 0
+    for step in range(40):
+        built[0] = grads[0] = 0
+        q, m, _ = solve_step(projector, q, m, D, p.tau)
+        assert (built[0], grads[0]) == (1, 1), (step, built, grads)
+    assert m > 0 and calls["candidates"] >= 80 and calls["probes"] >= 40, (m, calls)
 
 
 def _saturated_study_step(n, tau):
@@ -1092,8 +1270,8 @@ def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
     honest = _solver.minimize_free
     problems, outcomes = [], {"same": 0, "not lower": 0}
 
-    def checked(projector, q_prev, m, D, tau, *, warm=None):
-        q, val = honest(projector, q_prev, m, D, tau, warm=warm)
+    def checked(projector, q_prev, m, D, tau, *, warm=None, _x=None):
+        q, val = honest(projector, q_prev, m, D, tau, warm=warm, _x=_x)
         # the step as minimize_free takes it, operation for operation
         theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
         target = q_prev + (1.0 - theta) * (q - q_prev) - theta * tau * D.grad(q)
