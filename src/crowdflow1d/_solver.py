@@ -29,8 +29,9 @@ partition is carried as its pooled blocks: every other free sample is a
 block of one at its clipped target.
 It is accepted only if its block values are in chain order and pass a
 multiplier (KKT) certificate, read off one running sum of the per-sample
-gradients over the pooled blocks; when the trial does not, pooling runs
-again with an exact solve per merge, started at the block's lower bound.
+gradients over the pooled blocks and judged block by block; when the
+trial does not, pooling runs again with an exact solve per merge,
+started at the block's lower bound.
 Everything that depends on the target alone (clipped singles and their
 positions, where the singles drop, the trial's input, the certificate's
 scale, the suffix regressions and, once needed, the suffixes' weighted
@@ -76,6 +77,11 @@ KKT_TOL = 1e-7
 # projected gradient stops on an exact fixed point; MAX_ITER only guards
 # against a loop that never settles
 MAX_ITER = 1000000
+
+# the listed blocks of a partition that lists none, read-only
+_NO_BLOCKS = np.zeros(0, dtype=int)
+_NO_VALUES = np.zeros(0)
+_NO_BLOCKS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 # the one record of everything that depends on a projection target, its
 # arrays read-only: the target itself (the caller's array when it is a
@@ -230,8 +236,7 @@ class ChainProjector:
         if t.last_drop < m:
             # box-clipped targets already satisfy the chain: every block
             # is a block of one
-            none = np.zeros(0, dtype=int)
-            return self._certified(t, m, none, none, np.zeros(0), strict=True)
+            return self._certified(t, m, _NO_BLOCKS, _NO_BLOCKS, _NO_VALUES, strict=True)
         q = self._certified(t, m, *self._trial(t, m))
         if q is None:
             q = self._certified(t, m, *self._pool(t, m), strict=True)
@@ -312,38 +317,48 @@ class ChainProjector:
         target ``t.singles[j]``, whose position, gradient and verdicts are
         read from the target's record (:meth:`_ones`).  The certificate
         asks for block values in chain order and for nonnegative
-        multipliers (:meth:`_kkt_violation`).  A failed certificate returns
-        ``None``, or raises when ``strict`` (targets already in order, or
-        exact pooling: neither has a fallback).
+        multipliers (:meth:`_kkt_violation`).  A partition that lists no
+        block (targets in order from ``m`` on, or a trial without a pooled
+        run) costs a few calls: the verdicts of the blocks of one if they
+        are missing, the chain order as the smallest gap where the singles
+        drop from ``m`` on, and the positions of the singles.  A failed
+        certificate returns ``None``, or raises when ``strict`` (targets
+        already in order, or exact pooling: neither has a fallback).
         """
         n = self.n
-        # a partition's block sizes and where each block starts and ends
-        # among the listed samples, for the certificate too
-        sizes = hi_b - lo_b + 1
-        ends = sizes.cumsum()
-        starts = ends - sizes
-        count = int(ends[-1]) if ends.size else 0
+        if lo_b.size:
+            # a partition's block sizes and where each block starts and
+            # ends among the listed samples, for the certificate too
+            sizes = hi_b - lo_b + 1
+            ends = sizes.cumsum()
+            starts = ends - sizes
+            count = int(ends[-1])
+            s0, s1 = int(lo_b[0]), int(hi_b[-1]) + 1
+            # the listed blocks' samples, and the values from s0 to s1: the
+            # block values when the blocks are contiguous, else one per sample
+            at, span, y_at = slice(s0, s1), y_b, np.repeat(y_b, sizes)
+            if count < s1 - s0:
+                at = np.arange(count) + np.repeat(lo_b - starts, sizes)
+                span = t.singles[s0:s1].copy()
+                span[at - s0] = y_at
+            # chain order: step by step from the sample before s0 to the one
+            # at s1, and further out where the singles drop
+            lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
+            v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
+            order = float((v[1:] - v[:-1]).min(initial=0.0))
+            i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
+            if i < j or k < t.drops.size:
+                gaps = self._gaps(t)
+                order = min(order, float(gaps[i:j].min(initial=0.0)),
+                            float(gaps[k:].min(initial=0.0)))
+        else:
+            # every free sample is a block of one: the chain order is where
+            # the singles drop from m on
+            count, at, starts, ends = 0, None, None, None
+            k = int(t.drops.searchsorted(m))
+            order = float(self._gaps(t)[k:].min(initial=0.0)) if k < t.drops.size else 0.0
         if count < n - m and t.grad is None:
             self._ones(t)
-        s0, s1 = (int(lo_b[0]), int(hi_b[-1]) + 1) if count else (m, m)
-        # the listed blocks' samples, and the values from s0 to s1: the
-        # block values when the blocks are contiguous, else one per sample
-        at, span = slice(s0, s1), y_b
-        if count:
-            y_at = np.repeat(y_b, sizes)
-        if count < s1 - s0:
-            at = np.arange(count) + np.repeat(lo_b - starts, sizes)
-            span = t.singles[s0:s1].copy()
-            span[at - s0] = y_at
-        # chain order: step by step from the sample before s0 to the one at
-        # s1, and further out where the singles drop
-        lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
-        v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
-        order = float((v[1:] - v[:-1]).min(initial=0.0))
-        i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
-        if i < j or k < t.drops.size:
-            gaps = self._gaps(t)
-            order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
         if order < -GAP_TOL and not strict:
             return None
         q = t.pos.copy()
@@ -499,48 +514,58 @@ class ChainProjector:
         nonnegative.  A block of one has no pair inside, and its total is
         its gradient, checked through ``t.fails``.  The listed blocks
         start at ``starts`` among the samples ``at`` and end before
-        ``ends``.  Returns ``None`` if the certificate holds, else a
-        ``(message, gap)`` pair.
+        ``ends``.  The gradients, the totals, ``c`` and its maxima over
+        each block are array passes over those samples; the verdicts are
+        then read off them block by block in Python floats, which run the
+        same IEEE operations as the arrays did: ``beta`` is
+        ``np.maximum(-total, 0.0)``, ``+0.0`` for a total of ``+0.0`` and
+        NaN for a NaN one, and the smallest multiplier is NaN as soon as
+        any one is, as under ``ndarray.min``.  Returns ``None`` if the
+        certificate holds, else a ``(message, gap)`` pair.
         """
         tol = KKT_TOL * t.scale
         # (first sample, total) of the first block that fails at its
         # boundary, listed or of one
-        bad = []
+        bad = None
         if t.fails is not None and t.fails.size:
             # the failing samples that are blocks of one: at or past m and
             # in no listed block
             j = t.fails
             j = j[(j >= m) & (np.append(lo_b, self.n)[hi_b.searchsorted(j)] > j)]
-            bad += [(int(j[0]), float(t.grad[j[0]]))] if j.size else []
+            if j.size:
+                bad = (int(j[0]), float(t.grad[j[0]]))
+        worst = math.inf
         if lo_b.size:
             qb = q[at]
             g = 2.0 * (qb - t.x[at]) / self.domain.weight(qb)
-            totals = np.add.reduceat(g, starts)
-            ub = self.ub[hi_b]
-            ok_end = _ends_ok(y_b, self.lb[lo_b], ub, totals, tol)
-            if not ok_end.all():
-                k = int(ok_end.argmin())
-                bad.append((int(lo_b[k]), float(totals[k])))
-        if bad:
-            return ("projection certificate failed at a block boundary", min(bad)[1])
-        if not lo_b.size:
-            return None
-        # with c[hi] in the maximum too, c[hi] + beta - max(c[lo..hi]) is
-        # that smallest multiplier where it is negative, and nonnegative
-        # elsewhere
-        c = g.cumsum()
-        peak = np.maximum.reduceat(c, starts)
-        beta = np.where(y_b >= ub - GAP_TOL, np.maximum(-totals, 0.0), 0.0)
-        worst = float((c[ends - 1] + beta - peak).min())
+            c = g.cumsum()
+            blocks = zip(lo_b.tolist(), y_b.tolist(), self.lb[lo_b].tolist(),
+                         self.ub[hi_b].tolist(), np.add.reduceat(g, starts).tolist(),
+                         c[ends - 1].tolist(), np.maximum.reduceat(c, starts).tolist())
+            for lo, y, lb, ub, total, c_hi, top in blocks:
+                if bad is not None and lo > bad[0]:
+                    break
+                if not _ends_ok(y, lb, ub, total, tol):
+                    bad = (lo, total)
+                    break
+                # with c[hi] in the maximum too, c[hi] + beta - max(c[lo..hi])
+                # is the smallest multiplier inside the block where it is
+                # negative, and nonnegative elsewhere
+                beta = -total if y >= ub - GAP_TOL and not -total <= 0.0 else 0.0
+                inner = c_hi + beta - top
+                if inner < worst or inner != inner:
+                    worst = inner
+        if bad is not None:
+            return ("projection certificate failed at a block boundary", bad[1])
         if worst < -tol:
             return ("projection certificate failed inside a block", worst)
         return None
 
 
 def _ends_ok(y, lb, ub, totals, tol):
-    """Whether each block total vanishes, or a box bound absorbs it."""
+    """Whether each block total vanishes, or a box bound absorbs it (floats or arrays)."""
     return (((y <= lb + GAP_TOL) & (totals >= -tol)) | ((y >= ub - GAP_TOL) & (totals <= tol))
-            | (np.abs(totals) <= tol))
+            | (abs(totals) <= tol))
 
 
 def step_objective(q, p, D, tau, ds):
@@ -674,11 +699,16 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     (:func:`_door_gain_clears`), the verification never evaluates a
     candidate below those samples, else it may go down to ``m_prev``.
 
-    Returns ``(q, m, objective)``.
+    Returns ``(q, m, objective, after)``, with ``after`` the candidate
+    ``m + 1`` as a ``(q, objective)`` pair, which the search has always
+    evaluated, or ``None`` when there is none (``m = n``, or no exit).
+    It is what :func:`minimize_free` returns for ``m + 1`` warm-started
+    from ``q``: a scan warm-starts each candidate from the one below, and
+    an affine candidate does not depend on its warm start.
     """
     if not projector.domain.has_exit:
         q, val = minimize_free(projector, q_prev, 0, D, tau)
-        return q, 0, val
+        return q, 0, val, None
     n = projector.n
     found = {}
     x = None
@@ -731,4 +761,4 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         while m < n and lowers(m):
             m += 1
     q, val = candidate(m)
-    return q, m, val
+    return q, m, val, found.get(m + 1)

@@ -294,13 +294,17 @@ def _step_count(T, tau):
 def _assemble(projector, geom, q_prev, m_prev, D, tau):
     domain = projector.domain
     ds = projector.ds
-    q_next, m_next, obj = solve_step(projector, q_prev, m_prev, D, tau)
+    q_next, m_next, obj, after = solve_step(projector, q_prev, m_prev, D, tau)
     fields = _grid_fields(geom, tau, q_prev, q_next, m_next, m_next * ds)
     while domain.has_exit and m_next < projector.n:
         level, door_level = fields[1], fields[3]
         if door_level >= level - DOOR_BALANCE_MARGIN * max(1.0, abs(level)):
             break
-        q_try, val = minimize_free(projector, q_prev, m_next + 1, D, tau, warm=q_next)
+        # the first try is the step's candidate m + 1, already minimized
+        if after is None:
+            after = minimize_free(projector, q_prev, m_next + 1, D, tau, warm=q_next)
+        q_try, val = after
+        after = None
         if val > obj + DOOR_TIE_TOL * max(1.0, abs(obj)):
             break
         q_next, m_next, obj = q_try, m_next + 1, val

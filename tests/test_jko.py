@@ -130,8 +130,8 @@ def test_energy_rise_is_a_solver_failure(monkeypatch):
     honest = jko.solve_step
 
     def outward(projector, q_prev, m_prev, D, tau):
-        q, m, obj = honest(projector, q_prev, m_prev, D, tau)
-        return q + 0.5, m, obj
+        q, m, obj, after = honest(projector, q_prev, m_prev, D, tau)
+        return q + 0.5, m, obj, after
 
     monkeypatch.setattr(jko, "solve_step", outward)
     block = _block(0.0, 1.0)
@@ -147,10 +147,10 @@ def test_energy_rise_carries_the_absorbed_prefix(monkeypatch):
     prefixes = []
 
     def outward(projector, q_prev, m_prev, D, tau):
-        q, m, obj = honest_step(projector, q_prev, m_prev, D, tau)
+        q, m, obj, after = honest_step(projector, q_prev, m_prev, D, tau)
         q = q.copy()
         q[m:] += 0.5
-        return q, m, obj
+        return q, m, obj, after
 
     def recorded(*args):
         res = honest_assemble(*args)

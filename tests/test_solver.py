@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 from itertools import product
@@ -318,7 +319,7 @@ def test_blocks_of_one_are_built_once_per_target(monkeypatch):
     projector = ChainProjector(p.domain(), 1024)
     q, m = quantile_of(p.initial(64), 1024).q, 0
     for _ in range(8):
-        q, m, _ = solve_step(projector, q, m, D, p.tau)
+        q, m, _, _ = solve_step(projector, q, m, D, p.tau)
     ids = [id(t) for t in built]
     assert built and len(set(ids)) == len(ids), ids
     assert set(ids) == set(projected), (ids, projected)
@@ -534,6 +535,269 @@ def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
         assert verdicts["projection certificate failed inside a block"] >= 20, verdicts
 
 
+def _vectorized_kkt(projector, q, t, m, at, lo_b, hi_b, y_b, starts, ends):
+    """The certificate with every verdict an array expression over the
+    listed blocks, as it was written before the verdicts were read off
+    block by block."""
+    tol = _solver.KKT_TOL * t.scale
+    gap_tol = _solver.GAP_TOL
+    bad = []
+    if t.fails is not None and t.fails.size:
+        j = t.fails
+        j = j[(j >= m) & (np.append(lo_b, projector.n)[hi_b.searchsorted(j)] > j)]
+        bad += [(int(j[0]), float(t.grad[j[0]]))] if j.size else []
+    if lo_b.size:
+        qb = q[at]
+        g = 2.0 * (qb - t.x[at]) / projector.domain.weight(qb)
+        totals = np.add.reduceat(g, starts)
+        ub = projector.ub[hi_b]
+        ok_end = (((y_b <= projector.lb[lo_b] + gap_tol) & (totals >= -tol))
+                  | ((y_b >= ub - gap_tol) & (totals <= tol)) | (np.abs(totals) <= tol))
+        if not ok_end.all():
+            k = int(ok_end.argmin())
+            bad.append((int(lo_b[k]), float(totals[k])))
+    if bad:
+        return ("projection certificate failed at a block boundary", min(bad)[1])
+    if not lo_b.size:
+        return None
+    c = g.cumsum()
+    peak = np.maximum.reduceat(c, starts)
+    beta = np.where(y_b >= ub - gap_tol, np.maximum(-totals, 0.0), 0.0)
+    worst = float((c[ends - 1] + beta - peak).min())
+    if worst < -tol:
+        return ("projection certificate failed inside a block", worst)
+    return None
+
+
+def _listed(lo_b, hi_b):
+    """``at``, ``starts`` and ``ends`` of the listed blocks, as the
+    certificate gets them: a slice when the blocks are contiguous."""
+    sizes = hi_b - lo_b + 1
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    if ends[-1] == hi_b[-1] + 1 - lo_b[0]:
+        return slice(int(lo_b[0]), int(hi_b[-1]) + 1), starts, ends
+    return np.arange(int(ends[-1])) + np.repeat(lo_b - starts, sizes), starts, ends
+
+
+def _scale_for(total):
+    """A certificate scale whose tolerance is ``|total|`` exactly, if one is near."""
+    s = abs(total) / _solver.KKT_TOL
+    for _ in range(8):
+        if _solver.KKT_TOL * s == abs(total):
+            return s
+        s = np.nextafter(s, np.inf if _solver.KKT_TOL * s < abs(total) else 0.0)
+    return None
+
+
+def _verdict_case(rng, kind):
+    """A projector, a target record, a prefix and a partition that lists
+    1-20 blocks, or none, with the certificate's other arguments.
+
+    The blocks are contiguous or not, their values on ``lb``, on ``ub``,
+    exactly at either tie threshold, or inside; the targets of their
+    samples lie off the positions by about the tolerance, so that totals
+    and inner multipliers of either sign pass or fail.  ``kind`` adds a
+    total at exactly plus or minus the tolerance, signed zero gradients,
+    a NaN total, or a block with an infinite total on its lower bound
+    (and the scale of the finite targets), after which every inner
+    multiplier is NaN.  The blocks of one have no verdicts, their honest
+    ones, or made-up failures, some inside listed blocks.
+    """
+    dom = _rand_domain(rng, has_exit=True)
+    n = int(rng.integers(48, 97))
+    m = int(rng.integers(0, 8))
+    projector = ChainProjector(dom, n)
+    lb, ub, offs, gap_tol = projector.lb, projector.ub, projector.offs, _solver.GAP_TOL
+    lo_l, hi_l = [], []
+    j = m + int(rng.integers(0, 3))
+    contiguous = rng.uniform() < 0.5
+    for _ in range(0 if kind == "empty" else int(rng.integers(1, 21))):
+        size = int(rng.integers(2, 6))
+        if j + size > n:
+            break
+        lo_l.append(j)
+        hi_l.append(j + size - 1)
+        j += size + (0 if contiguous else int(rng.integers(0, 4)))
+    lo_b, hi_b = np.array(lo_l, dtype=int), np.array(hi_l, dtype=int)
+    x = rng.uniform(dom.a, dom.R, n)
+    q = None
+    if lo_b.size:
+        y_b = np.array([(lb[lo], ub[hi], lb[lo] + gap_tol, ub[hi] - gap_tol,
+                         rng.uniform(lb[lo], ub[hi]))[rng.integers(5)]
+                        for lo, hi in zip(lo_b, hi_b)])
+        at, starts, ends = _listed(lo_b, hi_b)
+        q_at = dom.inv_cumweight(np.repeat(y_b, hi_b - lo_b + 1) + offs[at])
+        # gradients e: per block of zero sum, or not
+        e = 1e-7 * max(1.0, dom.R) * float(rng.choice([0.3, 1.0, 3.0])) * rng.normal(size=q_at.size)
+        balanced = np.repeat(rng.uniform(size=lo_b.size) < 0.9, hi_b - lo_b + 1)
+        e -= np.where(balanced, np.repeat(np.add.reduceat(e, starts) / (hi_b - lo_b + 1),
+                                          hi_b - lo_b + 1), 0.0)
+        x[at] = q_at - 0.5 * e * dom.weight(q_at)
+        b = int(rng.integers(lo_b.size))
+        block = slice(int(starts[b]), int(ends[b]))
+        if kind == "zeros":
+            x[at] = np.where(rng.uniform(size=q_at.size) < 0.5, q_at, x[at])
+            if projector.flat:
+                # -0.0 - 0.0 is a gradient of -0.0
+                q_at[block], x[np.arange(n)[at][block]] = -0.0, 0.0
+        elif kind == "nan total":
+            x[np.arange(n)[at][block][0]] = np.nan
+        elif kind == "infinite total":
+            y_b[b] = lb[lo_b[b]]
+            q_at[block] = dom.inv_cumweight(y_b[b] + offs[lo_b[b] : hi_b[b] + 1])
+            x[lo_b[b]] = -np.inf
+    else:
+        y_b, at, starts, ends = np.zeros(0), None, None, None
+    t = projector._target(x)
+    if kind == "infinite total":
+        t = dataclasses.replace(t, scale=max(1.0, float(np.abs(x[np.isfinite(x)]).max())))
+    verdicts = rng.integers(3)
+    if verdicts == 1:
+        projector._ones(t)
+    elif verdicts == 2:
+        fails = np.sort(rng.choice(n, size=int(rng.integers(1, 6)), replace=False))
+        grad = 1e-6 * rng.normal(size=n)
+        t = dataclasses.replace(t, grad=grad, fails=fails)
+    q = t.pos.copy()
+    q[:m] = dom.a
+    if lo_b.size:
+        q[at] = q_at
+        if kind == "at tol":
+            qb = q[at]
+            totals = np.add.reduceat(2.0 * (qb - t.x[at]) / dom.weight(qb), starts)
+            s = _scale_for(float(totals[b]))
+            if s is not None:
+                t = dataclasses.replace(t, scale=s)
+    return projector, (q, t, m, at, lo_b, hi_b, y_b, starts, ends)
+
+
+@pytest.mark.parametrize("kind", ["honest", "at tol", "zeros", "nan total", "infinite total",
+                                  "empty"])
+def test_certificate_verdicts_match_the_vectorized_formula(kind):
+    """The certificate reads its verdicts off the listed blocks one by
+    one in Python floats; its verdict and its gap are those of the array
+    expressions it replaced, bit for bit, on flat and radial domains
+    with 1-20 listed blocks, contiguous or not, on either bound or at its
+    tie threshold, with totals of either sign, at exactly the tolerance,
+    signed zero gradients, a NaN total, an infinite one that makes the
+    inner multipliers NaN, and on partitions that list no block, with
+    and without failing blocks of one."""
+    problems, seen = [], Counter()
+    for i in range(300):
+        rng = np.random.default_rng([61, i, len(kind)])
+        projector, args = _verdict_case(rng, kind)
+        got = projector._kkt_violation(*args)
+        with np.errstate(invalid="ignore"):
+            ref = _vectorized_kkt(projector, *args)
+        seen[ref and ref[0]] += 1
+        if (got is None) != (ref is None) or got and (
+                got[0] != ref[0] or not _same_bits(np.float64(got[1]), np.float64(ref[1]))):
+            problems.append(f"{kind} {i}: {got} against {ref}")
+    assert not problems, problems
+    boundary, inside = (f"projection certificate failed {where}"
+                        for where in ("at a block boundary", "inside a block"))
+    if kind == "empty":
+        assert seen[None] >= 100 and seen[boundary] >= 50, seen
+    elif kind == "nan total":
+        assert seen[boundary] == 300, seen
+    elif kind == "infinite total":
+        # the inner multipliers from the infinite total on are NaN, which passes
+        assert seen[None] >= 100 and seen[boundary] >= 30, seen
+    else:
+        assert min(seen[None], seen[boundary], seen[inside]) >= 5, seen
+
+
+def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
+    """The certificate's partition path for any number of listed blocks,
+    as it was written before a partition that lists none took its own."""
+    n = projector.n
+    sizes = hi_b - lo_b + 1
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    count = int(ends[-1]) if ends.size else 0
+    if count < n - m and t.grad is None:
+        projector._ones(t)
+    s0, s1 = (int(lo_b[0]), int(hi_b[-1]) + 1) if count else (m, m)
+    at, span = slice(s0, s1), y_b
+    if count:
+        y_at = np.repeat(y_b, sizes)
+    if count < s1 - s0:
+        at = np.arange(count) + np.repeat(lo_b - starts, sizes)
+        span = t.singles[s0:s1].copy()
+        span[at - s0] = y_at
+    lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
+    v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
+    order = float((v[1:] - v[:-1]).min(initial=0.0))
+    i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
+    if i < j or k < t.drops.size:
+        gaps = projector._gaps(t)
+        order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
+    if order < -_solver.GAP_TOL and not strict:
+        return None
+    q = t.pos.copy()
+    q[:m] = projector.domain.a
+    if count:
+        q[at] = projector.domain.inv_cumweight(y_at + projector.offs[at])
+    if order < -_solver.GAP_TOL:
+        bad = ("projection certificate failed: block values out of chain order", order)
+    else:
+        bad = _vectorized_kkt(projector, q, t, m, at, lo_b, hi_b, y_b, starts, ends)
+    if bad is not None:
+        if strict:
+            raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
+        return None
+    return q
+
+
+@pytest.mark.parametrize("order", ["in order", "drops"])
+def test_no_block_partition_matches_the_general_path(order):
+    """A partition that lists no block gives the positions of the general
+    partition path bit for bit, or fails with the same message, gap,
+    prefix and last iterate, strict or not: targets in order from the
+    prefix on, targets that drop at or past it, and some with a NaN,
+    whose block of one fails at its boundary."""
+    problems, seen = [], Counter()
+    none, no_values = np.zeros(0, dtype=int), np.zeros(0)
+    for i in range(200):
+        rng = np.random.default_rng([67, i, len(order)])
+        dom = _rand_domain(rng, has_exit=True)
+        n = int(rng.integers(4, 65))
+        m = int(rng.choice([0, rng.integers(0, n), n - 1, n]))
+        if order == "in order":
+            # cumulative weights at least ds apart
+            ds = 1.0 / n
+            slack = np.sort(rng.uniform(0.0, dom.total_weight - 1.0, n))
+            x = dom.inv_cumweight((np.arange(n) + 0.5) * ds + slack)
+        else:
+            x = rng.uniform(dom.a - 0.2, dom.R + 0.2, n)
+        if rng.uniform() < 0.25:
+            x[rng.integers(m, n) if m < n else 0] = np.nan
+        for strict in (False, True):
+            out = []
+            for certify in (_general_certified, ChainProjector._certified):
+                projector = ChainProjector(dom, n)
+                t = projector._target(x)
+                try:
+                    out.append((certify(projector, t, m, none, none, no_values, strict=strict),
+                                None))
+                except SolverFailureError as err:
+                    out.append((err.last_iterate, (str(err), np.float64(err.gap), err.m)))
+            (q_ref, err_ref), (q, err) = out
+            seen[t.last_drop < m, err_ref[0] if err_ref else "passes" if q_ref is not None else None] += 1
+            if (q is None) != (q_ref is None) or q is not None and not _same_bits(q, q_ref):
+                problems.append(f"{order} {i} strict={strict}: positions differ")
+            if (err is None) != (err_ref is None) or err and (
+                    err[0] != err_ref[0] or err[2] != err_ref[2]
+                    or not _same_bits(err[1], err_ref[1])):
+                problems.append(f"{order} {i} strict={strict}: {err} against {err_ref}")
+    assert not problems, problems
+    assert seen[True, "passes"] >= 100, seen
+    assert seen[True, "projection certificate failed at a block boundary"] >= 10, seen
+    if order == "drops":
+        assert seen[False, "projection certificate failed: block values out of chain order"] >= 30, seen
+
+
 def _every_candidate(projector, q_prev, m_prev, D, tau):
     """Objective of every prefix ``m_prev..n`` along the scan's warm chain."""
     n = projector.n
@@ -569,7 +833,7 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
     problems, steps = [], []
 
     def checked(projector, q_prev, m_prev, D, tau):
-        q, m, val = honest(projector, q_prev, m_prev, D, tau)
+        q, m, val, after = honest(projector, q_prev, m_prev, D, tau)
         vals = _every_candidate(projector, q_prev, m_prev, D, tau)
         k = m - m_prev
         where = f"flow {len(steps) - 1}, m_prev={m_prev}, m={m}"
@@ -585,7 +849,7 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
             problems.append(f"{where}: a later candidate is lower by "
                             f"{vals[k] - vals[k:].min():.2e}")
         steps[-1] += 1
-        return q, m, val
+        return q, m, val, after
 
     monkeypatch.setattr(jko, "solve_step", checked)
     cases = [(i, False, 128) for i in range(N_DISTANCE_FLOWS)]
@@ -600,6 +864,55 @@ def test_exit_prefix_objective_is_unimodal(monkeypatch):
         run_flow(rho0, D, tau, 4 * tau, n_samples=n, n_cells=64)
     assert not problems, problems
     assert sum(steps) == 4 * len(cases)
+
+
+@pytest.mark.parametrize("potential", ["distance", "table"])
+def test_door_loop_reuses_the_candidate_after_the_step(monkeypatch, potential):
+    """``solve_step`` hands back candidate ``m + 1``, which its search
+    has always evaluated, and it is what ``minimize_free`` returns for
+    ``m + 1`` warm-started from the step's positions, bit for bit: for
+    the distance potential, whose search may have warm-started it from
+    another candidate, and for a curved table potential, whose scan
+    warm-starts it from candidate ``m``.  The door loop of a draining
+    corridor takes it as its first try, and minimizes only its later
+    tries."""
+    honest_step, honest_minimize = jko.solve_step, jko.minimize_free
+    problems, seen, steps = [], Counter(), []
+
+    class Handed(tuple):
+        # counts the door loop's unpacking of the handed-back candidate
+        def __iter__(self):
+            seen["first tries"] += 1
+            return tuple.__iter__(self)
+
+    def checked(projector, q_prev, m_prev, D, tau):
+        q, m, val, after = honest_step(projector, q_prev, m_prev, D, tau)
+        steps.append(m)
+        if m == projector.n:
+            if after is not None:
+                problems.append(f"step {len(steps)}: a candidate after m = n")
+            return q, m, val, after
+        fresh = ChainProjector(projector.domain, projector.n)
+        q_ref, val_ref = honest_minimize(fresh, q_prev, m + 1, D, tau, warm=q)
+        if not (_same_bits(after[0], q_ref) and after[1] == val_ref):
+            problems.append(f"step {len(steps)}: candidate {m + 1} differs")
+        return q, m, val, Handed(after)
+
+    def door_try(projector, q_prev, m, D, tau, *, warm=None):
+        if m <= steps[-1] + 1:
+            problems.append(f"step {len(steps)}: the door loop minimizes candidate {m}")
+        seen["later tries"] += 1
+        return honest_minimize(projector, q_prev, m, D, tau, warm=warm)
+
+    monkeypatch.setattr(jko, "solve_step", checked)
+    monkeypatch.setattr(jko, "minimize_free", door_try)
+    p = fig4_preset()
+    dom = p.domain()
+    rng = np.random.default_rng(73)
+    D = _convex_table(rng, dom) if potential == "table" else PotentialD.distance_to_exit(dom)
+    run_flow(p.initial(64), D, p.tau, 50 * p.tau, n_samples=128, n_cells=64)
+    assert not problems, problems
+    assert len(steps) == 50 and seen["first tries"] >= 10, (len(steps), seen)
 
 
 def _repeat_instance(rng):
@@ -964,7 +1277,7 @@ def test_prefix_search_matches_the_linear_scan(monkeypatch):
 
     def checked(projector, q_prev, m_prev, D, tau):
         calls[0] = 0
-        q, m, val = honest_step(projector, q_prev, m_prev, D, tau)
+        q, m, val, after = honest_step(projector, q_prev, m_prev, D, tau)
         used[label, "search"] += calls[0]
         q_ref, m_ref, val_ref = _linear_scan(projector, q_prev, m_prev, D, tau, scanned)
         where = f"{label}, m_prev={m_prev}"
@@ -978,7 +1291,7 @@ def test_prefix_search_matches_the_linear_scan(monkeypatch):
         jumps[label] = max(jumps[label], m - m_prev)
         if m == projector.n:
             emptied.add(label)
-        return q, m, val
+        return q, m, val, after
 
     monkeypatch.setattr(_solver, "minimize_free", counted)
     monkeypatch.setattr(jko, "solve_step", checked)
@@ -1021,7 +1334,7 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
         calls[0] = 0
         stops.clear()
         prefixes.clear()
-        q, m, val = honest_step(projector, q_prev, m_prev, D, tau)
+        q, m, val, after = honest_step(projector, q_prev, m_prev, D, tau)
         # a fresh projector, so the scan shares no memo with the search
         fresh = ChainProjector(projector.domain, projector.n)
         q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, m_prev, D, tau, honest_minimize)
@@ -1044,7 +1357,7 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
         steps["hits"] += stops[0] == m
         steps["steps"] += 1
         steps["candidates"] += calls[0]
-        return q, m, val
+        return q, m, val, after
 
     if prediction != "honest":
         slope = 1.0 if prediction == "first inside" else -1.0
@@ -1096,7 +1409,7 @@ def test_prediction_runs_no_projection(monkeypatch):
     monkeypatch.setattr(_solver, "minimize_free", minimize)
     dom = Domain1D(1.0, 10.0, "radial", 1.0 / 99.0, True)
     q_prev = quantile_of(Measure1D.uniform(dom, 1.0, 64), 1024).q
-    q, m, val = solve_step(ChainProjector(dom, 1024), q_prev, 0, PotentialD.distance_to_exit(dom), 0.1)
+    q, m, val, _ = solve_step(ChainProjector(dom, 1024), q_prev, 0, PotentialD.distance_to_exit(dom), 0.1)
     assert m >= 5 + np.count_nonzero(q_prev <= 1.1), m
     assert counts["suffix_slope"] >= 4, counts
     assert counts["project", True] == counts["minimize_free", True] == 0, counts
@@ -1140,7 +1453,7 @@ def test_affine_step_builds_one_target(monkeypatch):
     q, m = quantile_of(p.initial(64), 1024).q, 0
     for step in range(40):
         built[0] = grads[0] = 0
-        q, m, _ = solve_step(projector, q, m, D, p.tau)
+        q, m, _, _ = solve_step(projector, q, m, D, p.tau)
         assert (built[0], grads[0]) == (1, 1), (step, built, grads)
     assert m > 0 and calls["candidates"] >= 80 and calls["probes"] >= 40, (m, calls)
 
@@ -1165,7 +1478,7 @@ def test_secant_seed_bounds_the_suffix_regressions(n, tau, fits):
     the target memo, the prediction's and the candidates' together (a
     gallop from that sample leaves 26, 10 and 10)."""
     projector, q_prev, D, past = _saturated_study_step(n, tau)
-    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    q, m, val, _ = solve_step(projector, q_prev, 0, D, tau)
     assert m > past + 1, (m, past)
     assert len(projector._memo.fits) <= fits, sorted(projector._memo.fits)
 
@@ -1195,7 +1508,7 @@ def test_secant_seed_survives_a_tangential_slope(monkeypatch, dm):
 
     monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
     monkeypatch.setattr(_solver, "_first_stop", first_stop)
-    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    q, m, val, _ = solve_step(projector, q_prev, 0, D, tau)
     galloped = set()
     assert honest_stop(lambda k: galloped.add(k) or fake(k) < 0.0, past - 1, n, past) == m0
     assert stops[0] == m0, stops
@@ -1225,7 +1538,7 @@ def test_saturated_step_runs_no_regression(monkeypatch, tau):
         return honest(*args, **kwargs)
 
     monkeypatch.setattr(_solver, "isotonic_regression", counted)
-    q, m, val = solve_step(projector, q_prev, 0, D, tau)
+    q, m, val, _ = solve_step(projector, q_prev, 0, D, tau)
     assert runs[0] == 0, runs
     dom, lb, ub, offs = projector.domain, projector.lb, projector.ub, projector.offs
     x = q_prev - tau * D.grad(q_prev)
