@@ -36,11 +36,10 @@ Everything that depends on the target alone (clipped singles and their
 positions, where the singles drop, the trial's input, the certificate's
 scale, the suffix regressions and, once needed, the suffixes' weighted
 means, the gaps at the drops and the gradients and verdicts of the
-blocks of one) is one record, kept in a one-entry memo, since every
-candidate prefix of an affine step projects the same target.  The step
-derives that target once, read-only, and the record keeps it uncopied
-and matches it by identity; any other target is copied and matched by
-content.
+blocks of one) is one record (:meth:`ChainProjector.target`), which a
+projection takes in place of the target: an affine step builds it once
+and hands it to every candidate prefix and every probe, since they all
+project the same target.  The projector itself keeps no state.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -84,13 +83,12 @@ _NO_VALUES = np.zeros(0)
 _NO_BLOCKS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 # the one record of everything that depends on a projection target, its
-# arrays read-only: the target itself (the caller's array when it is a
-# read-only float array that owns its data, else a copy), its clipped
-# singles, the samples j where the singles decrease (singles[j+1] <
-# singles[j]) and the last of them (-1 if none), the certificate scale
-# max(1, max|x|), the trial's input (x - a - j*ds on flat domains, the
-# weights w(Q(single))**-2 on radial ones), on flat domains the prefix sums
-# of that input, and the positions Q(single), where every block of one
+# arrays read-only: a copy of the target, its clipped singles, the
+# samples j where the singles decrease (singles[j+1] < singles[j]) and
+# the last of them (-1 if none), the certificate scale max(1, max|x|),
+# the trial's input (x - a - j*ds on flat domains, the weights
+# w(Q(single))**-2 on radial ones), on flat domains the prefix sums of
+# that input, and the positions Q(single), where every block of one
 # sits; then, by first sample, the clipped isotonic regressions of its
 # suffixes, kept as the trials and the prefix prediction run them
 # (:meth:`ChainProjector._fit`), on radial domains the weighted means of
@@ -138,7 +136,6 @@ class ChainProjector:
         self.packed = domain.inv_cumweight(self.lb[0] + self.offs)
         self.packed.flags.writeable = False
         self.lowest = float(self.packed[0])
-        self._memo = None
 
     # -- scalar helpers -------------------------------------------------
 
@@ -220,19 +217,17 @@ class ChainProjector:
 
     # -- projection ------------------------------------------------------
 
-    def project(self, x, m=0):
-        """Positions closest to ``x`` among admissible configurations.
+    def project(self, t, m=0):
+        """Positions closest to the target of record ``t`` among admissible configurations.
 
-        Samples ``0..m-1`` are pinned on the door and excluded; ``x`` is
-        the full-length target array.  Returns the full position array,
-        a function of ``(x, m)`` alone: the only state kept between calls
-        is a one-entry memo of arrays that depend on the target alone
-        (:meth:`_target`).
+        Samples ``0..m-1`` are pinned on the door and excluded; ``t`` is
+        the record of the full-length target array (:meth:`target`).
+        Returns the full position array, a function of the target and
+        ``m`` alone.
         """
         n, ds = self.n, self.ds
         if (n - m) * ds > self.cap + 1e-12:
             raise FeasibilityError("interior mass exceeds domain capacity")
-        t = self._target(x)
         if t.last_drop < m:
             # box-clipped targets already satisfy the chain: every block
             # is a block of one
@@ -242,26 +237,14 @@ class ChainProjector:
             q = self._certified(t, m, *self._pool(t, m), strict=True)
         return q
 
-    def _target(self, x):
-        """The :class:`_Target` record of ``x``, from the memo when it holds ``x``.
+    def target(self, x):
+        """The :class:`_Target` record of the projection target ``x``, built from a copy of it.
 
-        The memo keeps the last target's arrays and is keyed by the
-        target's contents, so a target equal to the last one bit for bit
-        reuses them whatever the prefix.  A read-only float array that
-        owns its data changes only if its owner makes it writeable again,
-        which the solver never does, so the record keeps it uncopied and
-        answers it again by identity: the one target of an affine step
-        (:func:`solve_step`) is built once and never compared element by
-        element.  Any other array, a read-only view of a writeable buffer
-        included, is copied.
+        Every projection and prefix prediction of ``x`` takes the record,
+        and the record keeps what they derive from ``x``.
         """
-        t = self._memo
-        if t is not None and (t.x is x or t.x[-1] == x[-1] and np.array_equal(t.x, x)):
-            return t
         a, R = self.domain.a, self.domain.R
-        if not (isinstance(x, np.ndarray) and x.dtype == float and x.base is None
-                and not x.flags.writeable):
-            x = np.array(x, dtype=float)
+        x = np.array(x, dtype=float)
         singles = _clip(self.domain.cumweight(_clip(x, a, R)) - self.offs, self.lb, self.ub)
         drops = (singles[1:] < singles[:-1]).nonzero()[0]
         scale = max(1.0, float(abs(x).max()))
@@ -275,9 +258,8 @@ class ChainProjector:
         for arr in (x, singles, drops, trial, psum, pos):
             if arr is not None:
                 arr.flags.writeable = False
-        self._memo = _Target(x, singles, drops, int(drops[-1]) if drops.size else -1, scale, trial,
-                             psum, pos)
-        return self._memo
+        return _Target(x, singles, drops, int(drops[-1]) if drops.size else -1, scale, trial, psum,
+                       pos)
 
     def _ones(self, t):
         """Fill ``t.grad`` and ``t.fails``, the gradients and verdicts of the blocks of one.
@@ -443,21 +425,21 @@ class ChainProjector:
         return lo_b, hi_b, np.array([self._solve_block(t, int(lo), int(hi), float(fit[lo - m]))
                                      for lo, hi in zip(lo_b, hi_b)], dtype=float)
 
-    def suffix_slope(self, x, m):
-        """Predicted change of the squared distance to ``x`` when sample ``m`` is pinned too.
+    def suffix_slope(self, t, m):
+        """Predicted change of the squared distance to the target of record ``t`` when
+        sample ``m`` is pinned too.
 
         A candidate with ``m`` pinned samples lies at squared distance
         ``sum_{j<m} (a - x_j)^2 + sum_{j>=m} (Q_j - x_j)^2`` from its
-        target, with ``Q`` the projection of ``x[m:]``.  The prediction
+        target ``x``, with ``Q`` the projection of ``x[m:]``.  The prediction
         takes the trial's clipped isotonic regression (:meth:`_fit`) for
         ``Q``, before its blocks are solved: exact on flat domains, and
         the partition the projection starts from on radial ones.  A
         radial suffix pooled into one block at its lower bound is the
         packed chain, whose positions are read off ``packed``.  Runs no
-        projection; the suffix distances are kept with the target, so the
+        projection; the suffix distances are kept with the record, so the
         probes of one step share them.
         """
-        t = self._target(x)
         a, xm = self.domain.a, t.x[m]
         if t.last_drop < m:
             # the box-clipped targets are in order from m on: both suffix
@@ -581,15 +563,17 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None, _x=None):
     objective.  An affine ``D`` (``D.affine``) makes the objective a
     squared distance to ``x = q_prev - tau*D'``, so its one projection is
     the minimizer and ``warm`` is not read; :func:`solve_step` passes the
-    ``x`` that it has derived once for the step as ``_x``.  A curved ``D``
-    runs projected gradient iterations from the previous configuration
-    (or ``warm``) with the new prefix pinned, which is always feasible.
+    record of ``x`` (:meth:`ChainProjector.target`) that it has built
+    once for the step as ``_x``.  A curved ``D`` runs projected gradient
+    iterations from the previous configuration (or ``warm``) with the
+    new prefix pinned, which is always feasible.
     The loop stops when a projection returns its start or does not lower
     the objective.  The step ``theta*tau`` is ``1/lip``.
     """
     ds = projector.ds
     if D.affine:
-        q = projector.project(q_prev - tau * D.grad(q_prev) if _x is None else _x, m)
+        t = projector.target(q_prev - tau * D.grad(q_prev)) if _x is None else _x
+        q = projector.project(t, m)
         return q, step_objective(q, q_prev, D, tau, ds)
     a = projector.domain.a
     q = (warm if warm is not None else q_prev).copy()
@@ -598,7 +582,8 @@ def minimize_free(projector, q_prev, m, D, tau, *, warm=None, _x=None):
     eta = theta * tau
     best = step_objective(q, q_prev, D, tau, ds)
     for _ in range(MAX_ITER):
-        q_new = projector.project(q_prev + (1.0 - theta) * (q - q_prev) - eta * D.grad(q), m)
+        x = q_prev + (1.0 - theta) * (q - q_prev) - eta * D.grad(q)
+        q_new = projector.project(projector.target(x), m)
         if np.array_equal(q_new[m:], q[m:]):
             return q_new, best
         val = step_objective(q_new, q_prev, D, tau, ds)
@@ -711,12 +696,8 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         return q, 0, val, None
     n = projector.n
     found = {}
-    x = None
-    if D.affine:
-        # the one target of every candidate and every probe, read-only so
-        # that the projector keeps it uncopied and matches it by identity
-        x = q_prev - tau * D.grad(q_prev)
-        x.flags.writeable = False
+    # the record of the one target of every candidate and every probe
+    t = projector.target(q_prev - tau * D.grad(q_prev)) if D.affine else None
 
     def candidate(m):
         if m not in found:
@@ -726,7 +707,7 @@ def solve_step(projector, q_prev, m_prev, D, tau):
             else:
                 below = [k for k in found if k < m]
                 warm = found[max(below)][0] if below else None
-                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm, _x=x)
+                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm, _x=t)
         return found[m]
 
     def lowers(m):
@@ -740,12 +721,12 @@ def solve_step(projector, q_prev, m_prev, D, tau):
 
         def predicted(m):
             if m not in slopes:
-                slopes[m] = scale * projector.suffix_slope(x, m)
+                slopes[m] = scale * projector.suffix_slope(t, m)
             return slopes[m]
 
         # pinning a sample whose target is at or past the door lowers the
         # objective, so the first stop lies past every such sample
-        past = m_prev + int(np.count_nonzero(x[m_prev:] <= projector.domain.a))
+        past = m_prev + int(np.count_nonzero(t.x[m_prev:] <= projector.domain.a))
         lo, guess = past - 1, past
         if past + 1 < n and predicted(past) < -1e-15 and predicted(past + 1) < -1e-15:
             f0, f1 = predicted(past), predicted(past + 1)

@@ -90,11 +90,11 @@ class Domain1D:
     def __post_init__(self):
         if not (self.a >= 0.0):
             raise FeasibilityError(f"inner radius must be >= 0, got {self.a}")
-        if not (self.R > self.a):
-            raise FeasibilityError(f"need R > a, got a={self.a}, R={self.R}")
+        if not (self.a < self.R < np.inf):
+            raise FeasibilityError(f"need a finite R > a, got a={self.a}, R={self.R}")
         if self.weight_kind == "radial":
-            if self.half_angle is None or not (self.half_angle > 0.0):
-                raise FeasibilityError("radial weight needs half_angle > 0")
+            if self.half_angle is None or not (0.0 < self.half_angle < np.inf):
+                raise FeasibilityError("radial weight needs a finite half_angle > 0")
         elif self.weight_kind == "flat":
             if self.half_angle is not None:
                 raise FeasibilityError("flat weight takes no half_angle")
@@ -161,19 +161,19 @@ class Measure1D:
         rho = np.asarray(self.rho, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or rho.shape != (edges.size - 1,):
             raise FeasibilityError("edges must be (n+1,) and rho (n,)")
-        if (edges[1:] - edges[:-1] <= 0.0).any():
+        if not (edges[1:] - edges[:-1] > 0.0).all():
             raise MonotonicityError("cell edges must be strictly increasing")
         d = self.domain
         if not (abs(edges[0] - d.a) < 1e-9 and abs(edges[-1] - d.R) < 1e-9):
             raise DomainMismatchError(
                 f"edges span [{edges[0]}, {edges[-1]}], domain is [{d.a}, {d.R}]"
             )
-        if (rho < -DENSITY_TOL).any() or (rho > 1.0 + DENSITY_TOL).any():
+        if not ((rho >= -DENSITY_TOL) & (rho <= 1.0 + DENSITY_TOL)).all():
             raise FeasibilityError(
                 f"density outside [0, 1]: min={rho.min()}, max={rho.max()}"
             )
-        if self.exit_mass < 0.0:
-            raise FeasibilityError("exit_mass must be >= 0")
+        if not (0.0 <= self.exit_mass < np.inf):
+            raise FeasibilityError(f"exit_mass must be finite and >= 0, got {self.exit_mass}")
         if self.exit_mass > 0.0 and not d.has_exit:
             raise FeasibilityError("exit_mass > 0 on a domain without exit")
         if edges.flags.writeable:
@@ -316,15 +316,20 @@ class Measure1D:
             raise FeasibilityError("bad header in measure CSV")
         exit_mass = 0.0
         lefts, rights, rho = [], [], []
-        for row in rows[1:]:
+        for line, row in enumerate(rows[1:], start=2):
             if not row:
                 continue
-            if row[0] == "exit_mass":
-                exit_mass = float(row[1])
-                continue
-            lefts.append(float(row[0]))
-            rights.append(float(row[1]))
-            rho.append(float(row[2]))
+            try:
+                if row[0] == "exit_mass":
+                    exit_mass = float(row[1])
+                    continue
+                left, right, value = map(float, row[:3])
+            except (IndexError, ValueError):
+                raise FeasibilityError(f"measure CSV line {line} is not a cell row "
+                                       f"or an exit_mass row: {','.join(row)!r}") from None
+            lefts.append(left)
+            rights.append(right)
+            rho.append(value)
         if not rho:
             raise FeasibilityError("measure CSV has no cell rows")
         edges = np.array(lefts + [rights[-1]])
@@ -415,7 +420,7 @@ def quantile_of(m, n_samples=4096):
     if n_samples < 2:
         raise FeasibilityError("need at least 2 quantile samples")
     tm = m.total_mass()
-    if abs(tm - 1.0) > 1e-9:
+    if not abs(tm - 1.0) <= 1e-9:
         raise MassMismatchError(f"total mass {tm} is not 1")
     s = (np.arange(n_samples) + 0.5) / n_samples
     masses = m.cell_masses()

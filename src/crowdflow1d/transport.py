@@ -62,11 +62,11 @@ class Potential1D:
 
 def _as_atoms(obj):
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise FeasibilityError("atoms must be an array-like of (position, mass)")
+    if arr.ndim != 2 or arr.shape[1] != 2 or not arr.size:
+        raise FeasibilityError("atoms must be a nonempty array-like of (position, mass)")
     pos, mass = arr[:, 0], arr[:, 1]
-    if np.any(mass < 0):
-        raise FeasibilityError("atom masses must be nonnegative")
+    if not (np.isfinite(arr).all() and (mass >= 0.0).all()):
+        raise FeasibilityError("atom positions and masses must be finite, masses nonnegative")
     order = np.argsort(pos, kind="stable")
     return pos[order], mass[order]
 
@@ -136,7 +136,10 @@ def w2_1d(src, dst, n_samples=4096):
     -------
     TransportPlanSummary
     """
-    if not isinstance(src, Measure1D) and not hasattr(src, "q"):
+    atoms = [not isinstance(m, Measure1D) and not hasattr(m, "q") for m in (src, dst)]
+    if atoms[0] != atoms[1]:
+        raise FeasibilityError("w2_1d pairs atom lists only with atom lists")
+    if atoms[0]:
         x, p = _as_atoms(src)
         y, q = _as_atoms(dst)
         if abs(p.sum() - q.sum()) > 1e-9 * max(1.0, p.sum()):

@@ -61,6 +61,13 @@ def test_domain_validation():
         Domain1D(0.0, 1.0, "sector", None, False)
 
 
+@pytest.mark.parametrize("a, R, kind, half_angle", [
+    (0.0, np.inf, "flat", None), (1.0, np.inf, "radial", 0.3), (0.0, 1.0, "radial", np.inf)])
+def test_domain_rejects_infinite_bounds(a, R, kind, half_angle):
+    with pytest.raises(FeasibilityError, match="finite"):
+        Domain1D(a, R, kind, half_angle, False)
+
+
 def test_uniform_measure_mass_and_cdf():
     dom = Domain1D(0.0, 2.0, "flat", None, False)
     m = Measure1D.uniform(dom, 0.5, 128)
@@ -90,6 +97,18 @@ def test_measure_validation():
         Measure1D(dom, np.linspace(0.1, 1.0, 5), np.full(4, 0.5))
     with pytest.raises(FeasibilityError):
         Measure1D(dom, edges, np.full(4, 0.5), exit_mass=0.1)  # no exit here
+
+
+def test_measure_rejects_nan_cells_and_non_finite_exit_mass():
+    dom = Domain1D(0.0, 1.0, "flat", None, True)
+    edges = np.linspace(0.0, 1.0, 3)
+    with pytest.raises(FeasibilityError, match="density outside"):
+        Measure1D(dom, edges, [np.nan, 0.1])
+    with pytest.raises(MonotonicityError):
+        Measure1D(dom, [0.0, np.nan, 1.0], [0.5, 0.5])
+    for exit_mass in (np.nan, np.inf):
+        with pytest.raises(FeasibilityError, match="exit_mass"):
+            Measure1D(dom, edges, [0.4, 0.4], exit_mass)
 
 
 def test_random_feasible_is_feasible_and_deterministic(rng):
@@ -198,6 +217,14 @@ def test_quantile_of_rejects_non_probability():
         quantile_of(m, 64)
 
 
+def test_quantile_of_rejects_a_nan_total():
+    m = Measure1D.uniform(Domain1D(0.0, 2.0, "flat", None, True), 0.5, 16)
+    # a field set after construction skips the constructor's checks
+    m.exit_mass = np.nan
+    with pytest.raises(MassMismatchError):
+        quantile_of(m, 64)
+
+
 def test_exit_atom_enters_cdf_and_quantiles():
     dom = Domain1D(1.0, 3.0, "flat", None, True)
     m = Measure1D.uniform(dom, 0.375, 16, exit_mass=0.25)
@@ -267,6 +294,14 @@ def test_csv_without_cells_is_rejected():
     dom = Domain1D(1.0, 3.0, "flat", None, True)
     with pytest.raises(FeasibilityError):
         Measure1D.from_csv(io.StringIO("r_left,r_right,rho\n"), dom)
+
+
+@pytest.mark.parametrize("row", ["1,2", "exit_mass,x,", "exit_mass", "0.5,1.0,abc"])
+def test_csv_malformed_row_names_its_line(row):
+    dom = Domain1D(0.0, 1.0, "flat", None, True)
+    text = f"r_left,r_right,rho\n0.0,0.5,0.5\n{row}\n0.5,1.0,0.5\n"
+    with pytest.raises(FeasibilityError, match="line 3"):
+        Measure1D.from_csv(io.StringIO(text), dom)
 
 
 def test_spill_excess_conserves_mass_and_caps():

@@ -50,6 +50,12 @@ def _instance(rng):
     return dom, m, np.maximum(x, 0.0)
 
 
+def _project(dom, x, m=0):
+    """The projection of ``x`` with ``m`` samples pinned, by a fresh projector."""
+    projector = ChainProjector(dom, x.size)
+    return projector.project(projector.target(x), m)
+
+
 def _slsqp(dom, m, x):
     """The projection as a generic problem in ``z = W(Q)``; convex for ``x >= 0``."""
     n = x.size
@@ -80,7 +86,7 @@ def test_projection_matches_a_generic_constrained_solver():
         dom, m, x = _instance(np.random.default_rng([11, i]))
         n = x.size
         ds = 1.0 / n
-        q = ChainProjector(dom, n).project(x, m)
+        q = _project(dom, x, m)
         z = dom.cumweight(q[m:])
         tol = 1e-12 * max(1.0, dom.total_weight)
         feasible = (
@@ -118,7 +124,7 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
     expected = []
     for i in range(N_INSTANCES):
         dom, m, x = _instance(np.random.default_rng([11, i]))
-        expected.append(ChainProjector(dom, x.size).project(x, m))
+        expected.append(_project(dom, x, m))
     honest_pool = ChainProjector._pool
     pools = []
 
@@ -132,7 +138,7 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
     for i in range(N_INSTANCES):
         dom, m, x = _instance(np.random.default_rng([11, i]))
         pools.append(0)
-        q = ChainProjector(dom, x.size).project(x, m)
+        q = _project(dom, x, m)
         gap = float(np.abs(q - expected[i]).max())
         if gap > 1e-12 * max(1.0, dom.R):
             problems.append(f"instance {i}: {gap:.2e} from the exact projection")
@@ -149,7 +155,7 @@ def test_projection_falls_back_when_the_trial_is_wrong(monkeypatch):
 def _reference_block(projector, lo, hi, x):
     """The radial block solve by endpoint tests and ``brentq``."""
     ylo, yhi = projector.lb[lo], projector.ub[hi]
-    t = projector._target(x)
+    t = projector.target(x)
 
     def grad(y):
         return projector._grad_sum(t, y, lo, hi)
@@ -196,7 +202,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
         # from the lower bound, then warm-started below it, left of the
         # root, at it, right of it and past the upper bound
         for start in (None, ylo - 1.0, 0.5 * (ylo + ref), ref, 0.5 * (ref + yhi), yhi + 1.0):
-            y = projector._solve_block(projector._target(x), lo, hi, start)
+            y = projector._solve_block(projector.target(x), lo, hi, start)
             if abs(y - ref) > 1e-13 * max(1.0, abs(ref)):
                 problems.append(f"block {i} from {start!r}: {y!r} against brentq's {ref!r}")
         if ref == ylo:
@@ -212,7 +218,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     dom = Domain1D(0.0, 3.0, "radial", 0.3, False)
     projector = ChainProjector(dom, 4)
     x = np.array([-0.1, 2.5, 2.5, 2.5])
-    y = projector._solve_block(projector._target(x), 0, 3)
+    y = projector._solve_block(projector.target(x), 0, 3)
     assert calls
     assert projector.lb[0] < y < projector.ub[3]
     assert y == _reference_block(projector, 0, 3, x)
@@ -221,7 +227,7 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     calls.clear()
     x = np.zeros(4)
     for start in (None, projector.lb[1], projector.ub[3]):
-        assert projector._solve_block(projector._target(x), 2, 3, start) == projector.lb[2]
+        assert projector._solve_block(projector.target(x), 2, 3, start) == projector.lb[2]
     assert not calls
 
 
@@ -237,7 +243,7 @@ def test_certificate_checks_chain_order():
     y_s = (dom.cumweight(x) - projector.offs)[m:]
     assert np.all((y_s > projector.lb[m:]) & (y_s < projector.ub[m:]))
     assert np.any(np.diff(y_s) < 0.0)
-    t = projector._target(x)
+    t = projector.target(x)
     assert np.array_equal(t.singles[m:], y_s)
     none = np.zeros(0, dtype=int)
     assert projector._certified(t, m, none, none, np.zeros(0)) is None
@@ -251,17 +257,19 @@ def test_certificate_checks_chain_order():
     ("trial", [1.0, 2.0, 2.9, 2.8, 2.7, 3.2, 3.5, 3.8]),
 ])
 def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path, x):
-    """The verdicts of the blocks of one are kept with the target, and
-    they are no bypass.  A domain map under which the clipped targets
-    no longer map back onto the targets puts every block of one off its
-    target; the certificate then rejects the partition at a block
-    boundary, for the target's first candidate and for a later one that
-    reuses the memo, on the in-order path and on the trial path (whose
-    exact pooling fails the same way)."""
+    """The verdicts of the blocks of one are kept with the target's
+    record, and they are no bypass.  A domain map under which the clipped
+    targets no longer map back onto the targets puts every block of one
+    off its target; the certificate then rejects the partition at a block
+    boundary, for the record's first candidate and for a later one that
+    projects the same record, on the in-order path and on the trial path
+    (whose exact pooling fails the same way).  The projections build no
+    record of their own."""
     dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
     x = np.array(x)
-    events, verdicts = [], []
+    events, verdicts, records = [], [], []
     honest_trial, honest_kkt = ChainProjector._trial, ChainProjector._kkt_violation
+    honest_target = ChainProjector.target
 
     def trial(self, t, m):
         events.append("trial")
@@ -271,27 +279,31 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
         verdicts.append(honest_kkt(self, *args))
         return verdicts[-1]
 
+    def target(self, x):
+        records.append(honest_target(self, x))
+        return records[-1]
+
     monkeypatch.setattr(ChainProjector, "_trial", trial)
     monkeypatch.setattr(ChainProjector, "_kkt_violation", kkt)
+    monkeypatch.setattr(ChainProjector, "target", target)
     projector = ChainProjector(dom, x.size)
+    t = projector.target(x)
     for m in (1, 2):
-        projector.project(x, m)
+        projector.project(t, m)
     # the honest map: the path as labelled, every certificate passes and
     # no block of one fails
     assert ("trial" in events) == (path == "trial"), events
-    assert verdicts == [None, None] and projector._memo.fails.size == 0
+    assert records == [t] and verdicts == [None, None] and t.fails.size == 0
     honest_cumweight = Domain1D.cumweight
     monkeypatch.setattr(Domain1D, "cumweight", lambda self, r: honest_cumweight(self, r) + 0.01)
-    projector, memo = ChainProjector(dom, x.size), None
+    t = projector.target(x)
     for m in (1, 2):
         verdicts.clear()
         with pytest.raises(SolverFailureError, match="at a block boundary"):
-            projector.project(x, m)
-        assert projector._memo is memo or memo is None
-        memo = projector._memo
+            projector.project(t, m)
         assert len(verdicts) == (2 if path == "trial" else 1), verdicts
         assert all(v and v[0].endswith("at a block boundary") for v in verdicts), verdicts
-    assert memo.fails.size, memo.fails
+    assert len(records) == 2 and records[1] is t and t.fails.size, (records, t.fails)
 
 
 def test_blocks_of_one_are_built_once_per_target(monkeypatch):
@@ -406,7 +418,7 @@ def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
                 "fails": np.flatnonzero(~_solver._ends_ok(singles, lb, ub, grad,
                                                           _solver.KKT_TOL * scale)),
             }
-            t = projector._target(target)
+            t = projector.target(target)
             projector._gaps(t)
             projector._ones(t)
             for name, value in old.items():
@@ -527,7 +539,7 @@ def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
             instance = (seed, i)
             dom, m, *targets = make(np.random.default_rng([seed, i]))
             for x in targets:
-                ChainProjector(dom, x.size).project(x, m)
+                _project(dom, x, m)
     assert not problems, problems
     assert verdicts[None] >= 1000, verdicts
     if trial != "honest":
@@ -650,7 +662,7 @@ def _verdict_case(rng, kind):
             x[lo_b[b]] = -np.inf
     else:
         y_b, at, starts, ends = np.zeros(0), None, None, None
-    t = projector._target(x)
+    t = projector.target(x)
     if kind == "infinite total":
         t = dataclasses.replace(t, scale=max(1.0, float(np.abs(x[np.isfinite(x)]).max())))
     verdicts = rng.integers(3)
@@ -782,7 +794,7 @@ def test_no_block_partition_matches_the_general_path(order):
             out = []
             for certify in (_general_certified, ChainProjector._certified):
                 projector = ChainProjector(dom, n)
-                t = projector._target(x)
+                t = projector.target(x)
                 try:
                     out.append((certify(projector, t, m, none, none, no_values, strict=strict),
                                 None))
@@ -923,10 +935,10 @@ def test_door_loop_reuses_the_candidate_after_the_step(monkeypatch, potential):
 
 
 def _repeat_instance(rng):
-    """Instance with a warm-up target projected before the target.
+    """Instance with a second target next to the target.
 
     Exit domains pin a prefix; domains without one start at a wall or
-    at the apex, where targets may be negative.  The warm-up target is
+    at the apex, where targets may be negative.  The second target is
     the target perturbed slightly (its blocks are usually the same) or
     shuffled (they usually are not).
     """
@@ -949,19 +961,19 @@ def _repeat_instance(rng):
     if has_exit:
         x = np.maximum(x, 0.0)
     if rng.uniform() < 0.5:
-        warm_up = x + 1e-6 * span * rng.normal(size=n)
+        other = x + 1e-6 * span * rng.normal(size=n)
     else:
-        warm_up = rng.permutation(x)
-    return dom, m, x, warm_up
+        other = rng.permutation(x)
+    return dom, m, x, other
 
 
 @pytest.mark.parametrize("trial", ["honest", "on lower bound"])
 def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
-    """Projecting a target after a warm-up target returns the same bits
-    as a fresh projector, and so does projecting it again at other
-    prefixes in shuffled order, which reuses the projector's memo of the
-    target's arrays.  The trial that puts every sample in one block on
-    its lower bound forces the exact fallback."""
+    """One record of a target, projected at several prefixes in shuffled
+    order as the candidates of one step project it, gives at each prefix
+    the bits of a fresh record, and every array the record keeps is
+    read-only.  The trial that puts every sample in one block on its
+    lower bound forces the exact fallback."""
     events = []
     honest_certified = ChainProjector._certified
     honest_pool = ChainProjector._pool
@@ -982,65 +994,30 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         monkeypatch.setattr(ChainProjector, "_trial", _on_lower_bound)
     problems, paths, kinds, hits = [], Counter(), Counter(), 0
     for i in range(N_REPEATS):
-        dom, m, x, warm_up = _repeat_instance(np.random.default_rng([23, i]))
-        fresh = ChainProjector(dom, x.size).project(x, m)
+        dom, m, x, _ = _repeat_instance(np.random.default_rng([23, i]))
         projector = ChainProjector(dom, x.size)
-        projector.project(warm_up, m)
+        t = projector.target(x)
         events.clear()
-        warmed = projector.project(x, m)
+        projector.project(t, m)
         if "pool" in events:
             path = "fallback"
         else:
             path = "trial" if events == ["trial"] else "in order"
         paths[path, dom.weight_kind] += 1
         kinds[dom.weight_kind, dom.has_exit] += 1
-        if not np.array_equal(warmed, fresh):
-            problems.append(f"instance {i} ({path}): projection depends on the warm-up")
-        # the target's arrays are kept for the next call and must not change
-        memo = projector._memo
-        for arr in (memo.x, memo.singles, memo.drops, memo.gaps, memo.trial, memo.psum, memo.pos,
-                    memo.means, *memo.fits.values(), memo.grad, memo.fails):
-            if arr is not None:
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 0.0
-        # nor may the caller's array, which it may overwrite for the next call
-        scratch = warm_up.copy()
-        projector.project(scratch, m)
-        scratch[:] = x
-        if not np.array_equal(projector.project(scratch, m), fresh):
-            problems.append(f"instance {i}: the memo follows the caller's array")
-        # nor may a read-only view of a writeable buffer, which the caller
-        # may overwrite through the buffer
-        scratch = warm_up.copy()
-        view = scratch[:]
-        view.flags.writeable = False
-        projector.project(view, m)
-        scratch[:] = x
-        if not np.array_equal(projector.project(view, m), fresh):
-            problems.append(f"instance {i}: the memo follows a read-only view")
-        # a read-only array that owns its data is kept uncopied, as the
-        # target of an affine step is
-        projector = ChainProjector(dom, x.size)
-        kept = x.copy()
-        kept.flags.writeable = False
-        if not np.array_equal(projector.project(kept, m), fresh):
-            problems.append(f"instance {i}: a kept target projects differently")
-        memo = projector._memo
-        if memo.x is not kept:
-            problems.append(f"instance {i}: a read-only target that owns its data was copied")
-        if not dom.has_exit:
-            continue
-        # the same target at other prefixes, as the candidates of one step
-        # project it (the kept array, or an equal one): every call reuses
-        # the memo and matches a fresh projector
-        prefixes = np.random.default_rng([23, i, 1]).permutation(np.arange(m, x.size))[:4]
-        for j, k in enumerate(prefixes):
-            again = projector.project(kept if j % 2 else x, int(k))
-            if projector._memo is not memo:
-                problems.append(f"instance {i}, prefix {k}: the memo was not reused")
-            if not np.array_equal(again, ChainProjector(dom, x.size).project(x, int(k))):
-                problems.append(f"instance {i}, prefix {k}: projection depends on the memo")
-            hits += 1
+        if dom.has_exit:
+            prefixes = np.random.default_rng([23, i, 1]).permutation(np.arange(m, x.size))[:4]
+            for k in prefixes:
+                again = projector.project(t, int(k))
+                if not _same_bits(again, projector.project(projector.target(x), int(k))):
+                    problems.append(f"instance {i}, prefix {k}: projection depends on the record")
+                hits += 1
+        # no certificate of these instances reads a drop outside its blocks
+        projector._gaps(t)
+        for arr in (t.x, t.singles, t.drops, t.gaps, t.trial, t.psum, t.pos, t.means,
+                    *t.fits.values(), t.grad, t.fails):
+            if arr is not None and arr.flags.writeable:
+                problems.append(f"instance {i}: a record array is writeable")
     assert not problems, problems
     assert hits >= 400, hits
     assert min(kinds[kind] for kind in product(("flat", "radial"), (False, True))) >= 50, kinds
@@ -1092,7 +1069,7 @@ def test_falling_suffix_regression_is_its_clipped_mean(where):
         rng = np.random.default_rng([43, i])
         projector, x, m = _falling_suffix(rng, "radial", where)
         lb, ub = projector.lb[m], projector.ub[-1]
-        t = projector._target(x)
+        t = projector.target(x)
         ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
         fit = projector._fit(t, m)
         expected = {"inside": lb < ref[0] < ub, "below": ref[0] == lb, "above": ref[0] == ub}
@@ -1102,21 +1079,19 @@ def test_falling_suffix_regression_is_its_clipped_mean(where):
             problems.append(f"instance {i}: more than one run")
         elif np.abs(fit - ref).max() > 1e-12 * np.abs(t.singles[m:]).max():
             problems.append(f"instance {i}: {np.abs(fit - ref).max():.2e} off SciPy's")
-        # pair k rises, every other pair still drops; a fresh projector,
-        # so no memo is shared
+        # pair k rises, every other pair still drops
         y = t.singles.copy()
         k = int(rng.integers(m, projector.n - 1))
         y[k] = min(y[k], 0.5 * (projector.lb[k] + projector.ub[k + 1]))
         y[k + 1] = max(y[k + 1], 0.5 * (y[k] + projector.ub[k + 1]))
-        rise = ChainProjector(projector.domain, projector.n)
-        t = rise._target(projector.domain.inv_cumweight(y + projector.offs))
+        t = projector.target(projector.domain.inv_cumweight(y + projector.offs))
         ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
-        if np.count_nonzero(t.drops >= m) != projector.n - 2 - m or rise._falls(t, m):
+        if np.count_nonzero(t.drops >= m) != projector.n - 2 - m or projector._falls(t, m):
             problems.append(f"instance {i}: not one rise at {k}")
-        elif not np.array_equal(rise._fit(t, m), ref):
+        elif not np.array_equal(projector._fit(t, m), ref):
             problems.append(f"instance {i}: a rise at {k} does not keep SciPy's regression")
         projector, x, m = _falling_suffix(rng, "flat", where)
-        t = projector._target(x)
+        t = projector.target(x)
         ref = np.clip(isotonic_regression(t.trial[m:]).x, projector.lb[m], projector.ub[-1])
         if not (np.array_equal(projector._fit(t, m), ref) and t.means is None):
             problems.append(f"instance {i}: the flat regression changed")
@@ -1144,7 +1119,7 @@ def test_flat_projections_never_fall_back(monkeypatch):
         for i in range(count):
             dom, m, x = make(np.random.default_rng([seed, i]))[:3]
             if dom.weight_kind == "flat":
-                ChainProjector(dom, x.size).project(x, m)
+                _project(dom, x, m)
     assert pools[0] == 0
     assert trials[0] >= 200
 
@@ -1180,12 +1155,12 @@ def test_affine_potential_costs_one_projection(monkeypatch):
     honest_minimize = _solver.minimize_free
     projections, problems, calls = [0], [], [0]
 
-    def counted(self, x, m=0):
+    def counted(self, t, m=0):
         projections[0] += 1
-        return honest_project(self, x, m)
+        return honest_project(self, t, m)
 
     def checked(projector, q_prev, m, D, tau, *, warm=None, _x=None):
-        expected = projector.project(q_prev - tau * D.grad(q_prev), m)
+        expected = projector.project(projector.target(q_prev - tau * D.grad(q_prev)), m)
         projections[0] = 0
         q, val = honest_minimize(projector, q_prev, m, D, tau, warm=warm, _x=_x)
         where = f"flow {flow}, m={m}"
@@ -1342,9 +1317,7 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
         stops.clear()
         prefixes.clear()
         q, m, val, after = honest_step(projector, q_prev, m_prev, D, tau)
-        # a fresh projector, so the scan shares no memo with the search
-        fresh = ChainProjector(projector.domain, projector.n)
-        q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, m_prev, D, tau, honest_minimize)
+        q_ref, m_ref, val_ref = _linear_scan(projector, q_prev, m_prev, D, tau, honest_minimize)
         where = f"{label}, m_prev={m_prev}"
         x = q_prev - tau * D.grad(q_prev)
         past = m_prev + np.count_nonzero(x[m_prev:] <= projector.domain.a)
@@ -1368,7 +1341,7 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
 
     if prediction != "honest":
         slope = 1.0 if prediction == "first inside" else -1.0
-        monkeypatch.setattr(ChainProjector, "suffix_slope", lambda self, x, m: slope)
+        monkeypatch.setattr(ChainProjector, "suffix_slope", lambda self, t, m: slope)
     monkeypatch.setattr(_solver, "minimize_free", counted)
     monkeypatch.setattr(_solver, "_first_stop", first_stop)
     monkeypatch.setattr(jko, "solve_step", checked)
@@ -1395,19 +1368,19 @@ def test_prediction_runs_no_projection(monkeypatch):
     honest_slope = ChainProjector.suffix_slope
     inside, counts = [False], Counter()
 
-    def project(self, x, m=0):
+    def project(self, t, m=0):
         counts["project", inside[0]] += 1
-        return honest_project(self, x, m)
+        return honest_project(self, t, m)
 
     def minimize(*args, **kwargs):
         counts["minimize_free", inside[0]] += 1
         return honest_minimize(*args, **kwargs)
 
-    def slope(self, x, m):
+    def slope(self, t, m):
         counts["suffix_slope"] += 1
         inside[0] = True
         try:
-            return honest_slope(self, x, m)
+            return honest_slope(self, t, m)
         finally:
             inside[0] = False
 
@@ -1426,25 +1399,27 @@ def test_prediction_runs_no_projection(monkeypatch):
 def test_affine_step_builds_one_target(monkeypatch):
     """An affine step derives its target ``q_prev - tau*D'`` once: on the
     exit steps of a fig4-like drain at 1024 samples, every step calls
-    ``D.grad`` once and builds one target record, however many
-    prediction probes and candidates project that target."""
-    built, grads, calls = [0], [0], Counter()
-    honest_target, honest_minimize = _solver._Target, _solver.minimize_free
+    ``D.grad`` once and builds one target record, and every prediction
+    probe and every candidate gets that record."""
+    records, grads, calls = [], [0], Counter()
+    honest_target, honest_minimize = ChainProjector.target, _solver.minimize_free
     honest_slope = ChainProjector.suffix_slope
 
-    def target(*args):
-        built[0] += 1
-        return honest_target(*args)
+    def target(self, x):
+        records.append(honest_target(self, x))
+        return records[-1]
 
-    def minimize(*args, **kwargs):
+    def minimize(projector, q_prev, m, D, tau, *, warm=None, _x=None):
         calls["candidates"] += 1
-        return honest_minimize(*args, **kwargs)
+        calls["other records"] += _x is not records[-1]
+        return honest_minimize(projector, q_prev, m, D, tau, warm=warm, _x=_x)
 
-    def slope(self, x, m):
+    def slope(self, t, m):
         calls["probes"] += 1
-        return honest_slope(self, x, m)
+        calls["other records"] += t is not records[-1]
+        return honest_slope(self, t, m)
 
-    monkeypatch.setattr(_solver, "_Target", target)
+    monkeypatch.setattr(ChainProjector, "target", target)
     monkeypatch.setattr(_solver, "minimize_free", minimize)
     monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
     p = fig4_preset()
@@ -1459,10 +1434,41 @@ def test_affine_step_builds_one_target(monkeypatch):
     projector = ChainProjector(p.domain(), 1024)
     q, m = quantile_of(p.initial(64), 1024).q, 0
     for step in range(40):
-        built[0] = grads[0] = 0
+        records.clear()
+        grads[0] = 0
         q, m, _, _ = solve_step(projector, q, m, D, p.tau)
-        assert (built[0], grads[0]) == (1, 1), (step, built, grads)
+        assert (len(records), grads[0]) == (1, 1), (step, records, grads)
     assert m > 0 and calls["candidates"] >= 80 and calls["probes"] >= 40, (m, calls)
+    assert calls["other records"] == 0, calls
+
+
+def test_projector_keeps_no_state_between_steps(monkeypatch):
+    """A projector keeps nothing between calls: after each of a few steps
+    of a fig4 drain, door loop included, and after one step of a curved
+    table potential, its attributes are the objects ``__init__`` made,
+    with the same bytes."""
+    honest, made, steps = jko._assemble, {}, Counter()
+
+    def checked(projector, *args):
+        state = made.setdefault(id(projector), (projector, dict(vars(projector)), {
+            k: v.tobytes() for k, v in vars(projector).items() if isinstance(v, np.ndarray)}))
+        res = honest(projector, *args)
+        _, attrs, data = state
+        now = vars(projector)
+        assert now.keys() == attrs.keys() and all(now[k] is v for k, v in attrs.items()), now
+        assert all(now[k].tobytes() == b for k, b in data.items())
+        steps[args[3].affine] += 1
+        return res
+
+    monkeypatch.setattr(jko, "_assemble", checked)
+    p = fig4_preset()
+    dom = p.domain()
+    run_flow(p.initial(64), PotentialD.distance_to_exit(dom), p.tau, 5 * p.tau,
+             n_samples=1024, n_cells=64)
+    D = _convex_table(np.random.default_rng(79), dom)
+    tau = min(p.tau, 0.9 * step_size_cap(D))
+    run_flow(p.initial(64), D, tau, tau, n_samples=1024, n_cells=64)
+    assert steps == {True: 5, False: 1} and len(made) == 2, (steps, made.keys())
 
 
 def _saturated_study_step(n, tau):
@@ -1477,17 +1483,24 @@ def _saturated_study_step(n, tau):
 
 
 @pytest.mark.parametrize("n, tau, fits", [(16384, 0.1, 9), (16384, 0.00625, 7), (1024, 0.1, 7)])
-def test_secant_seed_bounds_the_suffix_regressions(n, tau, fits):
+def test_secant_seed_bounds_the_suffix_regressions(monkeypatch, n, tau, fits):
     """On a saturated drain the predicted slope is almost linear from the
     first sample inside the domain up to its jump at the chosen prefix, so
     the prediction starts at the root of the line through its first two
     probes.  One step then leaves at most ``fits`` suffix regressions in
-    the target memo, the prediction's and the candidates' together (a
-    gallop from that sample leaves 26, 10 and 10)."""
+    the step's target record, the prediction's and the candidates'
+    together (a gallop from that sample leaves 26, 10 and 10)."""
+    records, honest_target = [], ChainProjector.target
+
+    def target(self, x):
+        records.append(honest_target(self, x))
+        return records[-1]
+
+    monkeypatch.setattr(ChainProjector, "target", target)
     projector, q_prev, D, past = _saturated_study_step(n, tau)
     q, m, val, _ = solve_step(projector, q_prev, 0, D, tau)
     assert m > past + 1, (m, past)
-    assert len(projector._memo.fits) <= fits, sorted(projector._memo.fits)
+    assert len(records) == 1 and len(records[0].fits) <= fits, sorted(records[0].fits)
 
 
 @pytest.mark.parametrize("dm", [1, 2, 5, 30, 200])
@@ -1505,7 +1518,7 @@ def test_secant_seed_survives_a_tangential_slope(monkeypatch, dm):
     def fake(m):
         return -float(m0 - m) ** 3
 
-    def slope(self, x, m):
+    def slope(self, t, m):
         probes.append(m)
         return fake(m)
 
@@ -1549,7 +1562,7 @@ def test_saturated_step_runs_no_regression(monkeypatch, tau):
     assert runs[0] == 0, runs
     dom, lb, ub, offs = projector.domain, projector.lb, projector.ub, projector.offs
     x = q_prev - tau * D.grad(q_prev)
-    t = projector._target(x)
+    t = projector.target(x)
 
     def old_dist(k):
         fit = t.singles[k:] if t.last_drop < k else np.clip(
@@ -1559,7 +1572,7 @@ def test_saturated_step_runs_no_regression(monkeypatch, tau):
     prefixes = np.arange(past, past + 200)
     dists = [old_dist(k) for k in range(past, past + 201)]
     old = (dom.a - x[prefixes]) ** 2 + np.diff(dists)
-    new = np.array([projector.suffix_slope(x, int(k)) for k in prefixes])
+    new = np.array([projector.suffix_slope(t, int(k)) for k in prefixes])
     assert np.abs(new - old).max() <= 1e-10, np.abs(new - old).max()
     scale = projector.ds / (2.0 * tau)
     stops = [int(np.argmax(scale * f >= -1e-15)) for f in (old, new)]
@@ -1595,7 +1608,7 @@ def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
         # the step as minimize_free takes it, operation for operation
         theta = 1.0 / (1.0 + tau * max(D.curv_ub, 0.0, -min(D.lam, 0.0)))
         target = q_prev + (1.0 - theta) * (q - q_prev) - theta * tau * D.grad(q)
-        q_next = projector.project(target, m)
+        q_next = projector.project(projector.target(target), m)
         if np.array_equal(q_next, q):
             outcomes["same"] += 1
         elif not step_objective(q_next, q_prev, D, tau, projector.ds) < val:

@@ -59,6 +59,28 @@ def test_lp_oracle_rejects_unbalanced_and_large():
         w2_lp_oracle(big, big)
 
 
+@pytest.mark.parametrize("src, dst", [
+    ([(np.nan, 1.0)], [(1.0, 1.0)]),
+    ([(0.0, 1.0)], [(np.inf, 1.0)]),
+    ([(0.0, np.nan)], [(1.0, 1.0)]),
+    (np.zeros((0, 2)), [(1.0, 1.0)]),
+    ([(0.0, 1.0)], np.zeros((0, 2))),
+])
+def test_non_finite_or_empty_atoms_are_rejected(src, dst):
+    with pytest.raises(FeasibilityError, match="atom"):
+        w2_1d(src, dst)
+    with pytest.raises(FeasibilityError, match="atom"):
+        w2_lp_oracle(src, dst)
+
+
+def test_atoms_pair_only_with_atoms():
+    m = _block_measure(0.0, 1.0)
+    atoms = [(0.5, 1.0)]
+    for src, dst in ((m, atoms), (atoms, m), (quantile_of(m, 64), atoms)):
+        with pytest.raises(FeasibilityError, match="atom lists"):
+            w2_1d(src, dst)
+
+
 @given(st.integers(0, 10**6))
 def test_monotone_matches_lp_oracle(seed):
     rng = np.random.default_rng(seed)
