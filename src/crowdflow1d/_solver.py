@@ -33,13 +33,13 @@ gradients over the pooled blocks and judged block by block; when the
 trial does not, pooling runs again with an exact solve per merge,
 started at the block's lower bound.
 Everything that depends on the target alone (clipped singles and their
-positions, where the singles drop, the trial's input, the certificate's
-scale, the suffix regressions and, once needed, the suffixes' weighted
-means, the gaps at the drops and the gradients and verdicts of the
-blocks of one) is one record (:meth:`ChainProjector.target`), which a
-projection takes in place of the target: an affine step builds it once
-and hands it to every candidate prefix and every probe, since they all
-project the same target.  The projector itself keeps no state.
+positions, the last pairs where the singles drop and where they do not,
+the trial's input, the certificate's scale, the suffix regressions and,
+once needed, the suffixes' weighted means and the gradients and verdicts
+of the blocks of one) is one record (:meth:`ChainProjector.target`),
+which a projection takes in place of the target: an affine step builds
+it once and hands it to every candidate prefix and every probe, since
+they all project the same target.  The projector itself keeps no state.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -83,28 +83,27 @@ _NO_VALUES = np.zeros(0)
 _NO_BLOCKS.flags.writeable = _NO_VALUES.flags.writeable = False
 
 # the one record of everything that depends on a projection target, its
-# arrays read-only: a copy of the target, its clipped singles, the
-# samples j where the singles decrease (singles[j+1] < singles[j]) and
-# the last of them (-1 if none), the certificate scale max(1, max|x|),
-# the trial's input (x - a - j*ds on flat domains, the weights
-# w(Q(single))**-2 on radial ones), on flat domains the prefix sums of
-# that input, and the positions Q(single), where every block of one
-# sits; then, by first sample, the clipped isotonic regressions of its
+# arrays read-only: a copy of the target, its clipped singles, the last
+# pair j where the singles decrease (singles[j+1] < singles[j]) and the
+# last pair where they do not (each -1 if none), the certificate scale
+# max(1, max|x|), the trial's input (x - a - j*ds on flat domains, the
+# weights w(Q(single))**-2 on radial ones), on flat domains the prefix
+# sums of that input, and the positions Q(single), where every block of
+# one sits; then, by first sample, the clipped isotonic regressions of its
 # suffixes, kept as the trials and the prefix prediction run them
 # (:meth:`ChainProjector._fit`), on radial domains the weighted means of
 # the singles over each suffix, once a suffix whose singles drop at every
 # pair needs them, the prediction's squared distances of the suffixes
-# (:meth:`ChainProjector.suffix_slope`), once a certificate reads a drop
-# outside its listed blocks, the gaps singles[j+1] - singles[j] at the
-# drops, and, once a partition of the target has a block of one, the
-# gradient of every single (a block of one's total) and the samples whose
-# block of one fails the boundary certificate (:meth:`ChainProjector._ones`)
+# (:meth:`ChainProjector.suffix_slope`) and, once a partition of the
+# target has a block of one, the gradient of every single (a block of
+# one's total) and the samples whose block of one fails the boundary
+# certificate (:meth:`ChainProjector._ones`)
 @dataclass(eq=False)
 class _Target:
     x: np.ndarray
     singles: np.ndarray
-    drops: np.ndarray
     last_drop: int
+    last_rise: int
     scale: float
     trial: np.ndarray
     psum: np.ndarray | None
@@ -112,7 +111,6 @@ class _Target:
     fits: dict = field(default_factory=dict)
     means: np.ndarray | None = None
     dists: dict = field(default_factory=dict)
-    gaps: np.ndarray | None = None
     grad: np.ndarray | None = None
     fails: np.ndarray | None = None
 
@@ -246,7 +244,9 @@ class ChainProjector:
         a, R = self.domain.a, self.domain.R
         x = np.array(x, dtype=float)
         singles = _clip(self.domain.cumweight(_clip(x, a, R)) - self.offs, self.lb, self.ub)
-        drops = (singles[1:] < singles[:-1]).nonzero()[0]
+        falls = singles[1:] < singles[:-1]
+        last_drop, last_rise = (int(j[-1]) if j.size else -1
+                                for j in (falls.nonzero()[0], (~falls).nonzero()[0]))
         scale = max(1.0, float(abs(x).max()))
         pos = self.domain.inv_cumweight(singles + self.offs)
         psum = None
@@ -255,11 +255,10 @@ class ChainProjector:
             psum = np.concatenate([[0.0], np.cumsum(trial)])
         else:
             trial = self.domain.weight(pos) ** -2.0
-        for arr in (x, singles, drops, trial, psum, pos):
+        for arr in (x, singles, trial, psum, pos):
             if arr is not None:
                 arr.flags.writeable = False
-        return _Target(x, singles, drops, int(drops[-1]) if drops.size else -1, scale, trial, psum,
-                       pos)
+        return _Target(x, singles, last_drop, last_rise, scale, trial, psum, pos)
 
     def _ones(self, t):
         """Fill ``t.grad`` and ``t.fails``, the gradients and verdicts of the blocks of one.
@@ -278,18 +277,6 @@ class ChainProjector:
         t.fails = j[~_ends_ok(t.singles[j], self.lb[j], self.ub[j], t.grad[j], tol)]
         t.grad.flags.writeable = t.fails.flags.writeable = False
 
-    def _gaps(self, t):
-        """The gaps ``singles[j+1] - singles[j]`` at the drops of target ``t``, built on first use.
-
-        A certificate reads them only for the drops outside its listed
-        blocks; the partitions of a saturated drain list every free
-        sample, so their targets never build them.
-        """
-        if t.gaps is None:
-            t.gaps = t.singles[t.drops + 1] - t.singles[t.drops]
-            t.gaps.flags.writeable = False
-        return t.gaps
-
     def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
         """Positions of a block partition that passes the certificate.
 
@@ -298,16 +285,15 @@ class ChainProjector:
         every other sample from ``m`` on is a block of one at its clipped
         target ``t.singles[j]``, whose position, gradient and verdicts are
         read from the target's record (:meth:`_ones`).  The certificate
-        asks for block values in chain order and for nonnegative
-        multipliers (:meth:`_kkt_violation`).  A partition that lists no
-        block (targets in order from ``m`` on, or a trial without a pooled
-        run) costs a few calls: the verdicts of the blocks of one if they
-        are missing, the chain order as the smallest gap where the singles
-        drop from ``m`` on, and the positions of the singles.  A failed
-        certificate returns ``None``, or raises when ``strict`` (targets
-        already in order, or exact pooling: neither has a fallback).
+        asks for block values in chain order, read off the partition's
+        values ``y`` from ``m`` on, and for nonnegative multipliers
+        (:meth:`_kkt_violation`).  A failed certificate returns ``None``,
+        or raises when ``strict`` (targets already in order, or exact
+        pooling: neither has a fallback).
         """
         n = self.n
+        y = t.singles.copy()
+        count, at, starts, ends = 0, None, None, None
         if lo_b.size:
             # a partition's block sizes and where each block starts and
             # ends among the listed samples, for the certificate too
@@ -316,29 +302,12 @@ class ChainProjector:
             starts = ends - sizes
             count = int(ends[-1])
             s0, s1 = int(lo_b[0]), int(hi_b[-1]) + 1
-            # the listed blocks' samples, and the values from s0 to s1: the
-            # block values when the blocks are contiguous, else one per sample
-            at, span, y_at = slice(s0, s1), y_b, np.repeat(y_b, sizes)
+            # the listed blocks' samples: a slice when they are contiguous
+            at, y_at = slice(s0, s1), np.repeat(y_b, sizes)
             if count < s1 - s0:
                 at = np.arange(count) + np.repeat(lo_b - starts, sizes)
-                span = t.singles[s0:s1].copy()
-                span[at - s0] = y_at
-            # chain order: step by step from the sample before s0 to the one
-            # at s1, and further out where the singles drop
-            lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
-            v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
-            order = float((v[1:] - v[:-1]).min(initial=0.0))
-            i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
-            if i < j or k < t.drops.size:
-                gaps = self._gaps(t)
-                order = min(order, float(gaps[i:j].min(initial=0.0)),
-                            float(gaps[k:].min(initial=0.0)))
-        else:
-            # every free sample is a block of one: the chain order is where
-            # the singles drop from m on
-            count, at, starts, ends = 0, None, None, None
-            k = int(t.drops.searchsorted(m))
-            order = float(self._gaps(t)[k:].min(initial=0.0)) if k < t.drops.size else 0.0
+            y[at] = y_at
+        order = float((y[m + 1:] - y[m:-1]).min(initial=0.0))
         if count < n - m and t.grad is None:
             self._ones(t)
         if order < -GAP_TOL and not strict:
@@ -397,16 +366,8 @@ class ChainProjector:
         return fit
 
     def _falls(self, t, m):
-        """Whether the singles from sample ``m`` on, two or more, drop at every pair.
-
-        The drops are distinct samples below ``n - 1``, so those at or
-        past ``m`` are all of ``m..n-2`` exactly when the last is ``n - 2``
-        and there are ``n - 1 - m`` of them; a target whose last pair
-        does not drop is answered without a search.
-        """
-        if not m <= t.last_drop == self.n - 2:
-            return False
-        return t.drops.size - int(t.drops.searchsorted(m)) == self.n - 1 - m
+        """Whether the singles from sample ``m`` on, two or more, drop at every pair."""
+        return t.last_rise < m <= self.n - 2
 
     def _trial(self, t, m):
         """Trial partition from one isotonic regression (:meth:`_fit`): its

@@ -483,11 +483,11 @@ def _dual_violation(dom, grid, dW, rho, velocity, rng):
     starts = np.concatenate([[0], splits + 1])
     ends = np.concatenate([splits, [len(idx) - 1]])
     runs = [(idx[s], idx[e]) for s, e in zip(starts, ends) if idx[e] > idx[s] + 2]
+    if not runs:
+        return 0.0
     worst = 0.0
     h = grid[1] - grid[0]
     for _ in range(32):
-        if not runs:
-            break
         s, e = runs[rng.integers(len(runs))]
         c = grid[s] + (grid[e] - grid[s]) * rng.uniform(0.0, 0.6)
         d = c + (grid[e] - c) * rng.uniform(0.3, 1.0)

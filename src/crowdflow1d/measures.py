@@ -449,6 +449,8 @@ class CellGeometry:
     """
 
     def __init__(self, domain, n_cells):
+        if not (isinstance(n_cells, (int, np.integer)) and n_cells >= 1):
+            raise FeasibilityError(f"n_cells must be an integer of at least 1, got {n_cells!r}")
         self.domain = domain
         self.n_cells = n_cells
         self.edges = np.linspace(domain.a, domain.R, n_cells + 1)

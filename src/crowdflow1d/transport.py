@@ -116,6 +116,8 @@ def w2_lp_oracle(src_atoms, dst_atoms):
 
 
 def _pair_quantiles(src, dst, n_samples):
+    if src.domain != dst.domain:
+        raise FeasibilityError("measures live on different domains")
     qs = src if not isinstance(src, Measure1D) else quantile_of(src, n_samples)
     qd = dst if not isinstance(dst, Measure1D) else quantile_of(dst, n_samples)
     if qs.n != qd.n:
@@ -150,8 +152,6 @@ def w2_1d(src, dst, n_samples=4096):
         plan = np.column_stack([xs, ys, m])
         stay = _stay_on_exit(xs, ys, m, x.min())
         return TransportPlanSummary(w2, w1, plan, stay)
-    if isinstance(src, Measure1D) and src.domain != dst.domain:
-        raise FeasibilityError("measures live on different domains")
     qs, qd = _pair_quantiles(src, dst, n_samples)
     ds = 1.0 / qs.n
     diff = qs.q - qd.q

@@ -5,7 +5,7 @@ import pytest
 
 from crowdflow1d import jko
 from crowdflow1d.cli import ScenarioConfig
-from crowdflow1d.corridor import fig3_preset, fig4_preset
+from crowdflow1d.corridor import fig3_preset, fig4_preset, saturated_exit_preset
 from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
 from crowdflow1d.jko import (
     PotentialD,
@@ -18,7 +18,14 @@ from crowdflow1d.jko import (
     run_flow,
     step_size_cap,
 )
-from crowdflow1d.measures import CellGeometry, Domain1D, Measure1D, QuantileFn, density_of
+from crowdflow1d.measures import (
+    CellGeometry,
+    Domain1D,
+    Measure1D,
+    QuantileFn,
+    density_of,
+    quantile_of,
+)
 from crowdflow1d.transport import w2_1d
 
 FLAT3 = Domain1D(0.0, 3.0, "flat", None, False)
@@ -413,3 +420,27 @@ def test_momentum_gap_positive_while_draining():
     grid, e_tilde, e_hat = momentum_fields(traj, 0.12, n_cells=128)
     assert np.all(np.isfinite(e_tilde)) and np.all(np.isfinite(e_hat))
     assert not np.array_equal(e_tilde, e_hat)
+
+
+def test_one_cell_run_has_no_dual_violation():
+    """On a one-cell grid no saturated run is long enough to hold a bump,
+    so the dual condition reads 0 without reading a cell width."""
+    preset = saturated_exit_preset()
+    D = PotentialD.distance_to_exit(preset.domain())
+    traj = run_flow(preset.initial(1), D, 0.025, 0.05, n_samples=64, n_cells=1)
+    assert pressure_velocity_checks(traj.steps[-1], D).dual_violation == 0.0
+
+
+@pytest.mark.parametrize("n_cells", [0, -1, 2.5])
+def test_cell_count_below_one_is_rejected(n_cells):
+    """A grid needs an integer count of at least one cell; the count is
+    rejected where the grid is built, before any step is solved."""
+    preset = fig4_preset()
+    m = preset.initial(n_cells=64)
+    D = PotentialD.distance_to_exit(preset.domain())
+    with pytest.raises(FeasibilityError, match="n_cells"):
+        run_flow(m, D, 0.05, 0.1, n_samples=128, n_cells=n_cells)
+    with pytest.raises(FeasibilityError, match="n_cells"):
+        jko_step(m, D, 0.05, n_samples=128, n_cells=n_cells)
+    with pytest.raises(FeasibilityError, match="n_cells"):
+        density_of(quantile_of(m, 128), n_cells)

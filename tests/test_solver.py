@@ -380,11 +380,11 @@ def _edge_target(rng, kind):
 @pytest.mark.parametrize("kind", ["flat", "radial"])
 @pytest.mark.parametrize("shift", [0.0, 0.01])
 def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
-    """Every field of a target's record, the verdicts of its blocks of
-    one and the gaps of its drops are the bits of the formulas they
-    replaced (``np.clip``, ``np.diff``, ``flatnonzero``, ``_ends_ok`` on
-    every sample), on targets with signed zeros, entries on the domain's
-    ends, ties and one NaN, whose sample is still listed as failing.
+    """Every field of a target's record and the verdicts of its blocks of
+    one are the bits of the formulas they replaced (``np.clip``,
+    ``np.diff``, ``flatnonzero``, ``_ends_ok`` on every sample), on
+    targets with signed zeros, entries on the domain's ends, ties and one
+    NaN, whose sample is still listed as failing.
     The honest domain map leaves blocks of one with a gradient only where
     a box absorbs it; a shifted map puts them off their targets, so that
     many fail.  On the target without its NaN, the clipped suffix
@@ -404,14 +404,15 @@ def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
         for target in (x, clean):
             singles = np.clip(dom.cumweight(np.clip(target, dom.a, dom.R)) - offs, lb, ub)
             drops = np.flatnonzero(np.diff(singles) < 0.0)
+            rises = np.flatnonzero(~(np.diff(singles) < 0.0))
             pos = dom.inv_cumweight(singles + offs)
             trial = target - dom.a - offs if projector.flat else dom.weight(pos) ** -2.0
             scale = max(1.0, float(np.max(np.abs(target))))
             grad = 2.0 * (pos - target) / dom.weight(pos)
             old = {
-                "x": target, "singles": singles, "drops": drops,
-                "gaps": singles[drops + 1] - singles[drops],
-                "last_drop": int(drops[-1]) if drops.size else -1, "scale": scale,
+                "x": target, "singles": singles,
+                "last_drop": int(drops[-1]) if drops.size else -1,
+                "last_rise": int(rises[-1]) if rises.size else -1, "scale": scale,
                 "trial": trial,
                 "psum": np.concatenate([[0.0], np.cumsum(trial)]) if projector.flat else None,
                 "pos": pos, "grad": grad,
@@ -419,7 +420,6 @@ def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
                                                           _solver.KKT_TOL * scale)),
             }
             t = projector.target(target)
-            projector._gaps(t)
             projector._ones(t)
             for name, value in old.items():
                 if not _same_bits(getattr(t, name), value):
@@ -726,9 +726,12 @@ def test_certificate_verdicts_match_the_vectorized_formula(kind):
 
 
 def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
-    """The certificate's partition path for any number of listed blocks,
-    as it was written before a partition that lists none took its own."""
+    """The certificate as it was written with the chain order read off a
+    window around the listed blocks and off the gaps where the singles
+    drop outside it, for any number of listed blocks."""
     n = projector.n
+    drops = np.flatnonzero(t.singles[1:] < t.singles[:-1])
+    gaps = t.singles[drops + 1] - t.singles[drops]
     sizes = hi_b - lo_b + 1
     ends = sizes.cumsum()
     starts = ends - sizes
@@ -746,10 +749,8 @@ def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
     lo_v, hi_v = max(s0 - 1, m), min(s1 + 1, n)
     v = np.concatenate((t.singles[lo_v:s0], span, t.singles[s1:hi_v]))
     order = float((v[1:] - v[:-1]).min(initial=0.0))
-    i, j, k = t.drops.searchsorted((m, lo_v, hi_v - 1))
-    if i < j or k < t.drops.size:
-        gaps = projector._gaps(t)
-        order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
+    i, j, k = drops.searchsorted((m, lo_v, hi_v - 1))
+    order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
     if order < -_solver.GAP_TOL and not strict:
         return None
     q = t.pos.copy()
@@ -767,49 +768,117 @@ def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
     return q
 
 
-@pytest.mark.parametrize("order", ["in order", "drops"])
+def _listed_partition(rng, projector, t, m, layout):
+    """The exact pooling's blocks of ``t`` from ``m`` on, with the samples
+    between them listed as blocks of one at their singles when
+    ``layout`` is contiguous, and one value moved off: kept, nudged by a
+    fraction of ``ds``, or raised past every single by ``ds`` or more.
+    Returns the partition and the first sample of the block whose value
+    may have moved; ``None`` when the pooling lists no block, or lists
+    contiguous blocks for a gapped layout."""
+    lo_b, hi_b, y_b = projector._pool(t, m)
+    if not lo_b.size:
+        return None
+    s0, s1 = int(lo_b[0]), int(hi_b[-1]) + 1
+    alone = np.setdiff1d(np.arange(s0, s1), np.concatenate(
+        [np.arange(lo, hi + 1) for lo, hi in zip(lo_b, hi_b)]))
+    if layout == "gapped" and not alone.size:
+        return None
+    if layout == "contiguous":
+        order = np.argsort(np.concatenate([lo_b, alone]), kind="stable")
+        lo_b = np.concatenate([lo_b, alone])[order]
+        hi_b = np.concatenate([hi_b, alone])[order]
+        y_b = np.concatenate([y_b, t.singles[alone]])[order]
+    k = int(rng.integers(lo_b.size))
+    move = rng.choice(["kept", "nudged", "raised"])
+    if move == "nudged":
+        y_b[k] += rng.choice([-1.0, 1.0]) * rng.uniform(1e-5, 1e-3) * projector.ds
+    elif move == "raised":
+        y_b[k] = max(y_b.max(), t.singles.max()) + rng.uniform(1.0, 4.0) * projector.ds
+    return (lo_b, hi_b, y_b), int(lo_b[k])
+
+
+@pytest.mark.parametrize("order", ["in order", "drops", "contiguous", "gapped"])
 def test_no_block_partition_matches_the_general_path(order):
-    """A partition that lists no block gives the positions of the general
-    partition path bit for bit, or fails with the same message, gap,
-    prefix and last iterate, strict or not: targets in order from the
-    prefix on, targets that drop at or past it, and some with a NaN,
-    whose block of one fails at its boundary."""
+    """The certificate's one chain-order formula gives the old windowed
+    path's positions bit for bit, or fails with the same message, gap,
+    prefix and last iterate, strict or not, on finite targets: partitions
+    that list no block, for targets in order from the prefix on and for
+    targets that drop at or past it, and partitions that list the exact
+    pooling's blocks, contiguous or with blocks of one between them, with
+    one block value kept, nudged or raised, so that some pass, some fail
+    chain order and some fail the multiplier test; a NaN target inside a
+    listed block is covered by the block's value in both.  With a NaN
+    target at or past the prefix in a block of one the chain order is NaN
+    and gives no verdict; that block fails at its boundary with a NaN gap,
+    and the positions and prefix are the old path's."""
     problems, seen = [], Counter()
     none, no_values = np.zeros(0, dtype=int), np.zeros(0)
+    listed = order in ("contiguous", "gapped")
     for i in range(200):
-        rng = np.random.default_rng([67, i, order == "drops"])
+        rng = np.random.default_rng([71 if listed else 67, i, order in ("drops", "gapped")])
         dom = _rand_domain(rng, has_exit=True)
         n = int(rng.integers(4, 65))
         m = int(rng.choice([0, rng.integers(0, n), n - 1, n]))
-        if order == "in order":
+        if order == "drops":
+            x = rng.uniform(dom.a - 0.2, dom.R + 0.2, n)
+        else:
             # cumulative weights at least ds apart
             ds = 1.0 / n
             slack = np.sort(rng.uniform(0.0, dom.total_weight - 1.0, n))
             x = dom.inv_cumweight((np.arange(n) + 0.5) * ds + slack)
-        else:
-            x = rng.uniform(dom.a - 0.2, dom.R + 0.2, n)
+        partition, last = (none, none, no_values), n - 1
+        if listed:
+            # a few neighbours swapped pool into short blocks
+            m = int(rng.integers(0, n // 2))
+            for j in rng.integers(m, n - 1, size=3):
+                x[j], x[j + 1] = x[j + 1], x[j]
+            projector = ChainProjector(dom, n)
+            drawn = _listed_partition(rng, projector, projector.target(x), m, order)
+            if drawn is None:
+                continue
+            # a NaN no later than the moved block is the first to fail
+            partition, last = drawn
+        nan_at = None
         if rng.uniform() < 0.25:
-            x[rng.integers(m, n) if m < n else 0] = np.nan
+            nan_at = rng.integers(m, last + 1) if m < n else 0
+            x[nan_at] = np.nan
+        lo_b, hi_b, _ = partition
+        nan_alone = nan_at is not None and nan_at >= m and not (
+            (lo_b <= nan_at) & (nan_at <= hi_b)).any()
+        seen["NaN in a block of one"] += nan_alone
         for strict in (False, True):
             out = []
             for certify in (_general_certified, ChainProjector._certified):
                 projector = ChainProjector(dom, n)
                 t = projector.target(x)
                 try:
-                    out.append((certify(projector, t, m, none, none, no_values, strict=strict),
-                                None))
+                    out.append((certify(projector, t, m, *partition, strict=strict), None))
                 except SolverFailureError as err:
                     out.append((err.last_iterate, (str(err), np.float64(err.gap), err.m)))
             (q_ref, err_ref), (q, err) = out
-            outcome = err_ref[0] if err_ref else "passes" if q_ref is not None else None
-            seen[t.last_drop < m, outcome] += 1
+            outcome = err[0] if err else "passes" if q is not None else None
+            seen[outcome if listed else (t.last_drop < m, outcome)] += 1
+            where = f"{order} {i} strict={strict}"
             if (q is None) != (q_ref is None) or q is not None and not _same_bits(q, q_ref):
-                problems.append(f"{order} {i} strict={strict}: positions differ")
-            if (err is None) != (err_ref is None) or err and (
+                problems.append(f"{where}: positions differ")
+            if nan_alone:
+                boundary = "projection certificate failed at a block boundary"
+                if strict and not (err and err[0] == boundary and np.isnan(err[1])
+                                   and err[2] == m):
+                    problems.append(f"{where}: {err} for a NaN target")
+            elif (err is None) != (err_ref is None) or err and (
                     err[0] != err_ref[0] or err[2] != err_ref[2]
                     or not _same_bits(err[1], err_ref[1])):
-                problems.append(f"{order} {i} strict={strict}: {err} against {err_ref}")
+                problems.append(f"{where}: {err} against {err_ref}")
     assert not problems, problems
+    if listed:
+        failed = "projection certificate failed"
+        kkt = seen[f"{failed} at a block boundary"] + seen[f"{failed} inside a block"]
+        out_of_order = seen[f"{failed}: block values out of chain order"]
+        assert min(seen["passes"], out_of_order, kkt) >= 20, seen
+        assert seen["NaN in a block of one"] >= 10, seen
+        return
     assert seen[True, "passes"] >= 100, seen
     assert seen[True, "projection certificate failed at a block boundary"] >= 10, seen
     if order == "drops":
@@ -1012,9 +1081,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
                 if not _same_bits(again, projector.project(projector.target(x), int(k))):
                     problems.append(f"instance {i}, prefix {k}: projection depends on the record")
                 hits += 1
-        # no certificate of these instances reads a drop outside its blocks
-        projector._gaps(t)
-        for arr in (t.x, t.singles, t.drops, t.gaps, t.trial, t.psum, t.pos, t.means,
+        for arr in (t.x, t.singles, t.trial, t.psum, t.pos, t.means,
                     *t.fits.values(), t.grad, t.fails):
             if arr is not None and arr.flags.writeable:
                 problems.append(f"instance {i}: a record array is writeable")
@@ -1086,7 +1153,8 @@ def test_falling_suffix_regression_is_its_clipped_mean(where):
         y[k + 1] = max(y[k + 1], 0.5 * (y[k] + projector.ub[k + 1]))
         t = projector.target(projector.domain.inv_cumweight(y + projector.offs))
         ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
-        if np.count_nonzero(t.drops >= m) != projector.n - 2 - m or projector._falls(t, m):
+        drops = np.count_nonzero(t.singles[m + 1:] < t.singles[m:-1])
+        if drops != projector.n - 2 - m or projector._falls(t, m):
             problems.append(f"instance {i}: not one rise at {k}")
         elif not np.array_equal(projector._fit(t, m), ref):
             problems.append(f"instance {i}: a rise at {k} does not keep SciPy's regression")

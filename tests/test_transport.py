@@ -201,7 +201,16 @@ def test_stability_constant_hand_values():
 
 
 def test_domain_mismatch_raises():
+    """Every sampled transport pair is checked for one domain before it
+    is sampled, whether it is given as measures or as quantile functions."""
     m1 = Measure1D.uniform(Domain1D(0.0, 2.0, "flat", None, False), 0.5, 8)
     m2 = Measure1D.uniform(Domain1D(0.0, 3.0, "flat", None, False), 1.0 / 3.0, 8)
     with pytest.raises(FeasibilityError):
         w2_1d(m1, m2)
+    m1 = Measure1D.uniform(Domain1D(1.0, 10.0, "flat", None, False), 1.0 / 9.0, 8)
+    m2 = Measure1D.uniform(Domain1D(0.0, 5.0, "flat", None, False), 0.2, 8)
+    for src, dst in ((m1, m2), (quantile_of(m1, 64), quantile_of(m2, 64)),
+                     (m1, quantile_of(m2, 64))):
+        for fn in (w2_1d, kantorovich_potential, dual_value):
+            with pytest.raises(FeasibilityError, match="different domains"):
+                fn(src, dst)
