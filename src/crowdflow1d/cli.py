@@ -193,6 +193,11 @@ class ScenarioConfig:
                     "snapshots extend past T", field="snapshots"
                 )
             _align_times(self.snapshots, self.tau, "snapshots")
+        # out_dir is made with its missing parents: the nearest that exists must be a directory
+        out = Path(self.out_dir)
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            raise ConfigError(f"output path {found} is not a directory", field="out")
         return dom
 
 

@@ -164,6 +164,16 @@ def _exit_errors(scenario, tau, T, prof_ref, n_cells):
     return err_b, err_w2
 
 
+def _tagged(one, tau):
+    """``one(tau)``, re-raising a package error as itself with its message
+    prefixed ``tau=...``, so that its type, fields and traceback stay."""
+    try:
+        return one(tau)
+    except CrowdflowError as e:
+        e.args = (f"tau={tau}: {e}",)
+        raise
+
+
 def convergence_study(scenario, taus, T, n_cells=2048):
     """Final-time error sweep over a halving sequence of time steps.
 
@@ -177,14 +187,11 @@ def convergence_study(scenario, taus, T, n_cells=2048):
     prof_ref = _exit_reference(scenario, T) if scenario.has_exit else None
 
     def one(tau):
-        try:
-            if scenario.has_exit:
-                return _exit_errors(scenario, tau, T, prof_ref, n_cells)
-            return _no_exit_errors(scenario, tau, T)
-        except CrowdflowError as e:
-            raise type(e)(f"tau={tau}: {e}") from e
+        if scenario.has_exit:
+            return _exit_errors(scenario, tau, T, prof_ref, n_cells)
+        return _no_exit_errors(scenario, tau, T)
 
-    pairs = [one(tau) for tau in taus]
+    pairs = [_tagged(one, tau) for tau in taus]
     err_b = tuple(p[0] for p in pairs)
     err_w2 = tuple(p[1] for p in pairs)
     order_b, r2_b = fit_order(taus, err_b)
@@ -228,16 +235,13 @@ def momentum_rate_study(scenario=None, taus=(0.1, 0.05, 0.025, 0.0125, 0.00625),
     D = PotentialD.distance_to_exit(dom)
 
     def one(tau):
-        try:
-            traj = run_flow(
-                scenario.initial(n_cells), D, tau, T,
-                n_samples=n_samples, n_cells=n_cells,
-            )
-            return momentum_discrepancy(traj)
-        except CrowdflowError as e:
-            raise type(e)(f"tau={tau}: {e}") from e
+        traj = run_flow(
+            scenario.initial(n_cells), D, tau, T,
+            n_samples=n_samples, n_cells=n_cells,
+        )
+        return momentum_discrepancy(traj)
 
-    gaps = tuple(one(tau) for tau in taus)
+    gaps = tuple(_tagged(one, tau) for tau in taus)
     order, r2 = fit_order(taus, gaps)
     return MomentumRateReport(
         taus=tuple(taus), discrepancies=gaps, fitted_order=order, r_squared=r2
@@ -279,15 +283,15 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _rand_domain(rng, has_exit):
-    """Random segment with capacity comfortably above unit mass."""
+def _rand_domain(rng, has_exit, cap=None):
+    """Random flat or radial segment of capacity ``cap``, drawn above 1.5 if not given."""
     if rng.uniform() < 0.5:
         a = float(rng.uniform(0.0, 2.0)) if has_exit else 0.0
-        length = float(rng.uniform(1.5, 4.0))
+        length = float(rng.uniform(1.5, 4.0)) if cap is None else cap
         return Domain1D(a, a + length, "flat", None, has_exit)
     al = float(rng.uniform(0.05, 0.5))
     a = float(rng.uniform(0.1, 1.5)) if has_exit else 0.0
-    cap = float(rng.uniform(1.5, 3.0))
+    cap = float(rng.uniform(1.5, 3.0)) if cap is None else cap
     R = float(np.sqrt(a * a + cap / al))
     return Domain1D(a, R, "radial", al, has_exit)
 
@@ -380,11 +384,11 @@ def _rand_flow(rng, has_exit, n_steps=3):
     rho0 = Measure1D.random_feasible(dom, 64, rng, exit_mass=exit_mass)
     D = PotentialD.distance_to_exit(dom)
     tau = float(rng.uniform(0.04, 0.15))
-    return run_flow(rho0, D, tau, n_steps * tau, n_samples=512, n_cells=64), D
+    return run_flow(rho0, D, tau, n_steps * tau, n_samples=512, n_cells=64)
 
 
 def _check_energy_monotone(rng):
-    traj, _ = _rand_flow(rng, has_exit=bool(rng.integers(0, 2)))
+    traj = _rand_flow(rng, has_exit=bool(rng.integers(0, 2)))
     diffs = np.diff(traj.energy_series)
     worst = float(diffs.max()) if diffs.size else 0.0
     if worst > 1e-10:
@@ -393,7 +397,7 @@ def _check_energy_monotone(rng):
 
 
 def _check_discrete_h1(rng):
-    traj, _ = _rand_flow(rng, has_exit=bool(rng.integers(0, 2)))
+    traj = _rand_flow(rng, has_exit=bool(rng.integers(0, 2)))
     drop = 2.0 * (traj.energy_series[0] - traj.energy_series[-1])
     total = traj.sum_sq_increments
     if total > drop + 1e-8:
@@ -404,14 +408,7 @@ def _check_discrete_h1(rng):
 def _rand_corridor(rng, has_exit):
     """Random segment with a unit-mass uniform start of random density."""
     rho_val = float(rng.uniform(0.35, 0.95))
-    cap = 1.0 / rho_val
-    if rng.uniform() < 0.5:
-        a = float(rng.uniform(0.0, 2.0)) if has_exit else 0.0
-        dom = Domain1D(a, a + cap, "flat", None, has_exit)
-    else:
-        al = float(rng.uniform(0.05, 0.5))
-        a = float(rng.uniform(0.1, 1.5)) if has_exit else 0.0
-        dom = Domain1D(a, float(np.sqrt(a * a + cap / al)), "radial", al, has_exit)
+    dom = _rand_domain(rng, has_exit, cap=1.0 / rho_val)
     return dom, Measure1D.uniform(dom, rho_val, 64)
 
 
@@ -460,7 +457,7 @@ def _check_three_zone(rng):
 
 
 def _check_exit_monotone(rng):
-    traj, _ = _rand_flow(rng, has_exit=True, n_steps=4)
+    traj = _rand_flow(rng, has_exit=True, n_steps=4)
     # the starting atom is user data and need not sit on the sample
     # grid; from the first iterate on, exit masses are whole numbers of
     # samples and must never drop
@@ -474,7 +471,7 @@ def _check_exit_monotone(rng):
 
 
 def _check_no_return(rng):
-    traj, _ = _rand_flow(rng, has_exit=True, n_steps=4)
+    traj = _rand_flow(rng, has_exit=True, n_steps=4)
     for k in range(len(traj.iterates) - 1):
         src, dst = traj.iterates[k], traj.iterates[k + 1]
         if src.exit_mass <= 0.0 or dst.exit_mass < src.exit_mass:

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdflow1d import cli
+from crowdflow1d import cli, harness
 from crowdflow1d.cli import (
     ScenarioConfig,
     config_from_preset,
@@ -183,6 +183,26 @@ def test_dry_run_touches_nothing(tmp_path, capsys):
     assert code == 0
     assert not out.exists()
     assert "dry run" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, under", [
+    (["run", "--preset", "fig4", "--T", "0.01", "--snapshots", "0.01"], ""),
+    (["study", "--preset", "fig4"], "sub"),
+    (["run", "--preset", "fig4", "--dry-run"], "sub/deeper"),
+], ids=["run", "study", "dry-run"])
+def test_out_that_names_a_file_exits_2_before_any_step(tmp_path, capsys, monkeypatch,
+                                                       argv, under):
+    def never(*args, **kwargs):
+        raise AssertionError("a flow ran")
+
+    monkeypatch.setattr(cli, "run_flow", never)
+    monkeypatch.setattr(harness, "run_flow", never)
+    afile = tmp_path / "afile"
+    afile.touch()
+    assert main([*argv, "--out", str(afile / under)]) == 2
+    err = capsys.readouterr().err
+    assert "(field: out)" in err and f"{afile} is not a directory" in err
+    assert afile.read_bytes() == b"" and sorted(tmp_path.iterdir()) == [afile]
 
 
 def test_run_needs_some_horizon():

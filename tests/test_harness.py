@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from crowdflow1d.corridor import fig3_preset
-from crowdflow1d.errors import FeasibilityError
+from crowdflow1d import harness
+from crowdflow1d.corridor import fig3_preset, fig4_preset
+from crowdflow1d.errors import FeasibilityError, SolverFailureError
 from crowdflow1d.harness import (
     MACHINE_ERROR_FLOOR,
     CampaignReport,
@@ -85,6 +86,27 @@ def test_momentum_sweep_decays_with_tau():
     assert np.all(np.diff(gaps) < 0.0)
     assert report.fitted_order > 0.0
     assert "order=" in report.summary()
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda: convergence_study(fig4_preset(), [0.1, 0.05, 0.025, 0.0125], 0.1),
+    lambda: momentum_rate_study(taus=(0.1, 0.05, 0.025, 0.0125), T=0.1),
+], ids=["convergence_study", "momentum_rate_study"])
+def test_sweep_failure_keeps_the_solver_error(monkeypatch, sweep):
+    """A failed run's error leaves the sweep tagged with its tau, as the
+    same exception with its iterate, gap and prefix."""
+    last = np.zeros(3)
+
+    def fail(*args, **kwargs):
+        raise SolverFailureError("energy increased", last_iterate=last, gap=1e-3, m=7)
+
+    monkeypatch.setattr(harness, "run_flow", fail)
+    with pytest.raises(SolverFailureError) as info:
+        sweep()
+    e = info.value
+    assert str(e) == "tau=0.1: energy increased"
+    assert e.last_iterate is last and e.gap == 1e-3 and e.m == 7
+    assert info.traceback[-1].name == "fail"
 
 
 def test_campaign_trivial_and_small():

@@ -250,6 +250,20 @@ def test_step_fields_structure():
     assert diag.dual_violation <= 5e-3
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "convex table 1 0 / 5 3 / 10 9 on fig4 at default sizes, tau 0.01, T 0.05: "
+    "steps 2 and 3 read decomposition residuals 3.06e-3 and 3.10e-3 (steps 0, 1, 4: "
+    "9.3e-7, 1.6e-9, 9.2e-7); the affine table 1 0 / 10 6.75 with the same slope at "
+    "the door reads at most 3.5e-14; suspected: projected gradient's stop rule"))
+def test_convex_table_keeps_every_decomposition_residual():
+    p = fig4_preset()
+    D = PotentialD.from_table([1.0, 5.0, 10.0], [0.0, 3.0, 9.0])
+    traj = run_flow(p.initial(2048), D, 0.01, 0.05, n_samples=4096, n_cells=2048)
+    assert len(traj.steps) == 5
+    worst = max(jko._decomposition_residuals(step, D)[0] for step in traj.steps)
+    assert worst <= 1e-3, f"decomposition residual {worst:.3e}"
+
+
 def test_fields_of_an_empty_interior():
     """A flat door domain [1, 3] at uniform density 0.5 is drained within
     four steps of tau = 0.5.  A step with no free sample left has the

@@ -17,7 +17,6 @@ from crowdflow1d.measures import (
     Domain1D,
     Measure1D,
     _clip,
-    _smallest_reaching,
     _spill_excess,
     bin_quantiles_to_cells,
     density_of,
@@ -153,6 +152,8 @@ def _random_feasible_200(domain, n_cells, rng):
 
 
 def test_random_feasible_bisection_stops_early_with_the_same_result():
+    """Scaling by the root of the mass curve's piece lands within rounding
+    of the 200-step bisection, with the same exit mass and unit mass."""
     for seed in range(300):
         rng = np.random.default_rng(seed)
         a = float(rng.uniform(0.0, 2.0))
@@ -166,24 +167,25 @@ def test_random_feasible_bisection_stops_early_with_the_same_result():
         n_cells = int(rng.integers(8, 200))
         m = Measure1D.random_feasible(dom, n_cells, np.random.default_rng(seed + 1000))
         rho, exit_mass = _random_feasible_200(dom, n_cells, np.random.default_rng(seed + 1000))
-        assert np.array_equal(m.rho, rho) and m.exit_mass == exit_mass
+        assert m.exit_mass == exit_mass
+        assert abs(m.total_mass() - 1.0) <= 1e-15
+        assert np.abs(m.rho - rho).max() <= 1e-13
 
 
-def test_smallest_reaching_finds_the_same_float_from_any_guess():
-    """The normalization's ulp search gallops both ways from its guess and
-    bisects; far guesses and a target no float reaches are covered too."""
-    rng = np.random.default_rng(7)
-    raw, dW = rng.uniform(0.05, 1.0, size=50), rng.uniform(0.01, 0.1, size=50)
-
-    def mass(c):
-        return float(np.clip(raw * c, 0.0, 1.0) @ dW)
-
-    target = 0.6 * float(dW.sum())
-    c = _smallest_reaching(mass, target, 1.0)
-    assert mass(c) >= target > mass(np.nextafter(c, 0.0))
-    for guess in (c, np.nextafter(c, 0.0), c * (1 + 1e-9), c * (1 - 1e-9), 1e-300, 1e300):
-        assert _smallest_reaching(mass, target, guess) == c
-    assert _smallest_reaching(mass, 2.0 * float(dW.sum()), 1.0) == np.inf
+@pytest.mark.parametrize("geometry", ["flat", "radial"])
+def test_random_feasible_near_full_capacity(geometry):
+    """Capacities a hair above unit mass fill almost every cell; the draw
+    still stays in [0, 1] and carries unit mass."""
+    for p in range(1, 15):
+        cap = 1.0 + 10.0 ** -p
+        if geometry == "flat":
+            dom = Domain1D(0.5, 0.5 + cap, "flat", None, False)
+        else:
+            dom = Domain1D(0.0, float(np.sqrt(cap / 0.3)), "radial", 0.3, False)
+        for seed in range(5):
+            m = Measure1D.random_feasible(dom, 64, np.random.default_rng([p, seed]))
+            assert m.rho.min() >= 0.0 and m.rho.max() <= 1.0
+            assert abs(m.total_mass() - 1.0) <= 1e-15
 
 
 @given(st.integers(0, 10**6))
