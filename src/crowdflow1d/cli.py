@@ -103,19 +103,19 @@ class ScenarioConfig:
         rows = np.asarray(self.rho0_table, dtype=float)
         radii, values = rows[:, 0], rows[:, 1]
         if np.any(np.diff(radii) <= 0.0):
-            raise ConfigError("density table radii must increase", field="table")
+            raise ConfigError("density table radii must increase", field="density table")
         if radii[0] < dom.a - 1e-12 or radii[-1] > dom.R + 1e-12:
             raise ConfigError(
-                f"density table leaves [{dom.a}, {dom.R}]", field="table"
+                f"density table leaves [{dom.a}, {dom.R}]", field="density table"
             )
         if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ConfigError("density table values must lie in [0, 1]", field="table")
+            raise ConfigError("density table values must lie in [0, 1]", field="density table")
         starts = radii
         ends = np.append(radii[1:], dom.R)
         total = float(values @ (dom.cumweight(ends) - dom.cumweight(starts)))
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(
-                f"density table carries mass {total:.10f}, needs 1", field="table"
+                f"density table carries mass {total:.10f}, needs 1", field="density table"
             )
         cells = CellGeometry(dom, n)
         # exact cell masses of the step profile: cut each table row
@@ -286,7 +286,7 @@ def _parse_table(raw, field):
             )
         rows.append(row)
     if len(rows) < 1:
-        raise ConfigError(f"{field} table is empty", field=field)
+        raise ConfigError(f"{field} is empty", field=field)
     return tuple(rows)
 
 
@@ -355,7 +355,7 @@ def _read_ini(path):
         raise ConfigError(f"line {lineno}: {lines[-1].strip()!r} in [{section}] is not "
                           "a 'key = value' line", field=section) from e
     if not read:
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"config file not found: {path}", field="config")
     return parser
 
 
@@ -593,8 +593,6 @@ def run_study(cfg, dry_run=False, echo=print):
             "they need weight_kind=radial with half_angle=auto",
             field="weight_kind",
         )
-    if cfg.rho0_value is None:
-        raise ConfigError("studies need a uniform rho0", field="density")
     if cfg.potential_table is not None:
         raise ConfigError(
             "studies need the distance potential", field="potential table"
@@ -650,7 +648,7 @@ def _assemble_config(args):
     if args.config:
         cfg = load_config(args.config, base=cfg)
     if cfg is None:
-        raise ConfigError("need --preset and/or --config")
+        raise ConfigError("need --preset and/or --config", field="preset")
     updates = {}
     if args.out:
         updates["out_dir"] = args.out

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the prefix a caller adds to them."""
 
 
 class CrowdflowError(Exception):
@@ -55,3 +55,13 @@ class ConfigError(CrowdflowError, ValueError):
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def tagged(prefix, fn, *args):
+    """``fn(*args)``, re-raising a package error as itself with its message
+    prefixed by ``prefix``, so that its type, fields and traceback stay."""
+    try:
+        return fn(*args)
+    except CrowdflowError as e:
+        e.args = (f"{prefix}{e}",)
+        raise

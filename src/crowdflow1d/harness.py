@@ -19,7 +19,7 @@ import numpy as np
 
 from . import corridor
 from .corridor import RadialProfile, chain_interface, fig4_preset, ode_b_exit
-from .errors import CrowdflowError, FeasibilityError
+from .errors import CrowdflowError, FeasibilityError, tagged
 from .jko import DOOR_BALANCE_MARGIN, PotentialD, _step_count, momentum_discrepancy, run_flow
 from .measures import Domain1D, Measure1D, _csv_file, cell_integrals
 from .transport import (
@@ -164,16 +164,6 @@ def _exit_errors(scenario, tau, T, prof_ref, n_cells):
     return err_b, err_w2
 
 
-def _tagged(one, tau):
-    """``one(tau)``, re-raising a package error as itself with its message
-    prefixed ``tau=...``, so that its type, fields and traceback stay."""
-    try:
-        return one(tau)
-    except CrowdflowError as e:
-        e.args = (f"tau={tau}: {e}",)
-        raise
-
-
 def convergence_study(scenario, taus, T, n_cells=2048):
     """Final-time error sweep over a halving sequence of time steps.
 
@@ -191,7 +181,7 @@ def convergence_study(scenario, taus, T, n_cells=2048):
             return _exit_errors(scenario, tau, T, prof_ref, n_cells)
         return _no_exit_errors(scenario, tau, T)
 
-    pairs = [_tagged(one, tau) for tau in taus]
+    pairs = [tagged(f"tau={tau}: ", one, tau) for tau in taus]
     err_b = tuple(p[0] for p in pairs)
     err_w2 = tuple(p[1] for p in pairs)
     order_b, r2_b = fit_order(taus, err_b)
@@ -241,7 +231,7 @@ def momentum_rate_study(scenario=None, taus=(0.1, 0.05, 0.025, 0.0125, 0.00625),
         )
         return momentum_discrepancy(traj)
 
-    gaps = tuple(_tagged(one, tau) for tau in taus)
+    gaps = tuple(tagged(f"tau={tau}: ", one, tau) for tau in taus)
     order, r2 = fit_order(taus, gaps)
     return MomentumRateReport(
         taus=tuple(taus), discrepancies=gaps, fitted_order=order, r_squared=r2

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._solver import ChainProjector, minimize_free, solve_step
 from ._solver import step_objective  # noqa: F401  (patched by perfbench/tracer.py)
-from .errors import FeasibilityError, SolverFailureError
+from .errors import FeasibilityError, SolverFailureError, tagged
 from .measures import (
     CellGeometry,
     Measure1D,
@@ -57,7 +57,8 @@ class PotentialD:
     declares ``D`` affine: the inner solver then takes one projection per
     candidate prefix and searches the absorbed prefix instead of scanning
     it, which is exact only for an affine ``D``.  A custom potential must
-    give true bounds.
+    give true bounds; one declared affine whose slope varies fails
+    :meth:`validate_for`.
     """
 
     fn: callable
@@ -86,8 +87,10 @@ class PotentialD:
         """Piecewise-linear potential through ``(radii, values)``."""
         r = np.asarray(radii, dtype=float)
         v = np.asarray(values, dtype=float)
-        if r.ndim != 1 or r.shape != v.shape or len(r) < 2:
+        if r.ndim != 1 or r.shape != v.shape:
             raise FeasibilityError("potential table needs matching 1d arrays")
+        if len(r) < 2:
+            raise FeasibilityError("potential table needs at least two rows")
         if not np.isfinite(r).all():
             raise FeasibilityError("potential table radii must be finite")
         if not np.isfinite(v).all():
@@ -107,9 +110,15 @@ class PotentialD:
         )
 
     def validate_for(self, domain):
-        """On exit domains ``D`` must attain its minimum on the door."""
+        """A ``D`` declared affine must have one slope over the domain, and
+        on exit domains ``D`` must attain its minimum on the door."""
+        r = np.linspace(domain.a, domain.R, 256)
+        if self.affine:
+            g = np.asarray(self.grad(r), dtype=float)
+            if np.ptp(g) > 1e-12 * np.abs(g).max():
+                raise FeasibilityError("D is declared affine (lam == curv_ub == 0) but its "
+                                       "slope varies over the domain")
         if domain.has_exit:
-            r = np.linspace(domain.a, domain.R, 256)
             vals = np.asarray(self.fn(r), dtype=float)
             if vals[0] > vals.min() + 1e-9 * max(1.0, np.abs(vals).max()):
                 raise FeasibilityError("D must be minimal at the exit")
@@ -371,7 +380,8 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     ``T`` must be an integer multiple of ``tau``.  Energy monotonicity holds
     exactly for the discrete quantities and is asserted on the fly: a rise
     raises :class:`SolverFailureError` carrying the step index, the
-    offending iterate and its absorbed prefix.
+    offending iterate and its absorbed prefix.  A package error raised
+    inside step ``k`` leaves as itself, its message prefixed ``step k: ``.
     """
     projector, geom, qf = _start(rho0, D, tau, n_samples, n_cells)
     n_steps = _step_count(T, tau)
@@ -381,7 +391,7 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     iterates = [rho0]
     steps = []
     for k in range(n_steps):
-        res = _assemble(projector, geom, q, m, D, tau)
+        res = tagged(f"step {k}: ", _assemble, projector, geom, q, m, D, tau)
         q, m = res.q_next, res.m_exit
         steps.append(res)
         iterates.append(res.rho_next)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from crowdflow1d import jko
 from crowdflow1d.corridor import fig3_preset, fig4_preset
+from crowdflow1d.errors import SolverFailureError
 from crowdflow1d.jko import PotentialD, run_flow
 
 # some property tests drive the full scheme; the default deadline is
@@ -43,6 +45,24 @@ def fig4_run():
     start = time.perf_counter()
     traj = run_flow(preset.initial(), D, preset.tau, 3.0)
     return preset, D, traj, time.perf_counter() - start
+
+
+@pytest.fixture
+def third_step_fails(monkeypatch):
+    """``jko.solve_step`` failing its certificate on its third call, as a
+    :class:`SolverFailureError` with ``gap`` -2e-7, ``m`` 7 and the
+    returned array as its last iterate."""
+    honest, calls, last = jko.solve_step, [0], np.zeros(3)
+
+    def solve_step(*args):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise SolverFailureError("projection certificate failed inside a block",
+                                     last_iterate=last, gap=-2e-7, m=7)
+        return honest(*args)
+
+    monkeypatch.setattr(jko, "solve_step", solve_step)
+    return last
 
 
 CRITERIA = {

@@ -156,6 +156,55 @@ def test_invalid_numbers_exit_2_naming_the_field(tmp_path, capsys, command, flag
     assert f"(field: {field})" in capsys.readouterr().err
 
 
+FLAT_TABLE = "[domain]\nweight_kind = flat\n[density]\ntable = "
+
+
+@pytest.mark.parametrize("argv, ini, field, message", [
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], "[density]\ntable = 1 0.01\n",
+                 "half_angle", "half_angle 'auto' needs a uniform rho0", id="auto-half-angle-table"),
+    # a study sweeps the radial corridor from a uniform rho0 alone
+    pytest.param(["study", "--preset", "fig4", "--config", "INI"], "[density]\ntable = 1 0.01\n",
+                 "half_angle", "half_angle 'auto' needs a uniform rho0", id="study-density-table"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], FLAT_TABLE + "1 0.5\n  1 0.5\n",
+                 "density table", "radii must increase", id="density-radii-repeat"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], FLAT_TABLE + "0 0.5\n",
+                 "density table", "density table leaves [1.0, 10.0]", id="density-table-leaves"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], FLAT_TABLE + "1 2\n",
+                 "density table", "values must lie in [0, 1]", id="density-value-above-1"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], FLAT_TABLE + "1 0.5\n",
+                 "density table", "carries mass 4.5000000000", id="density-table-mass"),
+    pytest.param(["run", "--preset", "fig4", "--T", "0.5", "--snapshots", "0.6", "--config", "INI"],
+                 "", "snapshots", "snapshots extend past T", id="snapshot-past-T"),
+    pytest.param(["run", "--preset", "fig4", "--T", "0.505", "--config", "INI"], "", "T",
+                 "time 0.505 is not a multiple of tau=0.01", id="T-misaligned"),
+    pytest.param(["run", "--preset", "fig4", "--snapshots", ",", "--config", "INI"], "",
+                 "snapshots", "snapshots needs at least one value", id="snapshots-empty"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], "[density]\ntable =\n",
+                 "density table", "density table is empty", id="density-table-empty"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"], "[potential]\ntable = 1 0\n",
+                 "potential table", "needs at least two rows", id="potential-table-one-row"),
+    pytest.param(["run", "--config", "INI"], None, "config", "config file not found",
+                 id="config-not-found"),
+    pytest.param(["run", "--preset", "fig4", "--config", "INI"],
+                 "[density]\nuniform = 0.4\ntable = 1 0.5\n", "density",
+                 "either 'uniform' or 'table', not both", id="density-uniform-and-table"),
+    pytest.param(["run", "--config", "INI"], "[domain]\na = 1\nR = 10\nweight_kind = flat\n"
+                 "has_exit = yes\n[run]\ntau = 0.01\nT = 1\n", "density",
+                 "needs a [density] section", id="no-density"),
+    pytest.param(["run"], "", "preset", "need --preset and/or --config", id="no-scenario"),
+])
+def test_every_config_check_exits_2_naming_its_field(tmp_path, capsys, argv, ini, field,
+                                                     message):
+    """Each check on a scenario exits 2 with its own message and field;
+    ``ini`` None leaves the config file missing."""
+    p = tmp_path / "case.ini"
+    if ini is not None:
+        p.write_text(ini)
+    assert main([str(p) if a == "INI" else a for a in argv] + ["--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert message in err and err.endswith(f"(field: {field})\n"), err
+
+
 @pytest.mark.parametrize("argv", [
     ["study", "--preset", "fig3", "--tau", "0.5"],
     ["study", "--preset", "fig3", "--snapshots", "7,8"],
@@ -203,6 +252,14 @@ def test_out_that_names_a_file_exits_2_before_any_step(tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert "(field: out)" in err and f"{afile} is not a directory" in err
     assert afile.read_bytes() == b"" and sorted(tmp_path.iterdir()) == [afile]
+
+
+def test_solver_failure_exits_1_naming_its_step(tmp_path, capsys, third_step_fails):
+    argv = ["run", "--preset", "fig4", "--T", "0.5", "--snapshots", "0.5",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: step 2: projection certificate failed inside a block\n", err
 
 
 def test_run_needs_some_horizon():

@@ -109,6 +109,21 @@ def test_sweep_failure_keeps_the_solver_error(monkeypatch, sweep):
     assert info.traceback[-1].name == "fail"
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda: convergence_study(fig4_preset(), [0.1, 0.05, 0.025, 0.0125], 0.4),
+    lambda: momentum_rate_study(taus=(0.1, 0.05, 0.025, 0.0125), T=0.4, n_samples=256,
+                                n_cells=64),
+], ids=["convergence_study", "momentum_rate_study"])
+def test_sweep_failure_names_its_tau_and_step(third_step_fails, sweep):
+    """A solver failure inside a sweep's run names both the run's tau and
+    the step, and stays the same exception."""
+    with pytest.raises(SolverFailureError) as info:
+        sweep()
+    e = info.value
+    assert str(e) == "tau=0.1: step 2: projection certificate failed inside a block"
+    assert e.last_iterate is third_step_fails and e.m == 7
+
+
 def test_campaign_trivial_and_small():
     empty = property_campaign(seed=3, n_cases=0)
     assert isinstance(empty, CampaignReport)

@@ -458,3 +458,46 @@ def test_cell_count_below_one_is_rejected(n_cells):
         jko_step(m, D, 0.05, n_samples=128, n_cells=n_cells)
     with pytest.raises(FeasibilityError, match="n_cells"):
         density_of(quantile_of(m, 128), n_cells)
+
+
+def test_solver_failure_names_its_step(third_step_fails):
+    """A solver failure inside step ``k`` of a run leaves ``run_flow`` as
+    the same exception, its message prefixed with the step and its
+    iterate, gap and prefix kept."""
+    p = fig4_preset()
+    with pytest.raises(SolverFailureError) as info:
+        run_flow(p.initial(64), PotentialD.distance_to_exit(p.domain()), p.tau, 5 * p.tau,
+                 n_samples=256, n_cells=64)
+    e = info.value
+    assert str(e) == "step 2: projection certificate failed inside a block"
+    assert e.last_iterate is third_step_fails and e.gap == -2e-7 and e.m == 7
+
+
+@pytest.mark.parametrize("preset", [fig4_preset, fig3_preset], ids=["exit", "closed"])
+def test_declared_affine_potential_must_have_one_slope(preset):
+    """``PotentialD(fn, grad)`` without curvature bounds is declared affine;
+    a slope that varies over the domain fails by name on exit and closed
+    domains alike, before any step, and declared curved it runs."""
+    p = preset()
+    dom = p.domain()
+
+    def grad(r):
+        return np.asarray(r, dtype=float) - dom.a
+
+    def fn(r):
+        return 0.5 * grad(r) ** 2
+
+    D = PotentialD(fn, grad)
+    assert D.affine
+    with pytest.raises(FeasibilityError, match="declared affine"):
+        D.validate_for(dom)
+    with pytest.raises(FeasibilityError, match="declared affine"):
+        run_flow(p.initial(64), D, p.tau, p.tau, n_samples=256, n_cells=64)
+    PotentialD(fn, grad, lam=1.0, curv_ub=1.0).validate_for(dom)
+
+
+def test_potential_table_needs_two_rows():
+    with pytest.raises(FeasibilityError, match="potential table needs at least two rows"):
+        PotentialD.from_table([1.0], [0.0])
+    with pytest.raises(FeasibilityError, match="matching 1d arrays"):
+        PotentialD.from_table([1.0, 2.0], [0.0])

@@ -16,6 +16,7 @@ from crowdflow1d.measures import (
     CellGeometry,
     Domain1D,
     Measure1D,
+    QuantileFn,
     _clip,
     _spill_excess,
     bin_quantiles_to_cells,
@@ -443,3 +444,30 @@ def test_measure_arrays_are_frozen():
     for arr in (m.edges, m.rho):
         with pytest.raises(ValueError):
             arr[0] = 0.5
+
+
+FLAT2 = Domain1D(0.0, 2.0, "flat", None, False)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    pytest.param(lambda: Measure1D(FLAT2, [0.0, 1.0, 2.0], [0.5]), FeasibilityError,
+                 "edges must be (n+1,) and rho (n,)", id="rho-shape"),
+    pytest.param(lambda: Measure1D.random_feasible(Domain1D(0.0, 0.5, "flat", None, False), 8,
+                                                   np.random.default_rng(0)),
+                 FeasibilityError, "domain capacity too small", id="random-capacity"),
+    pytest.param(lambda: Measure1D.from_csv(io.StringIO("a,b,c\n"), FLAT2), FeasibilityError,
+                 "bad header", id="csv-header"),
+    pytest.param(lambda: Measure1D.from_csv(io.StringIO("r_left,r_right,rho\n0,1,0.5\n1.5,2,0.5\n"),
+                                            FLAT2),
+                 FeasibilityError, "not contiguous", id="csv-gap"),
+    pytest.param(lambda: QuantileFn(FLAT2, np.array([0.5, 0.4])), MonotonicityError,
+                 "nondecreasing", id="quantiles-decrease"),
+    pytest.param(lambda: quantile_of(Measure1D.uniform(FLAT2, 0.5, 4), 1), FeasibilityError,
+                 "at least 2 quantile samples", id="one-sample"),
+    pytest.param(lambda: density_of(QuantileFn(FLAT2, np.full(64, 1.0)), 8), FeasibilityError,
+                 "overfill cells", id="cells-overfilled"),
+])
+def test_every_input_check_raises_its_class(make, error, message):
+    with pytest.raises(error) as info:
+        make()
+    assert message in str(info.value)

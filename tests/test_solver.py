@@ -1356,43 +1356,51 @@ def test_prefix_search_matches_the_linear_scan(monkeypatch):
 @pytest.mark.parametrize("tau_hi, prediction", [
     (0.15, "honest"), (0.5, "honest"), (0.15, "first inside"), (0.15, "at n")])
 def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi, prediction):
-    """The prefix predicted from the suffix regressions is verified on
-    the candidates next to it.  Every step returns the scan's prefix,
-    positions and value bit for bit.  A step where the prediction is the
-    chosen prefix costs at most 3 candidates, and the steps average at
-    most 3.5, also with ``tau`` drawn up to 0.5, where a step absorbs
-    more samples.  A prediction that is wrong on purpose (the first
-    sample inside the domain, or ``n``) costs candidates but never
+    """The exact search of a step starts next to the prefix predicted from
+    the suffix regressions, after at most 2 probes.  Every step returns
+    the scan's prefix, positions and value bit for bit.  A step that
+    starts next to its prefix (the prefix is the start or the sample
+    before it) costs at most 3 candidates, and the steps average at most
+    3.5, also with ``tau`` drawn up to 0.5, where a step absorbs more
+    samples.  The share of steps that start next to their prefix is the
+    one measured on these flows.  A start that is wrong on purpose (the
+    first sample inside the domain, or ``n``) costs candidates but never
     changes the step.  Where pinning a sample whose target is at or past
     the door is certain to lower the objective by more than the tie
     threshold, no candidate below those samples is evaluated; the thin
     queue, where it is not, still matches the scan."""
     honest_step, honest_minimize, honest_stop = jko.solve_step, _solver.minimize_free, _solver._first_stop
-    calls, stops, problems, steps, prefixes = [0], [], [], Counter(), []
+    honest_slope = ChainProjector.suffix_slope
+    calls, probes, guesses, problems, steps, prefixes = [0], [0], [], [], Counter(), []
 
     def counted(projector, q_prev, m, D, tau, *, warm=None, _x=None):
         calls[0] += 1
         prefixes.append(m)
         return honest_minimize(projector, q_prev, m, D, tau, warm=warm, _x=_x)
 
-    def first_stop(*args):
-        # the first search of a step is the prediction's
-        stops.append(honest_stop(*args))
-        return stops[-1]
+    def first_stop(lowers, lo, hi, guess):
+        guesses.append(guess)
+        return honest_stop(lowers, lo, hi, guess)
 
     def checked(projector, q_prev, m_prev, D, tau):
-        calls[0] = 0
-        stops.clear()
+        calls[0] = probes[0] = 0
+        guesses.clear()
         prefixes.clear()
         q, m, val, after = honest_step(projector, q_prev, m_prev, D, tau)
         q_ref, m_ref, val_ref = _linear_scan(projector, q_prev, m_prev, D, tau, honest_minimize)
         where = f"{label}, m_prev={m_prev}"
         x = q_prev - tau * D.grad(q_prev)
         past = m_prev + np.count_nonzero(x[m_prev:] <= projector.domain.a)
+        if len(guesses) != 1 or probes[0] > 2:
+            problems.append(f"{where}: {len(guesses)} searches and {probes[0]} probes")
+        guess = guesses[0]
+        at_n = prediction == "at n" and past + 1 < projector.n
+        if fake is not None and guess != (projector.n if at_n else past):
+            problems.append(f"{where}: the search starts at {guess}, past={past}")
         if not _solver._door_gain_clears(projector, D, tau):
             steps["below the tie"] += 1
             # the verification then starts from m_prev, as before the bound
-            if stops[0] == past > m_prev and min(prefixes) >= past:
+            if guess == past > m_prev and min(prefixes) >= past:
                 problems.append(f"{where}: no candidate below {past} below the tie")
         elif min(prefixes, default=past) < past:
             problems.append(f"{where}: candidate {min(prefixes)} below {past}")
@@ -1400,16 +1408,24 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
             problems.append(f"{where}: prefix {m}, the scan takes {m_ref}")
         elif not (np.array_equal(q, q_ref) and val == val_ref):
             problems.append(f"{where}: positions or value differ from the scan")
-        if stops[0] == m and calls[0] > 3:
-            problems.append(f"{where}: {calls[0]} candidates after a hit at {m}")
-        steps["hits"] += stops[0] == m
+        hit = m in (guess - 1, guess)
+        if hit and calls[0] > 3:
+            problems.append(f"{where}: {calls[0]} candidates after a start at {guess} for {m}")
+        steps["hits"] += hit
         steps["steps"] += 1
         steps["candidates"] += calls[0]
         return q, m, val, after
 
-    if prediction != "honest":
-        slope = 1.0 if prediction == "first inside" else -1.0
-        monkeypatch.setattr(ChainProjector, "suffix_slope", lambda self, t, m: slope)
+    # a start wrong on purpose: at past, where the first probe does not
+    # drop, or at n, where both probes drop and barely rise, so that the
+    # secant root lies far past n
+    fake = {"first inside": lambda m: 1.0, "at n": lambda m: -1.0 + 1e-9 * m}.get(prediction)
+
+    def slope(self, t, m):
+        probes[0] += 1
+        return honest_slope(self, t, m) if fake is None else fake(m)
+
+    monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
     monkeypatch.setattr(_solver, "minimize_free", counted)
     monkeypatch.setattr(_solver, "_first_stop", first_stop)
     monkeypatch.setattr(jko, "solve_step", checked)
@@ -1418,20 +1434,19 @@ def test_predicted_prefix_is_verified_with_three_candidates(monkeypatch, tau_hi,
     assert not problems, problems
     assert steps["steps"] == 4 * (N_SEARCH_FLOWS + 3), steps
     assert steps["below the tie"] == 4, steps
-    if prediction == "honest":
+    if fake is None:
         assert steps["candidates"] <= 3.5 * steps["steps"], steps
-        assert steps["hits"] >= 0.9 * steps["steps"], steps
-    else:
-        assert steps["hits"] < 0.9 * steps["steps"], steps
+        # measured: 90 and 89 of 108 steps
+        assert steps["hits"] >= {0.15: 0.83, 0.5: 0.82}[tau_hi] * steps["steps"], steps
 
 
 def test_prediction_runs_no_projection(monkeypatch):
     """The prefix prediction reads the suffix regressions and nothing
     else: on a saturated drain step (the study's corridor, where the
     queue at the door lets more samples out than the targets past the
-    door) it runs neither a projection nor a candidate minimization, so
-    the projections counted on ``ChainProjector.project`` are the
-    candidates' own, one each."""
+    door) its 2 probes run neither a projection nor a candidate
+    minimization, so the projections counted on
+    ``ChainProjector.project`` are the candidates' own, one each."""
     honest_project, honest_minimize = ChainProjector.project, _solver.minimize_free
     honest_slope = ChainProjector.suffix_slope
     inside, counts = [False], Counter()
@@ -1459,7 +1474,7 @@ def test_prediction_runs_no_projection(monkeypatch):
     q_prev = quantile_of(Measure1D.uniform(dom, 1.0, 64), 1024).q
     q, m, val, _ = solve_step(ChainProjector(dom, 1024), q_prev, 0, PotentialD.distance_to_exit(dom), 0.1)
     assert m >= 5 + np.count_nonzero(q_prev <= 1.1), m
-    assert counts["suffix_slope"] >= 4, counts
+    assert counts["suffix_slope"] == 2, counts
     assert counts["project", True] == counts["minimize_free", True] == 0, counts
     assert counts["project", False] == counts["minimize_free", False] <= 3, counts
 
@@ -1574,33 +1589,21 @@ def test_secant_seed_bounds_the_suffix_regressions(monkeypatch, n, tau, fits):
 @pytest.mark.parametrize("dm", [1, 2, 5, 30, 200])
 def test_secant_seed_survives_a_tangential_slope(monkeypatch, dm):
     """A predicted slope ``-(m0 - m)^3`` meets zero tangentially at ``m0``,
-    so the secant root undershoots it.  The prediction still stops at
-    ``m0`` with at most 2 probes more than a gallop from the first sample
-    inside the domain, and the step, verified on the exact objective,
-    returns the scan's prefix, positions and value bit for bit."""
+    so the secant root undershoots it.  The step still probes the slope
+    exactly twice and, verified on the exact objective, returns the scan's
+    prefix, positions and value bit for bit."""
     n, tau = 1024, 0.1
     projector, q_prev, D, past = _saturated_study_step(n, tau)
     m0 = past + dm
-    probes, stops, honest_stop = [], [], _solver._first_stop
-
-    def fake(m):
-        return -float(m0 - m) ** 3
+    probes = []
 
     def slope(self, t, m):
         probes.append(m)
-        return fake(m)
-
-    def first_stop(*args):
-        stops.append(honest_stop(*args))
-        return stops[-1]
+        return -float(m0 - m) ** 3
 
     monkeypatch.setattr(ChainProjector, "suffix_slope", slope)
-    monkeypatch.setattr(_solver, "_first_stop", first_stop)
     q, m, val, _ = solve_step(projector, q_prev, 0, D, tau)
-    galloped = set()
-    assert honest_stop(lambda k: galloped.add(k) or fake(k) < 0.0, past - 1, n, past) == m0
-    assert stops[0] == m0, stops
-    assert len(probes) == len(set(probes)) <= len(galloped) + 2, (sorted(probes), sorted(galloped))
+    assert probes == [past, past + 1], (probes, past)
     fresh = ChainProjector(projector.domain, n)
     q_ref, m_ref, val_ref = _linear_scan(fresh, q_prev, 0, D, tau, minimize_free)
     assert m == m_ref and np.array_equal(q, q_ref) and val == val_ref, (m, m_ref)

@@ -214,3 +214,16 @@ def test_domain_mismatch_raises():
         for fn in (w2_1d, kantorovich_potential, dual_value):
             with pytest.raises(FeasibilityError, match="different domains"):
                 fn(src, dst)
+
+
+@pytest.mark.parametrize("src, dst, error, message", [
+    pytest.param(quantile_of(_block_measure(0.5, 1.5), 64),
+                 quantile_of(_block_measure(0.5, 1.5), 128), FeasibilityError,
+                 "quantile sample counts differ", id="sample-counts"),
+    pytest.param([(1.0, 1.0)], [(2.0, 0.5)], MassMismatchError, "masses differ: 1.0 vs 0.5",
+                 id="atom-masses"),
+])
+def test_every_input_check_raises_its_class(src, dst, error, message):
+    with pytest.raises(error) as info:
+        w2_1d(src, dst)
+    assert message in str(info.value)
