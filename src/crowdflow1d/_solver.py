@@ -34,12 +34,12 @@ trial does not, pooling runs again with an exact solve per merge,
 started at the block's lower bound.
 Everything that depends on the target alone (clipped singles and their
 positions, the last pairs where the singles drop and where they do not,
-the trial's input, the certificate's scale, the suffix regressions and,
-once needed, the suffixes' weighted means and the gradients and verdicts
-of the blocks of one) is one record (:meth:`ChainProjector.target`),
-which a projection takes in place of the target: an affine step builds
-it once and hands it to every candidate prefix and every probe, since
-they all project the same target.  The projector itself keeps no state.
+the trial's input, the certificate's scale and, once needed, the
+suffixes' weighted means and the gradients and verdicts of the blocks of
+one) is one record (:meth:`ChainProjector.target`), which a projection
+takes in place of the target: an affine step builds it once and hands it
+to every candidate prefix, since they all project the same target.  The
+projector itself keeps no state.
 For a fixed prefix the step objective
 
     sum_j [ D(Q_j) + (Q_j - p_j)^2 / (2 tau) ] * ds
@@ -50,20 +50,19 @@ the objective is a squared distance to ``p - tau*D'``, so a candidate
 prefix is one projection of that target and one objective, whatever
 the start.  Pinning makes the admissible set non-convex, so the prefix
 itself is chosen among candidates: by a scan for a curved potential.
-For an affine one, one search over the exact candidates starts next to
-the root of the line through two slopes predicted from the trial
-regressions of the suffixes of the one target
-(:meth:`ChainProjector.suffix_slope`, no projection; a suffix at its
-lower bound throughout is the packed chain from the door, tabled once
-per projector), and evaluates no candidate below the samples whose
-targets are at or past the door when pinning those is certain to lower
-the objective, see :func:`solve_step`.
+For an affine one, one search over the exact candidates starts as far
+past the first sample whose target lies inside the domain as the last
+step's prefix lay past its own, or, where that is no distance, next to
+the root of the line through the first two exact slopes, and evaluates
+no candidate below the samples whose targets are at or past the door
+when pinning those is certain to lower the objective, see
+:func:`solve_step`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq, isotonic_regression
@@ -89,14 +88,11 @@ _NO_BLOCKS.flags.writeable = _NO_VALUES.flags.writeable = False
 # max(1, max|x|), the trial's input (x - a - j*ds on flat domains, the
 # weights w(Q(single))**-2 on radial ones), on flat domains the prefix
 # sums of that input, and the positions Q(single), where every block of
-# one sits; then, by first sample, the clipped isotonic regressions of its
-# suffixes, kept as the trials and the prefix prediction run them
-# (:meth:`ChainProjector._fit`), on radial domains the weighted means of
-# the singles over each suffix, once a suffix whose singles drop at every
-# pair needs them, the prediction's squared distances of the suffixes
-# (:meth:`ChainProjector.suffix_slope`) and, once a partition of the
-# target has a block of one, the gradient of every single (a block of
-# one's total) and the samples whose block of one fails the boundary
+# one sits; then, on radial domains, the weighted means of the singles
+# over each suffix, once a suffix whose singles drop at every pair needs
+# them (:meth:`ChainProjector._fit`), and, once a partition of the target
+# has a block of one, the gradient of every single (a block of one's
+# total) and the samples whose block of one fails the boundary
 # certificate (:meth:`ChainProjector._ones`)
 @dataclass(eq=False)
 class _Target:
@@ -108,9 +104,7 @@ class _Target:
     trial: np.ndarray
     psum: np.ndarray | None
     pos: np.ndarray
-    fits: dict = field(default_factory=dict)
     means: np.ndarray | None = None
-    dists: dict = field(default_factory=dict)
     grad: np.ndarray | None = None
     fails: np.ndarray | None = None
 
@@ -128,12 +122,8 @@ class ChainProjector:
         self.lb = 0.5 * self.ds - self.offs
         self.ub = (self.cap - 0.5 * self.ds) - self.offs
         self.flat = domain.weight_kind == "flat"
-        # the packed chain from the door, W^-1((j + 1/2)*ds): the positions
-        # of a suffix at its lower bound throughout; its first entry is the
-        # lowest position a free sample can take
-        self.packed = domain.inv_cumweight(self.lb[0] + self.offs)
-        self.packed.flags.writeable = False
-        self.lowest = float(self.packed[0])
+        # the lowest position a free sample can take, W^-1(ds/2)
+        self.lowest = float(domain.inv_cumweight(self.lb[0]))
 
     # -- scalar helpers -------------------------------------------------
 
@@ -238,8 +228,8 @@ class ChainProjector:
     def target(self, x):
         """The :class:`_Target` record of the projection target ``x``, built from a copy of it.
 
-        Every projection and prefix prediction of ``x`` takes the record,
-        and the record keeps what they derive from ``x``.
+        Every projection of ``x`` takes the record, and the record keeps
+        what they derive from ``x``.
         """
         a, R = self.domain.a, self.domain.R
         x = np.array(x, dtype=float)
@@ -339,31 +329,23 @@ class ChainProjector:
         have a closed form: singles in order from ``m`` on are their own
         regression, and singles that drop at every pair from ``m`` on
         pool into one block at their weighted mean (:meth:`_falls`), so
-        on radial domains the regression is that mean, clipped.  Kept
-        with the target, read-only, so a prefix that the prediction has
-        looked at costs its trial no second regression.
+        on radial domains the regression is that mean, clipped.
         """
-        fit = t.fits.get(m)
-        if fit is None:
-            if t.last_drop < m:
-                # box-clipped targets in order are their own regression
-                return t.singles[m:]
-            if self.flat:
-                fit = _clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
-            elif self._falls(t, m):
-                if t.means is None:
-                    # suffix sums, from the last sample down
-                    w = np.cumsum(t.trial[::-1])
-                    ws = np.cumsum((t.trial * t.singles)[::-1])
-                    t.means = (ws / w)[::-1]
-                    t.means.flags.writeable = False
-                fit = np.full(self.n - m, min(max(t.means[m], self.lb[m]), self.ub[-1]))
-            else:
-                fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-                fit = _clip(fit, self.lb[m], self.ub[-1])
-            t.fits[m] = fit
-            fit.flags.writeable = False
-        return fit
+        if t.last_drop < m:
+            # box-clipped targets in order are their own regression
+            return t.singles[m:]
+        if self.flat:
+            return _clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
+        if self._falls(t, m):
+            if t.means is None:
+                # suffix sums, from the last sample down
+                w = np.cumsum(t.trial[::-1])
+                ws = np.cumsum((t.trial * t.singles)[::-1])
+                t.means = (ws / w)[::-1]
+                t.means.flags.writeable = False
+            return np.full(self.n - m, min(max(t.means[m], self.lb[m]), self.ub[-1]))
+        fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
+        return _clip(fit, self.lb[m], self.ub[-1])
 
     def _falls(self, t, m):
         """Whether the singles from sample ``m`` on, two or more, drop at every pair."""
@@ -385,42 +367,6 @@ class ChainProjector:
         lo_b, hi_b = edges[::2], edges[1::2]
         return lo_b, hi_b, np.array([self._solve_block(t, int(lo), int(hi), float(fit[lo - m]))
                                      for lo, hi in zip(lo_b, hi_b)], dtype=float)
-
-    def suffix_slope(self, t, m):
-        """Predicted change of the squared distance to the target of record ``t`` when
-        sample ``m`` is pinned too.
-
-        A candidate with ``m`` pinned samples lies at squared distance
-        ``sum_{j<m} (a - x_j)^2 + sum_{j>=m} (Q_j - x_j)^2`` from its
-        target ``x``, with ``Q`` the projection of ``x[m:]``.  The prediction
-        takes the trial's clipped isotonic regression (:meth:`_fit`) for
-        ``Q``, before its blocks are solved: exact on flat domains, and
-        the partition the projection starts from on radial ones.  A
-        radial suffix pooled into one block at its lower bound is the
-        packed chain, whose positions are read off ``packed``.  Runs no
-        projection; the suffix distances are kept with the record, so the
-        probes of one step share them.
-        """
-        a, xm = self.domain.a, t.x[m]
-        if t.last_drop < m:
-            # the box-clipped targets are in order from m on: both suffix
-            # regressions are the singles, which differ in sample m alone
-            return (a - xm) ** 2 - (float(t.pos[m]) - xm) ** 2
-
-        def dist(k):
-            if k == self.n:
-                return 0.0
-            if k not in t.dists:
-                fit = self._fit(t, k)
-                if fit[0] == self.lb[k] and not self.flat and self._falls(t, k):
-                    # one block at its lower bound: the packed chain
-                    q = self.packed[: self.n - k]
-                else:
-                    q = self.domain.inv_cumweight(fit + self.offs[k:])
-                t.dists[k] = float(np.square(q - t.x[k:]).sum())
-            return t.dists[k]
-
-        return (a - xm) ** 2 + dist(m + 1) - dist(m)
 
     def _pool(self, t, m):
         """Exact pooling of adjacent violators: the pooled blocks as (lo, hi, value) arrays.
@@ -605,7 +551,7 @@ def _door_gain_clears(projector, D, tau):
     return gain > 1e-15 + 2.0 * projector.n * np.finfo(float).eps * size
 
 
-def solve_step(projector, q_prev, m_prev, D, tau):
+def solve_step(projector, q_prev, m_prev, D, tau, lead=0):
     """One congested step: choose the absorbed prefix and minimize.
 
     With an exit the admissible set is not convex in quantile
@@ -627,33 +573,36 @@ def solve_step(projector, q_prev, m_prev, D, tau):
     ``f(m + 1) - f(m)`` increases with ``m``.  The prefix is the first
     stop of that slope, found by one search over the exact candidates
     with the same tie rule: it gallops and bisects from a start
-    (:func:`_first_stop`).  The start comes from the slope predicted off
-    the suffix regressions (:meth:`ChainProjector.suffix_slope`, which
-    runs no projection), probed at the first sample ``past`` whose
-    target lies inside the domain and at ``past + 1``.  Up to its jump
-    at the stop the predicted slope is close to linear, so when both
-    probes drop and the slope rises between them, the search starts one
-    past the root of the line through them, the root rounded up and at
-    least ``past + 2``; otherwise it starts at ``past``.  Pinning a
-    sample whose target is at or past the door lowers the objective by
-    at least ``ds/(2 tau) * (P0 - a)^2``, with ``P0`` the lowest free
-    position; where that clears the tie threshold and the objective's
-    rounding (:func:`_door_gain_clears`), the search never evaluates a
-    candidate below those samples, else it may go down to ``m_prev``.
+    (:func:`_first_stop`), so the start changes what the step costs and
+    never what it returns.  The start is ``past + lead``, with ``past``
+    the first sample whose target lies inside the domain and ``lead``
+    how far the last step's stop lay past its own ``past`` (``0`` on a
+    run's first step).  From ``past`` itself, when the slopes at
+    ``past`` and ``past + 1`` both drop, the search goes on one past the
+    root of the line through them, the root rounded up and at least
+    ``past + 2``: both slopes are read off the candidates that the two
+    tests have evaluated.  Pinning a sample whose target is at or past
+    the door lowers the objective by at least ``ds/(2 tau) * (P0 - a)^2``,
+    with ``P0`` the lowest free position; where that clears the tie
+    threshold and the objective's rounding (:func:`_door_gain_clears`),
+    the search never evaluates a candidate below those samples, else it
+    may go down to ``m_prev``.
 
-    Returns ``(q, m, objective, after)``, with ``after`` the candidate
-    ``m + 1`` as a ``(q, objective)`` pair, which the search has always
-    evaluated, or ``None`` when there is none (``m = n``, or no exit).
-    It is what :func:`minimize_free` returns for ``m + 1`` warm-started
-    from ``q``: a scan warm-starts each candidate from the one below, and
-    an affine candidate does not depend on its warm start.
+    Returns ``(q, m, objective, after, lead)``, with ``after`` the
+    candidate ``m + 1`` as a ``(q, objective)`` pair, which the search
+    has always evaluated, or ``None`` when there is none (``m = n``, or
+    no exit), and ``lead`` this step's ``m - past`` for the next step
+    (``0`` unless ``D`` is affine on an exit domain).  ``after`` is what
+    :func:`minimize_free` returns for ``m + 1`` warm-started from ``q``:
+    a scan warm-starts each candidate from the one below, and an affine
+    candidate does not depend on its warm start.
     """
     if not projector.domain.has_exit:
         q, val = minimize_free(projector, q_prev, 0, D, tau)
-        return q, 0, val, None
+        return q, 0, val, None, 0
     n = projector.n
     found = {}
-    # the record of the one target of every candidate and every probe
+    # the record of the one target of every candidate
     t = projector.target(q_prev - tau * D.grad(q_prev)) if D.affine else None
 
     def candidate(m):
@@ -673,26 +622,27 @@ def solve_step(projector, q_prev, m_prev, D, tau):
         return candidate(m + 1)[1] < before - 1e-15
 
     if D.affine:
-        scale = projector.ds / (2.0 * tau)
         # pinning a sample whose target is at or past the door lowers the
         # objective, so the first stop lies past every such sample
         past = m_prev + int(np.count_nonzero(t.x[m_prev:] <= projector.domain.a))
-        guess = past
-        f0 = scale * projector.suffix_slope(t, past) if past + 1 < n else 0.0
-        f1 = scale * projector.suffix_slope(t, past + 1) if f0 < -1e-15 else 0.0
-        if f0 < f1 < -1e-15:
-            # the predicted slope is close to linear up to its jump, where
-            # it bends down, so the root of the line through the two probes
-            # lands on the stop or one sample short of it and never past
-            # it: start one past the root, so that the search first probes
-            # the root and the prefix after it (starting at the root costs
-            # the saturated sweep to T=1 20% more projections, 946 -> 1,133)
-            guess = min(past + 2 + max(1, math.ceil(-f1 / (f1 - f0))), n)
         lo = past - 1 if _door_gain_clears(projector, D, tau) else m_prev - 1
+        guess = past + lead
+        if lead == 0 and past + 1 < n and lowers(past) and lowers(past + 1):
+            # on a draining queue the slope rises close to linearly up to
+            # the stop, so the root of the line through the first two
+            # lands on the stop or one sample short of it: go on one past
+            # the root, so that the search first tests the root and the
+            # prefix after it
+            f = [found[k][1] for k in (past, past + 1, past + 2)]
+            f0, f1 = f[1] - f[0], f[2] - f[1]
+            lo = past + 1
+            if f0 < f1:
+                guess = min(past + 2 + max(1, math.ceil(-f1 / (f1 - f0))), n)
         m = _first_stop(lowers, lo, n, guess)
+        lead = m - past
     else:
-        m = m_prev
+        m, lead = m_prev, 0
         while m < n and lowers(m):
             m += 1
     q, val = candidate(m)
-    return q, m, val, found.get(m + 1)
+    return q, m, val, found.get(m + 1), lead

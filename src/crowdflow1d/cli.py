@@ -389,7 +389,7 @@ def load_config(path, base=None):
     kind = updates.pop("potential_kind", None)
     tabled = bool(updates.get("potential_table") or (base and base.potential_table))
     if kind == "table" and not tabled:
-        raise ConfigError("potential kind 'table' needs a table", field="table")
+        raise ConfigError("potential kind 'table' needs a table", field="potential table")
     if kind == "distance_to_exit" and tabled:
         raise ConfigError("potential kind 'distance_to_exit' contradicts the potential table",
                           field="kind")

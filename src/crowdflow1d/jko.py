@@ -84,7 +84,9 @@ class PotentialD:
 
     @classmethod
     def from_table(cls, radii, values):
-        """Piecewise-linear potential through ``(radii, values)``."""
+        """Piecewise-linear potential through ``(radii, values)``, continued
+        along its end segments past the first and last rows, as its slope
+        is."""
         r = np.asarray(radii, dtype=float)
         v = np.asarray(values, dtype=float)
         if r.ndim != 1 or r.shape != v.shape:
@@ -100,8 +102,15 @@ class PotentialD:
         slopes = np.diff(v) / np.diff(r)
         h = 0.5 * (np.diff(r)[:-1] + np.diff(r)[1:])
         curv = np.diff(slopes) / h if len(slopes) > 1 else np.zeros(1)
+
+        def fn(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(x < r[0], v[0] + slopes[0] * (x - r[0]),
+                            np.where(x > r[-1], v[-1] + slopes[-1] * (x - r[-1]),
+                                     np.interp(x, r, v)))
+
         return cls(
-            fn=lambda x: np.interp(x, r, v),
+            fn=fn,
             grad=lambda x: slopes[
                 np.clip(np.searchsorted(r, x, side="right") - 1, 0, len(slopes) - 1)
             ],
@@ -260,7 +269,7 @@ def jko_step(prev, D, tau, n_samples=4096, n_cells=2048):
     JkoStepResult
     """
     projector, geom, qf = _start(prev, D, tau, n_samples, n_cells)
-    return _assemble(projector, geom, qf.q, qf.exit_plateau, D, tau)
+    return _assemble(projector, geom, qf.q, qf.exit_plateau, D, tau)[0]
 
 
 def _start(rho, D, tau, n_samples, n_cells):
@@ -300,10 +309,13 @@ def _step_count(T, tau):
     return n_steps
 
 
-def _assemble(projector, geom, q_prev, m_prev, D, tau):
+def _assemble(projector, geom, q_prev, m_prev, D, tau, lead=0):
+    """One step from ``q_prev`` with ``m_prev`` samples absorbed, door loop
+    and fields included: ``(JkoStepResult, lead)``, with ``lead`` the
+    prefix search's hint for the next step (:func:`solve_step`)."""
     domain = projector.domain
     ds = projector.ds
-    q_next, m_next, obj, after = solve_step(projector, q_prev, m_prev, D, tau)
+    q_next, m_next, obj, after, lead = solve_step(projector, q_prev, m_prev, D, tau, lead)
     fields = _grid_fields(geom, tau, q_prev, q_next, m_next, m_next * ds)
     while domain.has_exit and m_next < projector.n:
         level, door_level = fields[1], fields[3]
@@ -338,7 +350,7 @@ def _assemble(projector, geom, q_prev, m_prev, D, tau):
         m_exit=m_next,
         q_prev=q_prev,
         q_next=q_next,
-    )
+    ), lead
 
 
 @dataclass
@@ -385,13 +397,13 @@ def run_flow(rho0, D, tau, T, n_samples=4096, n_cells=2048):
     """
     projector, geom, qf = _start(rho0, D, tau, n_samples, n_cells)
     n_steps = _step_count(T, tau)
-    q, m = qf.q, qf.exit_plateau
+    q, m, lead = qf.q, qf.exit_plateau, 0
     ds = projector.ds
     energies = [float((np.asarray(D.fn(q), dtype=float) * ds).sum())]
     iterates = [rho0]
     steps = []
     for k in range(n_steps):
-        res = tagged(f"step {k}: ", _assemble, projector, geom, q, m, D, tau)
+        res, lead = tagged(f"step {k}: ", _assemble, projector, geom, q, m, D, tau, lead)
         q, m = res.q_next, res.m_exit
         steps.append(res)
         iterates.append(res.rho_next)

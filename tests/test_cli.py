@@ -113,7 +113,8 @@ def test_bad_values_report_their_field(tmp_path):
                  "potential table", id="potential-not-minimal-at-door"),
     pytest.param("run", [], "[potential]\nkind = distance_to_exit\ntable = 1 0\n  10 90\n",
                  "kind", id="kind-contradicts-table"),
-    pytest.param("run", [], "[potential]\nkind = table\n", "table", id="kind-table-without-table"),
+    pytest.param("run", [], "[potential]\nkind = table\n", "potential table",
+                 id="kind-table-without-table"),
     # D'' reaches -111 at the kink, so the step cap 1/(4*111) = 2.25e-3 is below tau = 0.01
     pytest.param("run", [], "[potential]\nkind = table\ntable = 1 0\n  1.01 5\n  10 6\n",
                  "tau", id="tau-above-step-cap"),

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from crowdflow1d import jko
+from crowdflow1d import _solver, jko
 from crowdflow1d.cli import ScenarioConfig
 from crowdflow1d.corridor import fig3_preset, fig4_preset, saturated_exit_preset
 from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
@@ -76,6 +76,27 @@ def test_table_potential_validation():
         dipped.validate_for(dom)
 
 
+def test_short_table_continues_its_end_segments():
+    """A table that stops short of the domain continues along its end
+    segments, in its value as in its slope, and keeps ``np.interp``'s
+    bits inside: ``from_table([1, 5], [0, 4])`` reads 6 at r = 7, and a
+    fig4 run under it gives the bits of the same run under the table
+    extended to R = 10."""
+    short = PotentialD.from_table([1.0, 5.0], [0.0, 4.0])
+    assert (short.fn(7.0), short.grad(7.0), short.fn(0.5)) == (6.0, 1.0, -0.5)
+    r = np.linspace(1.0, 5.0, 17)
+    assert np.array_equal(short.fn(r), np.interp(r, [1.0, 5.0], [0.0, 4.0]))
+    p = fig4_preset()
+    full = PotentialD.from_table([1.0, 5.0, 10.0], [0.0, 4.0, 9.0])
+    assert short.affine and full.affine
+    runs = [run_flow(p.initial(64), D, 0.05, 1.5, n_samples=256, n_cells=64)
+            for D in (short, full)]
+    assert runs[0].steps[-1].m_exit > 0
+    for a, b in zip(runs[0].steps, runs[1].steps):
+        assert np.array_equal(a.q_next, b.q_next) and a.m_exit == b.m_exit
+        assert (a.objective_value, a.energy) == (b.objective_value, b.energy)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("column", ["radii", "values"])
 def test_table_potential_rejects_non_finite_entries(column, bad):
@@ -136,9 +157,9 @@ def test_step_guards():
 def test_energy_rise_is_a_solver_failure(monkeypatch):
     honest = jko.solve_step
 
-    def outward(projector, q_prev, m_prev, D, tau):
-        q, m, obj, after = honest(projector, q_prev, m_prev, D, tau)
-        return q + 0.5, m, obj, after
+    def outward(projector, q_prev, m_prev, D, tau, lead):
+        q, m, obj, after, lead = honest(projector, q_prev, m_prev, D, tau, lead)
+        return q + 0.5, m, obj, after, lead
 
     monkeypatch.setattr(jko, "solve_step", outward)
     block = _block(0.0, 1.0)
@@ -153,16 +174,16 @@ def test_energy_rise_carries_the_absorbed_prefix(monkeypatch):
     honest_step, honest_assemble = jko.solve_step, jko._assemble
     prefixes = []
 
-    def outward(projector, q_prev, m_prev, D, tau):
-        q, m, obj, after = honest_step(projector, q_prev, m_prev, D, tau)
+    def outward(projector, q_prev, m_prev, D, tau, lead):
+        q, m, obj, after, lead = honest_step(projector, q_prev, m_prev, D, tau, lead)
         q = q.copy()
         q[m:] += 0.5
-        return q, m, obj, after
+        return q, m, obj, after, lead
 
     def recorded(*args):
-        res = honest_assemble(*args)
+        res, lead = honest_assemble(*args)
         prefixes.append(res.m_exit)
-        return res
+        return res, lead
 
     monkeypatch.setattr(jko, "solve_step", outward)
     monkeypatch.setattr(jko, "_assemble", recorded)
@@ -173,6 +194,44 @@ def test_energy_rise_carries_the_absorbed_prefix(monkeypatch):
         run_flow(block, D, 0.1, 0.3, n_samples=128, n_cells=30)
     assert prefixes[-1] > 0
     assert err.value.m == prefixes[-1]
+
+
+def test_a_run_step_is_a_fresh_step_from_its_q_prev(monkeypatch):
+    """``run_flow`` carries the prefix search's start from step to step
+    (its lead), which changes what a step costs and never what it
+    returns: every step of a saturated drain gives the bits of a fresh
+    ``jko_step`` from the same ``q_prev`` and absorbed prefix, which
+    starts with no lead and evaluates more candidates."""
+    honest_step, honest_minimize = jko.solve_step, _solver.minimize_free
+    calls, seen = [0], []
+
+    def step(projector, q_prev, m_prev, D, tau, lead):
+        calls[0] = 0
+        out = honest_step(projector, q_prev, m_prev, D, tau, lead)
+        seen.append((m_prev, lead, calls[0]))
+        return out
+
+    def minimize(*args, **kwargs):
+        calls[0] += 1
+        return honest_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(jko, "solve_step", step)
+    monkeypatch.setattr(_solver, "minimize_free", minimize)
+    p = saturated_exit_preset()
+    D = PotentialD.distance_to_exit(p.domain())
+    traj = run_flow(p.initial(64), D, 0.05, 1.0, n_samples=1024, n_cells=64)
+    run, seen[:] = list(seen), []
+    for (m_prev, _, _), res, rho in zip(run, traj.steps, traj.iterates):
+        monkeypatch.setattr(jko, "quantile_of",
+                            lambda mu, n, q=res.q_prev, m=m_prev: QuantileFn(mu.domain, q, m))
+        fresh = jko_step(rho, D, 0.05, n_samples=1024, n_cells=64)
+        for name in ("q_next", "m_exit", "objective_value", "energy", "level_l",
+                     "pressure", "velocity", "w2_increment"):
+            assert np.array_equal(getattr(fresh, name), getattr(res, name)), name
+        assert np.array_equal(fresh.rho_next.rho, res.rho_next.rho)
+    assert len(seen) == len(run) == 20 and not any(lead for _, lead, _ in seen), seen
+    assert any(lead for _, lead, _ in run), run
+    assert sum(c for *_, c in run) < sum(c for *_, c in seen), (run, seen)
 
 
 def test_one_step_improves_on_staying():
