@@ -16,17 +16,19 @@ the shifted variables ``y_j = z_j - j*ds`` (the chain becomes
 isotonicity of ``y``).  A block partition is settled by one scalar
 solve per pooled block: a closed form on flat domains and, on radial
 ones, Newton's method (``brentq`` for a block with a negative target,
-where the block equation loses its concavity).  The trial partition
-comes from one weighted isotonic regression (SciPy's O(n) pool adjacent
-violators) clipped to the two box bounds that an isotone ``y`` can meet
-(after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000); on flat
-domains it is exact, and on radial ones each block's Newton solve starts
-from the block's regression value.  Two suffixes need no regression run:
-singles already in order are their own regression, and on a radial
-domain singles that drop at every pair pool into one block at their
-weighted mean (read off suffix sums kept per target), clipped.  A
-partition is carried as its pooled blocks: every other free sample is a
-block of one at its clipped target.
+where the block equation loses its concavity).  A projection runs one
+pipeline: a trial partition, then the certificate; if that fails, exact
+pooling, then the certificate; if that fails too, it raises.  The trial
+partition comes from one weighted isotonic regression (SciPy's O(n) pool
+adjacent violators) clipped to the two box bounds that an isotone ``y``
+can meet (after Best, Chakravarti & Ubhaya, SIAM J. Optim. 10(3), 2000);
+on flat domains it is exact, and on radial ones each block's Newton
+solve starts from the block's regression value.  Two suffixes need no
+regression run: singles already in order are their own regression and
+pool nothing, and on a radial domain singles that drop at every pair
+pool into one block at their weighted mean (read off suffix sums kept
+per target), clipped.  A partition is carried as its pooled blocks:
+every other free sample is a block of one at its clipped target.
 It is accepted only if its block values are in chain order and pass a
 multiplier (KKT) certificate, read off one running sum of the per-sample
 gradients over the pooled blocks and judged block by block; when the
@@ -90,7 +92,7 @@ _NO_BLOCKS.flags.writeable = _NO_VALUES.flags.writeable = False
 # sums of that input, and the positions Q(single), where every block of
 # one sits; then, on radial domains, the weighted means of the singles
 # over each suffix, once a suffix whose singles drop at every pair needs
-# them (:meth:`ChainProjector._fit`), and, once a partition of the target
+# them (:meth:`ChainProjector._trial`), and, once a partition of the target
 # has a block of one, the gradient of every single (a block of one's
 # total) and the samples whose block of one fails the boundary
 # certificate (:meth:`ChainProjector._ones`)
@@ -210,19 +212,20 @@ class ChainProjector:
 
         Samples ``0..m-1`` are pinned on the door and excluded; ``t`` is
         the record of the full-length target array (:meth:`target`).
-        Returns the full position array, a function of the target and
-        ``m`` alone.
+        The trial partition (:meth:`_trial`) is certified; if it fails,
+        exact pooling (:meth:`_pool`) is, and if that fails too, the
+        projection raises :class:`SolverFailureError` with the pooled
+        positions.  Returns the full position array, a function of the
+        target and ``m`` alone.
         """
         n, ds = self.n, self.ds
         if (n - m) * ds > self.cap + 1e-12:
             raise FeasibilityError("interior mass exceeds domain capacity")
-        if t.last_drop < m:
-            # box-clipped targets already satisfy the chain: every block
-            # is a block of one
-            return self._certified(t, m, _NO_BLOCKS, _NO_BLOCKS, _NO_VALUES, strict=True)
-        q = self._certified(t, m, *self._trial(t, m))
-        if q is None:
-            q = self._certified(t, m, *self._pool(t, m), strict=True)
+        q, bad = self._certified(t, m, *self._trial(t, m))
+        if bad is not None:
+            q, bad = self._certified(t, m, *self._pool(t, m))
+            if bad is not None:
+                raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
         return q
 
     def target(self, x):
@@ -267,8 +270,8 @@ class ChainProjector:
         t.fails = j[~_ends_ok(t.singles[j], self.lb[j], self.ub[j], t.grad[j], tol)]
         t.grad.flags.writeable = t.fails.flags.writeable = False
 
-    def _certified(self, t, m, lo_b, hi_b, y_b, strict=False):
-        """Positions of a block partition that passes the certificate.
+    def _certified(self, t, m, lo_b, hi_b, y_b):
+        """Positions of a block partition and its certificate's verdict, ``(q, bad)``.
 
         A partition lists its blocks ``lo_b..hi_b`` and their values
         ``y_b`` (the trial and the exact pooling list their pooled blocks);
@@ -277,9 +280,8 @@ class ChainProjector:
         read from the target's record (:meth:`_ones`).  The certificate
         asks for block values in chain order, read off the partition's
         values ``y`` from ``m`` on, and for nonnegative multipliers
-        (:meth:`_kkt_violation`).  A failed certificate returns ``None``,
-        or raises when ``strict`` (targets already in order, or exact
-        pooling: neither has a fallback).
+        (:meth:`_kkt_violation`).  ``bad`` is ``None`` if the certificate
+        holds, else a ``(message, gap)`` pair.
         """
         n = self.n
         y = t.singles.copy()
@@ -300,66 +302,50 @@ class ChainProjector:
         order = float((y[m + 1:] - y[m:-1]).min(initial=0.0))
         if count < n - m and t.grad is None:
             self._ones(t)
-        if order < -GAP_TOL and not strict:
-            return None
         q = t.pos.copy()
         q[:m] = self.domain.a
         if count:
             q[at] = self.domain.inv_cumweight(y_at + self.offs[at])
         if order < -GAP_TOL:
-            bad = ("projection certificate failed: block values out of chain order", order)
-        else:
-            bad = self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b, starts, ends)
-        if bad is not None:
-            if strict:
-                raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
-            return None
-        return q
+            return q, ("projection certificate failed: block values out of chain order", order)
+        return q, self._kkt_violation(q, t, m, at, lo_b, hi_b, y_b, starts, ends)
 
-    def _fit(self, t, m):
-        """Clipped isotonic regression of the trial's input from sample ``m`` on.
+    def _trial(self, t, m):
+        """Trial partition of target ``t`` from sample ``m`` on: its pooled
+        blocks as (lo, hi, value) arrays.
 
+        The trial is the clipped isotonic regression of the trial's input.
         In ``y`` both boxes decrease with the index, so an isotone ``y``
         can only meet ``lb[m]`` and ``ub[n-1]``, and the box-constrained
         regression is the unconstrained one clipped to them.  On flat
         domains the regression of ``x - a - j*ds`` is the projection
         itself.  On radial domains it runs on the singles with weights
         ``1/w(Q(single))^2``: near its optimum ``s_j`` a sample's term is
-        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Two suffixes
-        have a closed form: singles in order from ``m`` on are their own
-        regression, and singles that drop at every pair from ``m`` on
-        pool into one block at their weighted mean (:meth:`_falls`), so
-        on radial domains the regression is that mean, clipped.
+        ``(Q_j(y) - x_j)^2 ~ (y - s_j)^2 / w(Q_j(s_j))^2``.  Runs of equal
+        clipped values are the blocks (runs at a bound merged), and each
+        run longer than one sample is solved exactly once, from its value.
+        Two suffixes run no regression: singles in order from ``m`` on are
+        their own regression and list no block, and on a radial domain two
+        or more singles that drop at every pair from ``m`` on pool into the
+        one block ``m..n-1`` at their weighted mean, clipped.
         """
+        n = self.n
         if t.last_drop < m:
-            # box-clipped targets in order are their own regression
-            return t.singles[m:]
+            return _NO_BLOCKS, _NO_BLOCKS, _NO_VALUES
         if self.flat:
-            return _clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
-        if self._falls(t, m):
+            fit = _clip(isotonic_regression(t.trial[m:]).x, self.lb[m], self.ub[-1])
+        elif t.last_rise < m <= n - 2:
             if t.means is None:
                 # suffix sums, from the last sample down
                 w = np.cumsum(t.trial[::-1])
                 ws = np.cumsum((t.trial * t.singles)[::-1])
                 t.means = (ws / w)[::-1]
                 t.means.flags.writeable = False
-            return np.full(self.n - m, min(max(t.means[m], self.lb[m]), self.ub[-1]))
-        fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-        return _clip(fit, self.lb[m], self.ub[-1])
-
-    def _falls(self, t, m):
-        """Whether the singles from sample ``m`` on, two or more, drop at every pair."""
-        return t.last_rise < m <= self.n - 2
-
-    def _trial(self, t, m):
-        """Trial partition from one isotonic regression (:meth:`_fit`): its
-        pooled blocks as (lo, hi, value) arrays.
-
-        Runs of equal clipped values are the blocks (runs at a bound
-        merged); each run longer than one sample is solved exactly once,
-        and the partition must still pass the certificate.
-        """
-        fit = self._fit(t, m)
+            y = float(min(max(t.means[m], self.lb[m]), self.ub[-1]))
+            return np.array([m]), np.array([n - 1]), np.array([self._solve_block(t, m, n - 1, y)])
+        else:
+            fit = _clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x,
+                        self.lb[m], self.ub[-1])
         # same[j] tells whether fit[j] equals fit[j-1], False at both ends
         same = np.zeros(fit.size + 1, dtype=bool)
         np.equal(fit[1:], fit[:-1], out=same[1:-1])
@@ -373,7 +359,8 @@ class ChainProjector:
 
         Every merge solves its block from the lower bound
         (:meth:`_solve_block`).  This is the fallback for a trial partition
-        that fails the certificate; its own partition must pass.
+        that fails the certificate; if its own partition fails too,
+        :meth:`project` raises.
         """
         lo_s, y_s = [], []
         for j in range(m, self.n):

@@ -27,7 +27,6 @@ from .measures import (
     CellGeometry,
     Measure1D,
     QuantileFn,
-    _clip,
     _csv_file,
     _last_of_ties,
     bin_quantiles_to_cells,
@@ -223,8 +222,10 @@ def _grid_fields(geom, tau, q_prev, q_next, m, exit_mass):
     t_nodes[:lo] = r_nodes[:lo] + (pk[0] - qk[0])
     t_nodes[hi:] = r_nodes[hi:] + (pk[-1] - qk[-1])
     v_map = (grid - t_nodes[1:-1]) / tau  # equals the step velocity on the support
-    # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0)
-    dphi = _clip(r_nodes - t_nodes, -domain.diameter, domain.diameter)
+    # integrate phi_bar' = r - t(r) from the outer radius (phi_bar(R) = 0);
+    # r - t(r) never leaves +-(R - a): inside the samples both lie in
+    # [a, R], and past them it is an edge sample's displacement
+    dphi = r_nodes - t_nodes
     phi = np.empty(r_nodes.size)
     phi[0] = 0.0
     (0.5 * (dphi[1:] + dphi[:-1]) * geom.dr).cumsum(out=phi[1:])

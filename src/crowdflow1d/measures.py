@@ -366,14 +366,14 @@ def quantile_of(m, n_samples=4096):
     m : Measure1D
         Must have total mass 1 within ``1e-9``.
     n_samples : int
-        Number of midpoint samples, at least 2.
+        Number of midpoint samples, an integer of at least 2.
 
     Returns
     -------
     QuantileFn
     """
-    if n_samples < 2:
-        raise FeasibilityError("need at least 2 quantile samples")
+    if not (isinstance(n_samples, (int, np.integer)) and n_samples >= 2):
+        raise FeasibilityError(f"need an integer of at least 2 quantile samples, got {n_samples!r}")
     tm = m.total_mass()
     if not abs(tm - 1.0) <= 1e-9:
         raise MassMismatchError(f"total mass {tm} is not 1")

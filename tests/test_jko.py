@@ -3,9 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from crowdflow1d import _solver, jko
+from crowdflow1d import _solver, jko, measures
 from crowdflow1d.cli import ScenarioConfig
-from crowdflow1d.corridor import fig3_preset, fig4_preset, saturated_exit_preset
+from crowdflow1d.corridor import CorridorPreset, fig3_preset, fig4_preset, saturated_exit_preset
 from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
 from crowdflow1d.jko import (
     PotentialD,
@@ -517,6 +517,48 @@ def test_cell_count_below_one_is_rejected(n_cells):
         jko_step(m, D, 0.05, n_samples=128, n_cells=n_cells)
     with pytest.raises(FeasibilityError, match="n_cells"):
         density_of(quantile_of(m, 128), n_cells)
+
+
+@pytest.mark.parametrize("preset, n_samples, T", [
+    (fig4_preset, 1000.5, 0.5), (saturated_exit_preset, 1024.0, 0.1)])
+def test_non_integer_sample_count_is_rejected(preset, n_samples, T):
+    """A sample count is an integer of at least two, checked where it
+    enters, before a run builds its projector: 1000.5 used to run fig4
+    with 1001 samples at ds = 1/1000.5, and 1024.0 ended the saturated
+    drain in a TypeError from inside the solver."""
+    p = preset()
+    m = p.initial(512)
+    D = PotentialD.distance_to_exit(p.domain())
+    with pytest.raises(FeasibilityError, match="integer of at least 2 quantile samples"):
+        run_flow(m, D, p.tau, T, n_samples=n_samples, n_cells=512)
+    with pytest.raises(FeasibilityError, match="integer of at least 2 quantile samples"):
+        w2_1d(m, m, n_samples=n_samples)
+
+
+def test_rounding_excess_spills_past_an_aligned_frozen_block(monkeypatch):
+    """On an apex corridor whose frozen block ends exactly on a cell edge
+    (r = R sqrt(rho0) = 5, edge 64 of 128), binning overshoots the cap by
+    rounding on most steps, and ``_spill_excess`` hands the excess to the
+    empty cell past the block: every iterate keeps ``rho <= 1``, its mass
+    within 1e-15 of one and its support contiguous from the apex, and
+    the cell past the block ends at a density of rounding size."""
+    spills, honest = [], measures._spill_excess
+
+    def spill(rho, dW):
+        spills.append(1)
+        return honest(rho, dW)
+
+    monkeypatch.setattr(measures, "_spill_excess", spill)
+    p = CorridorPreset("aligned", 0.0, 10.0, 0.25, 0.05, False)
+    traj = run_flow(p.initial(128), PotentialD.distance_to_exit(p.domain()), p.tau, 5.5,
+                    n_samples=512, n_cells=128)
+    assert len(traj.steps) == 110 and len(spills) >= 55, (len(traj.steps), len(spills))
+    for k, it in enumerate(traj.iterates):
+        occupied = it.rho > 0.0
+        assert it.rho.max() <= 1.0 and abs(it.total_mass() - 1.0) <= 1e-15, k
+        assert occupied[0] and not np.any(occupied[1:] > occupied[:-1]), k
+    last = traj.iterates[-1]
+    assert last.edges[64] == 5.0 and np.all(last.rho[:64] == 1.0) and last.rho[64] < 1e-15
 
 
 def test_solver_failure_names_its_step(third_step_fails):

@@ -231,11 +231,13 @@ def test_newton_block_solve_matches_brentq(monkeypatch):
     assert not calls
 
 
-def test_certificate_checks_chain_order():
+def test_certificate_checks_chain_order(monkeypatch):
     """Singletons at their own targets have zero gradient, so only the
     order check can reject them when the targets violate the chain.  A
     partition that lists no block has every sample from ``m`` on as a
-    block of one at its target."""
+    block of one at its target.  A projection whose trial and exact
+    pooling both give that partition raises with the prefix and the
+    partition's positions."""
     dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
     n, m = 6, 1
     projector = ChainProjector(dom, n)
@@ -246,10 +248,19 @@ def test_certificate_checks_chain_order():
     t = projector.target(x)
     assert np.array_equal(t.singles[m:], y_s)
     none = np.zeros(0, dtype=int)
-    assert projector._certified(t, m, none, none, np.zeros(0)) is None
+    q, bad = projector._certified(t, m, none, none, np.zeros(0))
+    assert bad is not None and "chain order" in bad[0] and bad[1] < 0.0
+    assert np.all(q[:m] == dom.a) and _same_bits(q[m:], t.pos[m:])
+
+    def no_blocks(self, t, m):
+        return none, none, np.zeros(0)
+
+    monkeypatch.setattr(ChainProjector, "_trial", no_blocks)
+    monkeypatch.setattr(ChainProjector, "_pool", no_blocks)
     with pytest.raises(SolverFailureError, match="chain order") as err:
-        projector._certified(t, m, none, none, np.zeros(0), strict=True)
-    assert err.value.m == m
+        projector.project(t, m)
+    assert err.value.m == m and err.value.gap == bad[1]
+    assert _same_bits(err.value.last_iterate, q)
 
 
 @pytest.mark.parametrize("path, x", [
@@ -262,8 +273,9 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
     targets no longer map back onto the targets puts every block of one
     off its target; the certificate then rejects the partition at a block
     boundary, for the record's first candidate and for a later one that
-    projects the same record, on the in-order path and on the trial path
-    (whose exact pooling fails the same way).  The projections build no
+    projects the same record, on the in-order path, whose trial lists no
+    block, and on the path whose trial lists one; exact pooling then fails
+    the same way (in order, it pools nothing).  The projections build no
     record of their own."""
     dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
     x = np.array(x)
@@ -272,8 +284,9 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
     honest_target = ChainProjector.target
 
     def trial(self, t, m):
-        events.append("trial")
-        return honest_trial(self, t, m)
+        partition = honest_trial(self, t, m)
+        events.append("trial" if partition[0].size else "in order")
+        return partition
 
     def kkt(self, *args):
         verdicts.append(honest_kkt(self, *args))
@@ -292,7 +305,7 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
         projector.project(t, m)
     # the honest map: the path as labelled, every certificate passes and
     # no block of one fails
-    assert ("trial" in events) == (path == "trial"), events
+    assert events == [path] * 2, events
     assert records == [t] and verdicts == [None, None] and t.fails.size == 0
     honest_cumweight = Domain1D.cumweight
     monkeypatch.setattr(Domain1D, "cumweight", lambda self, r: honest_cumweight(self, r) + 0.01)
@@ -301,9 +314,42 @@ def test_blocks_of_one_off_their_targets_fail_the_certificate(monkeypatch, path,
         verdicts.clear()
         with pytest.raises(SolverFailureError, match="at a block boundary"):
             projector.project(t, m)
-        assert len(verdicts) == (2 if path == "trial" else 1), verdicts
+        assert len(verdicts) == 2, verdicts
         assert all(v and v[0].endswith("at a block boundary") for v in verdicts), verdicts
     assert len(records) == 2 and records[1] is t and t.fails.size, (records, t.fails)
+
+
+def test_in_order_target_that_fails_raises_its_no_block_partition(monkeypatch):
+    """Singles in order from the prefix on list no block in the trial, and
+    exact pooling merges none of them, so a projection whose no-block
+    partition fails its certificate raises with that partition's message,
+    gap and positions and with the prefix: each block of one sits at its
+    own clipped target, off the target under a shifted domain map."""
+    dom = Domain1D(1.0, 4.0, "radial", 0.3, True)
+    x = np.array([1.0, 2.0, 2.3, 2.6, 2.9, 3.2, 3.5, 3.8])
+    honest_cumweight, honest_pool = Domain1D.cumweight, ChainProjector._pool
+    pooled = []
+
+    def pool(self, t, m):
+        pooled.append(honest_pool(self, t, m))
+        return pooled[-1]
+
+    monkeypatch.setattr(Domain1D, "cumweight", lambda self, r: honest_cumweight(self, r) + 0.01)
+    monkeypatch.setattr(ChainProjector, "_pool", pool)
+    projector = ChainProjector(dom, x.size)
+    none = np.zeros(0, dtype=int)
+    for m in (1, 2):
+        t = projector.target(x)
+        assert t.last_drop < m
+        q, bad = projector._certified(t, m, none, none, np.zeros(0))
+        assert bad is not None and bad[0].endswith("at a block boundary")
+        with pytest.raises(SolverFailureError) as err:
+            projector.project(t, m)
+        assert str(err.value) == bad[0] and err.value.m == m
+        assert _same_bits(np.float64(err.value.gap), np.float64(bad[1]))
+        assert _same_bits(err.value.last_iterate, q)
+        assert not pooled[-1][0].size, pooled
+    assert len(pooled) == 2
 
 
 def test_blocks_of_one_are_built_once_per_target(monkeypatch):
@@ -319,10 +365,10 @@ def test_blocks_of_one_are_built_once_per_target(monkeypatch):
         built.append(t)
         return honest_ones(self, t)
 
-    def certified(self, t, m, lo_b, hi_b, y_b, strict=False):
+    def certified(self, t, m, lo_b, hi_b, y_b):
         if int((hi_b - lo_b + 1).sum()) < self.n - m:
             projected[id(t)] += 1
-        return honest_certified(self, t, m, lo_b, hi_b, y_b, strict=strict)
+        return honest_certified(self, t, m, lo_b, hi_b, y_b)
 
     monkeypatch.setattr(ChainProjector, "_ones", ones)
     monkeypatch.setattr(ChainProjector, "_certified", certified)
@@ -377,6 +423,27 @@ def _edge_target(rng, kind):
     return ChainProjector(dom, n), x, int(k[4])
 
 
+def _solve_starts(projector):
+    """A list that records the start of every block solve of ``projector``."""
+    starts, honest = [], projector._solve_block
+
+    def solve(t, lo, hi, start=None):
+        starts.append(start)
+        return honest(t, lo, hi, start)
+
+    projector._solve_block = solve
+    return starts
+
+
+def _runs(fit, m):
+    """The blocks of a clipped regression ``fit`` of the samples from ``m``
+    on, as the trial lists them: its runs of equal values (``lo``, ``hi``
+    arrays) and the value of each, which starts the run's block solve."""
+    same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
+    edges = np.flatnonzero(same[1:] != same[:-1]) + m
+    return edges[::2], edges[1::2], [float(fit[lo - m]) for lo in edges[::2]]
+
+
 @pytest.mark.parametrize("kind", ["flat", "radial"])
 @pytest.mark.parametrize("shift", [0.0, 0.01])
 def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
@@ -387,9 +454,11 @@ def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
     NaN, whose sample is still listed as failing.
     The honest domain map leaves blocks of one with a gradient only where
     a box absorbs it; a shifted map puts them off their targets, so that
-    many fail.  On the target without its NaN, the clipped suffix
-    regressions and the trial's blocks are those of ``np.clip`` and of
-    the concatenated run mask."""
+    many fail.  On the target without its NaN, the trial's blocks are the
+    runs of SciPy's suffix regression under ``np.clip`` and the
+    concatenated run mask, each block solve starting from its run's
+    value; singles in order list no block, and a radial suffix that drops
+    at every pair is one block."""
     if shift:
         honest_cumweight = Domain1D.cumweight
         monkeypatch.setattr(Domain1D, "cumweight",
@@ -430,22 +499,29 @@ def test_target_record_matches_the_replaced_formulas(monkeypatch, kind, shift):
             if target is x and nan_at not in t.fails:
                 problems.append(f"{kind} {i}: the NaN sample {nan_at} is not listed as failing")
         # t is now the record of the target without its NaN
+        starts = _solve_starts(projector)
         for m in (0, x.size // 2):
-            fit = projector._fit(t, m)
-            # a radial suffix that drops at every pair is its mean, not SciPy's
-            if t.last_drop >= m and (projector.flat or not projector._falls(t, m)):
-                if projector.flat:
-                    ref = isotonic_regression(t.trial[m:]).x
-                else:
-                    ref = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
-                if not _same_bits(fit, np.clip(ref, lb[m], ub[-1])):
-                    problems.append(f"{kind} {i}: the regression from {m} differs")
-                seen["regressions"] += 1
-            same = np.concatenate(([False], fit[1:] == fit[:-1], [False]))
-            edges = np.flatnonzero(same[1:] != same[:-1]) + m
+            starts.clear()
             lo_b, hi_b, _ = projector._trial(t, m)
-            if not (_same_bits(lo_b, edges[::2]) and _same_bits(hi_b, edges[1::2])):
+            rest = t.singles[m:]
+            if not np.any(rest[1:] < rest[:-1]):
+                # in order: no block
+                ref = (np.zeros(0, dtype=int),) * 2 + ([],)
+            elif not projector.flat and rest.size >= 2 and np.all(rest[1:] < rest[:-1]):
+                # a radial suffix that drops at every pair is one block at
+                # its mean (test_falling_suffix_regression_is_its_clipped_mean)
+                ref = (np.array([m]), np.array([x.size - 1]), starts)
+            else:
+                if projector.flat:
+                    fit = isotonic_regression(t.trial[m:]).x
+                else:
+                    fit = isotonic_regression(t.singles[m:], weights=t.trial[m:]).x
+                ref = _runs(np.clip(fit, lb[m], ub[-1]), m)
+                seen["regressions"] += 1
+            if not (_same_bits(lo_b, ref[0]) and _same_bits(hi_b, ref[1])):
                 problems.append(f"{kind} {i}: the trial's blocks from {m} differ")
+            elif not _same_bits(np.array(starts, dtype=float), np.array(ref[2], dtype=float)):
+                problems.append(f"{kind} {i}: the regression from {m} differs")
             seen["blocks"] += lo_b.size
     assert not problems, problems
     assert min(seen[key] for key in ("drops", "regressions", "blocks")) >= 40, seen
@@ -507,7 +583,7 @@ def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
     honest = ChainProjector._certified
     problems, verdicts = [], Counter()
 
-    def checked(self, t, m, lo_b, hi_b, y_b, strict=False):
+    def checked(self, t, m, lo_b, hi_b, y_b):
         lo_s, hi_s, y_s = _full_partition(self, t, m, lo_b, hi_b, y_b)
         q_ref = np.full(self.n, self.domain.a)
         q_ref[m:] = self.domain.inv_cumweight(np.repeat(y_s, hi_s - lo_s + 1) + self.offs[m:])
@@ -516,10 +592,7 @@ def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
             ref = ("projection certificate failed: block values out of chain order", order)
         else:
             ref = _suffix_sum_certificate(self, q_ref, t.x, m, lo_s, hi_s, y_s)
-        try:
-            q, got = honest(self, t, m, lo_b, hi_b, y_b, strict=True), None
-        except SolverFailureError as err:
-            q, got = err.last_iterate, (str(err), err.gap)
+        q, got = honest(self, t, m, lo_b, hi_b, y_b)
         verdicts[ref and ref[0]] += 1
         if (got and got[0]) != (ref and ref[0]):
             problems.append(f"instance {instance}: {got} against the reference's {ref}")
@@ -527,9 +600,7 @@ def test_certificate_matches_the_suffix_sum_reference(monkeypatch, trial):
             problems.append(f"instance {instance}: gap {got[1]!r} against {ref[1]!r}")
         if not np.array_equal(q, q_ref):
             problems.append(f"instance {instance}: positions differ from the written out partition")
-        if got is None:
-            return q
-        return honest(self, t, m, lo_b, hi_b, y_b, strict=strict)
+        return q, got
 
     monkeypatch.setattr(ChainProjector, "_certified", checked)
     if trial != "honest":
@@ -725,10 +796,10 @@ def test_certificate_verdicts_match_the_vectorized_formula(kind):
         assert kind != "at tol" or seen["exact"] >= 200, seen
 
 
-def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
+def _general_certified(projector, t, m, lo_b, hi_b, y_b):
     """The certificate as it was written with the chain order read off a
     window around the listed blocks and off the gaps where the singles
-    drop outside it, for any number of listed blocks."""
+    drop outside it, for any number of listed blocks: ``(q, bad)``."""
     n = projector.n
     drops = np.flatnonzero(t.singles[1:] < t.singles[:-1])
     gaps = t.singles[drops + 1] - t.singles[drops]
@@ -751,21 +822,13 @@ def _general_certified(projector, t, m, lo_b, hi_b, y_b, strict=False):
     order = float((v[1:] - v[:-1]).min(initial=0.0))
     i, j, k = drops.searchsorted((m, lo_v, hi_v - 1))
     order = min(order, float(gaps[i:j].min(initial=0.0)), float(gaps[k:].min(initial=0.0)))
-    if order < -_solver.GAP_TOL and not strict:
-        return None
     q = t.pos.copy()
     q[:m] = projector.domain.a
     if count:
         q[at] = projector.domain.inv_cumweight(y_at + projector.offs[at])
     if order < -_solver.GAP_TOL:
-        bad = ("projection certificate failed: block values out of chain order", order)
-    else:
-        bad = _vectorized_kkt(projector, q, t, m, at, lo_b, hi_b, y_b, starts, ends)
-    if bad is not None:
-        if strict:
-            raise SolverFailureError(bad[0], last_iterate=q, gap=bad[1], m=m)
-        return None
-    return q
+        return q, ("projection certificate failed: block values out of chain order", order)
+    return q, _vectorized_kkt(projector, q, t, m, at, lo_b, hi_b, y_b, starts, ends)
 
 
 def _listed_partition(rng, projector, t, m, layout):
@@ -801,8 +864,10 @@ def _listed_partition(rng, projector, t, m, layout):
 @pytest.mark.parametrize("order", ["in order", "drops", "contiguous", "gapped"])
 def test_no_block_partition_matches_the_general_path(order):
     """The certificate's one chain-order formula gives the old windowed
-    path's positions bit for bit, or fails with the same message, gap,
-    prefix and last iterate, strict or not, on finite targets: partitions
+    path's positions bit for bit and passes or fails with the same message
+    and gap, and a projection whose trial and exact pooling both give the
+    partition returns those positions or raises with them, that message,
+    that gap and the prefix, on finite targets: partitions
     that list no block, for targets in order from the prefix on and for
     targets that drop at or past it, and partitions that list the exact
     pooling's blocks, contiguous or with blocks of one between them, with
@@ -847,25 +912,32 @@ def test_no_block_partition_matches_the_general_path(order):
         nan_alone = nan_at is not None and nan_at >= m and not (
             (lo_b <= nan_at) & (nan_at <= hi_b)).any()
         seen["NaN in a block of one"] += nan_alone
-        for strict in (False, True):
-            out = []
-            for certify in (_general_certified, ChainProjector._certified):
-                projector = ChainProjector(dom, n)
-                t = projector.target(x)
+        reference = ChainProjector(dom, n)
+        q_ref, bad = _general_certified(reference, reference.target(x), m, *partition)
+        err_ref = bad and (bad[0], np.float64(bad[1]), m)
+        for projected in (False, True):
+            projector = ChainProjector(dom, n)
+            t = projector.target(x)
+            if projected:
+                # both stages give the partition: the projection returns
+                # its positions or raises
+                projector._trial = projector._pool = lambda t, m: partition
                 try:
-                    out.append((certify(projector, t, m, *partition, strict=strict), None))
-                except SolverFailureError as err:
-                    out.append((err.last_iterate, (str(err), np.float64(err.gap), err.m)))
-            (q_ref, err_ref), (q, err) = out
-            outcome = err[0] if err else "passes" if q is not None else None
+                    q, err = projector.project(t, m), None
+                except SolverFailureError as e:
+                    q, err = e.last_iterate, (str(e), np.float64(e.gap), e.m)
+                outcome = err[0] if err else "passes"
+            else:
+                q, bad = projector._certified(t, m, *partition)
+                err = bad and (bad[0], np.float64(bad[1]), m)
+                outcome = None if err else "passes"
             seen[outcome if listed else (t.last_drop < m, outcome)] += 1
-            where = f"{order} {i} strict={strict}"
-            if (q is None) != (q_ref is None) or q is not None and not _same_bits(q, q_ref):
+            where = f"{order} {i} {'project' if projected else '_certified'}"
+            if not _same_bits(q, q_ref):
                 problems.append(f"{where}: positions differ")
             if nan_alone:
                 boundary = "projection certificate failed at a block boundary"
-                if strict and not (err and err[0] == boundary and np.isnan(err[1])
-                                   and err[2] == m):
+                if not (err and err[0] == boundary and np.isnan(err[1]) and err[2] == m):
                     problems.append(f"{where}: {err} for a NaN target")
             elif (err is None) != (err_ref is None) or err and (
                     err[0] != err_ref[0] or err[2] != err_ref[2]
@@ -1088,11 +1160,11 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
     honest_certified = ChainProjector._certified
     honest_pool = ChainProjector._pool
 
-    def certified(self, t, m, lo_s, hi_s, y_s, strict=False):
-        q = honest_certified(self, t, m, lo_s, hi_s, y_s, strict=strict)
-        if q is not None:
-            events.append("strict" if strict else "trial")
-        return q
+    def certified(self, t, m, lo_s, hi_s, y_s):
+        # the first partition certified is the trial's
+        if not events:
+            events.append("trial" if lo_s.size else "in order")
+        return honest_certified(self, t, m, lo_s, hi_s, y_s)
 
     def pool(self, t, m):
         events.append("pool")
@@ -1109,10 +1181,7 @@ def test_projection_depends_only_on_target_and_prefix(monkeypatch, trial):
         t = projector.target(x)
         events.clear()
         projector.project(t, m)
-        if "pool" in events:
-            path = "fallback"
-        else:
-            path = "trial" if events == ["trial"] else "in order"
+        path = "fallback" if "pool" in events else events[0]
         paths[path, dom.weight_kind] += 1
         kinds[dom.weight_kind, dom.has_exit] += 1
         if dom.has_exit:
@@ -1162,46 +1231,69 @@ def _falling_suffix(rng, kind, where):
 
 
 @pytest.mark.parametrize("where", ["inside", "below", "above"])
-def test_falling_suffix_regression_is_its_clipped_mean(where):
+def test_falling_suffix_regression_is_its_clipped_mean(monkeypatch, where):
     """Pool adjacent violators merges singles that drop at every pair into
-    one block at their weighted mean, so on a radial domain the clipped
-    regression of such a suffix is that mean, clipped, and runs no
-    regression: one run, within 1e-12 (relative to the singles) of
-    SciPy's clipped weighted regression, whether the mean lies inside the
-    box, below ``lb[m]`` or above ``ub[n-1]``.  With one pair rising
-    instead, the suffix keeps SciPy's regression bit for bit, and so does
-    every suffix on a flat domain."""
+    one block at their weighted mean, so on a radial domain the trial of
+    such a suffix is the one block ``m..n-1``, solved from that mean,
+    clipped, and runs no regression: its start lies within 1e-12
+    (relative to the singles) of SciPy's clipped weighted regression,
+    whether the mean lies inside the box, below ``lb[m]`` or above
+    ``ub[n-1]``.  With one pair rising instead, the trial's blocks are the
+    runs of SciPy's regression, each solve starting from its run's value
+    bit for bit, and so are those of every suffix on a flat domain."""
+    regressions, honest = [], _solver.isotonic_regression
+
+    def counted(*args, **kwargs):
+        regressions.append(1)
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(_solver, "isotonic_regression", counted)
     problems = []
     for i in range(N_FALLING):
         rng = np.random.default_rng([43, i])
         projector, x, m = _falling_suffix(rng, "radial", where)
-        lb, ub = projector.lb[m], projector.ub[-1]
+        n, lb, ub = projector.n, projector.lb[m], projector.ub[-1]
+        starts = _solve_starts(projector)
         t = projector.target(x)
-        ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
-        fit = projector._fit(t, m)
+        rest = t.singles[m:]
+        ref = np.clip(isotonic_regression(rest, weights=t.trial[m:]).x, lb, ub)
+        regressions.clear()
+        lo_b, hi_b, _ = projector._trial(t, m)
         expected = {"inside": lb < ref[0] < ub, "below": ref[0] == lb, "above": ref[0] == ub}
-        if not (projector._falls(t, m) and expected[where]):
+        if not (np.all(rest[1:] < rest[:-1]) and expected[where]):
             problems.append(f"instance {i}: not a falling suffix with its mean {where}")
-        elif not np.all(fit == fit[0]):
-            problems.append(f"instance {i}: more than one run")
-        elif np.abs(fit - ref).max() > 1e-12 * np.abs(t.singles[m:]).max():
-            problems.append(f"instance {i}: {np.abs(fit - ref).max():.2e} off SciPy's")
+        elif not (_same_bits(lo_b, np.array([m])) and _same_bits(hi_b, np.array([n - 1]))
+                  and len(starts) == 1):
+            problems.append(f"instance {i}: not one block")
+        elif regressions:
+            problems.append(f"instance {i}: a regression ran")
+        elif np.abs(starts[0] - ref).max() > 1e-12 * np.abs(rest).max():
+            problems.append(f"instance {i}: {np.abs(starts[0] - ref).max():.2e} off SciPy's")
         # pair k rises, every other pair still drops
         y = t.singles.copy()
-        k = int(rng.integers(m, projector.n - 1))
+        k = int(rng.integers(m, n - 1))
         y[k] = min(y[k], 0.5 * (projector.lb[k] + projector.ub[k + 1]))
         y[k + 1] = max(y[k + 1], 0.5 * (y[k] + projector.ub[k + 1]))
         t = projector.target(projector.domain.inv_cumweight(y + projector.offs))
         ref = np.clip(isotonic_regression(t.singles[m:], weights=t.trial[m:]).x, lb, ub)
         drops = np.count_nonzero(t.singles[m + 1:] < t.singles[m:-1])
-        if drops != projector.n - 2 - m or projector._falls(t, m):
+        starts.clear()
+        lo_b, hi_b, _ = projector._trial(t, m)
+        runs = _runs(ref, m)
+        if drops != n - 2 - m:
             problems.append(f"instance {i}: not one rise at {k}")
-        elif not np.array_equal(projector._fit(t, m), ref):
+        elif not (_same_bits(lo_b, runs[0]) and _same_bits(hi_b, runs[1])
+                  and _same_bits(np.array(starts, dtype=float), np.array(runs[2], dtype=float))):
             problems.append(f"instance {i}: a rise at {k} does not keep SciPy's regression")
         projector, x, m = _falling_suffix(rng, "flat", where)
+        starts = _solve_starts(projector)
         t = projector.target(x)
         ref = np.clip(isotonic_regression(t.trial[m:]).x, projector.lb[m], projector.ub[-1])
-        if not (np.array_equal(projector._fit(t, m), ref) and t.means is None):
+        lo_b, hi_b, _ = projector._trial(t, m)
+        runs = _runs(ref, m)
+        if not (_same_bits(lo_b, runs[0]) and _same_bits(hi_b, runs[1])
+                and _same_bits(np.array(starts, dtype=float), np.array(runs[2], dtype=float))
+                and t.means is None):
             problems.append(f"instance {i}: the flat regression changed")
     assert not problems, problems
 
