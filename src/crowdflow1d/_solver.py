@@ -544,8 +544,9 @@ def solve_step(projector, q_prev, m_prev, D, tau, lead=0):
     With an exit the admissible set is not convex in quantile
     coordinates, so the absorbed prefix ``m`` is searched rather than
     solved for.  Candidate ``m`` is minimized once with ``m`` samples
-    pinned on the door (``m = n`` pins all of them), warm-started from
-    candidate ``m - 1`` where that has been evaluated.  The step takes
+    pinned on the door, warm-started from candidate ``m - 1`` where that
+    has been evaluated.  Candidate ``n``, the empty room, is no special
+    case: its projection puts every sample on the door.  The step takes
     the smallest ``m >= m_prev`` whose successor does not lower the
     objective by more than 1e-15: the first stop of a scan ``m_prev,
     m_prev + 1, ...``, which is the minimizer since no later pair drops
@@ -594,13 +595,9 @@ def solve_step(projector, q_prev, m_prev, D, tau, lead=0):
 
     def candidate(m):
         if m not in found:
-            if m == n:
-                q = np.full(n, projector.domain.a)
-                found[m] = (q, step_objective(q, q_prev, D, tau, projector.ds))
-            else:
-                # a scan evaluates m - 1 first; an affine candidate reads no warm start
-                warm = found[m - 1][0] if m - 1 in found else None
-                found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm, _x=t)
+            # a scan evaluates m - 1 first; an affine candidate reads no warm start
+            warm = found[m - 1][0] if m - 1 in found else None
+            found[m] = minimize_free(projector, q_prev, m, D, tau, warm=warm, _x=t)
         return found[m]
 
     def lowers(m):

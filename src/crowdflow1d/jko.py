@@ -553,7 +553,8 @@ def geodesic_interpolant(m0, m1, t, n_samples=4096, n_cells=2048):
     q0 = quantile_of(m0, n_samples)
     q1 = quantile_of(m1, n_samples)
     q = (1.0 - t) * q0.q + t * q1.q
-    plateau = min(q0.exit_plateau, q1.exit_plateau) if dom.has_exit else 0
+    # a sample is on the door where it is at every end that t weights
+    plateau = min(qf.exit_plateau for qf, w in ((q0, 1.0 - t), (q1, t)) if w > 0.0)
     cells = CellGeometry(dom, n_cells)
     edges, cell_mass, exit_mass = bin_quantiles_to_cells(q, plateau, cells)
     rho = cell_mass / cells.dW
@@ -591,8 +592,8 @@ def momentum_fields(traj, t, n_cells=512):
     cells = CellGeometry(dom, n_cells)
     ds = 1.0 / len(y)
     e_tilde = np.histogram(z, bins=cells.edges, weights=v * ds)[0] / cells.dW
-    interior = x > dom.a + 1e-12
-    e_hat = np.histogram(z[interior], bins=cells.edges, weights=(v * ds)[interior])[0] / cells.dW
+    m = step.m_exit
+    e_hat = np.histogram(z[m:], bins=cells.edges, weights=(v * ds)[m:])[0] / cells.dW
     return cells.mids, e_tilde, e_hat
 
 
@@ -606,7 +607,5 @@ def momentum_discrepancy(traj):
     total = 0.0
     for step in traj.steps:
         ds = 1.0 / len(step.q_next)
-        gone = step.q_next <= dom.a + 1e-12
-        if gone.any():
-            total += float(np.abs(step.q_prev[gone] - dom.a).sum() * ds)
+        total += float(np.abs(step.q_prev[: step.m_exit] - dom.a).sum() * ds)
     return total

@@ -446,7 +446,10 @@ def bin_quantiles_to_cells(q, plateau, cells):
 
     Works in capacity coordinates ``z = W(r)``, where the sampled inverse
     CDF of any uniform stretch is linear in ``s``, and extrapolates the
-    half-sample tails; mass is conserved exactly.  Returns
+    half-sample tails; mass is conserved exactly.  A lone interior sample
+    ``z`` takes the tails of saturated neighbours: its mass ``ds = 1/n``
+    fills ``[z - ds/2, z + ds/2]`` at density one, which the solver's box
+    ``ds/2 <= z <= W(R) - ds/2`` keeps inside the domain.  Returns
     ``(cells.edges, cell_mass, exit_mass)`` with no cap enforcement.
     """
     domain = cells.domain
@@ -457,19 +460,18 @@ def bin_quantiles_to_cells(q, plateau, cells):
     if m >= n:
         return edges, np.zeros(cells.n_cells), 1.0
     zi = np.asarray(domain.cumweight(_clip(q[m:], domain.a, domain.R)))
-    if zi.size == 1:
-        zz = np.concatenate([zi, zi])
-        ss = np.array([exit_mass, 1.0])
-    else:
-        # the samples' (z, s) between the two extrapolated half-sample tails
-        half = 0.5 / n
-        zz, ss = np.empty(zi.size + 2), np.empty(zi.size + 2)
-        zz[0] = max(zi[0] - (zi[1] - zi[0]) * 0.5, 0.0)
-        zz[1:-1] = zi
-        zz[-1] = min(zi[-1] + (zi[-1] - zi[-2]) * 0.5, domain.total_weight)
-        ss[1:-1] = (np.arange(m, n) + 0.5) / n
-        ss[0] = max(ss[1] - half, exit_mass)
-        ss[-1] = ss[-2] + half
+    # the samples' (z, s) between the two extrapolated half-sample tails;
+    # a lone sample's neighbours sit as saturated ones would, ds away
+    half = 0.5 / n
+    zz, ss = np.empty(zi.size + 2), np.empty(zi.size + 2)
+    zz[1:-1] = zi
+    zz[0], zz[-1] = zi[0] - 2.0 * half, zi[-1] + 2.0 * half
+    lo_gap, hi_gap = zz[2] - zz[1], zz[-2] - zz[-3]
+    zz[0] = max(zi[0] - lo_gap * 0.5, 0.0)
+    zz[-1] = min(zi[-1] + hi_gap * 0.5, domain.total_weight)
+    ss[1:-1] = (np.arange(m, n) + 0.5) / n
+    ss[0] = max(ss[1] - half, exit_mass)
+    ss[-1] = ss[-2] + half
     atol = 1e-14 * max(1.0, domain.total_weight)
     # collapse duplicate positions keeping the largest s (right-continuous CDF)
     keep = _last_of_ties(zz, atol)

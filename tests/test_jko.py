@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from crowdflow1d import _solver, jko, measures
+from crowdflow1d import _solver, harness, jko, measures
 from crowdflow1d.cli import ScenarioConfig
 from crowdflow1d.corridor import CorridorPreset, fig3_preset, fig4_preset, saturated_exit_preset
 from crowdflow1d.errors import ConfigError, FeasibilityError, SolverFailureError
@@ -341,6 +341,40 @@ def test_fields_of_an_empty_interior():
         assert np.array_equal(step.velocity, -D.grad(step.grid))
 
 
+@pytest.mark.parametrize("table", [None, ([1.0, 10.0, 20.0], [0.0, 9.0, 30.0])],
+                         ids=["distance", "kinked-table"])
+def test_fig4_drains_to_the_empty_room(table):
+    """The fig4 corridor at 128 samples and cells and tau = 0.1 drains
+    completely by T = 12, through a step with one interior sample left,
+    whose mass bins as a saturated slice wider than the door's cells;
+    affine and curved ``D`` alike."""
+    p = fig4_preset()
+    dom = p.domain()
+    D = PotentialD.distance_to_exit(dom) if table is None else PotentialD.from_table(*table)
+    traj = run_flow(p.initial(128), D, 0.1, 12.0, n_samples=128, n_cells=128)
+    assert 127 in [step.m_exit for step in traj.steps]
+    for it in traj.iterates:
+        assert it.rho.max() <= 1.0
+        assert it.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert traj.steps[-1].m_exit == 128 and traj.iterates[-1].exit_mass == 1.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the door's quantization stall: absorbing a sample resting delta past the "
+    "door saves delta of potential and costs delta^2/(2 tau) of transport, so a "
+    "resting queue drains only while delta < 2 tau; fig4's first free sample "
+    "rests W^-1(ds/2) - a past the door, 0.144 at 64 samples and 0.075 at 128, "
+    "and at tau 0.01 64 samples absorb nothing and 128 stop at m = 82"))
+@pytest.mark.parametrize("n", [64, 128])
+def test_coarse_fig4_exit_mass_tracks_the_reference(n):
+    p = fig4_preset()
+    dom = p.domain()
+    traj = run_flow(p.initial(n), PotentialD.distance_to_exit(dom), 0.01, 3.0,
+                    n_samples=n, n_cells=n)
+    ref = harness._exit_reference(p, 3.0).exit_mass
+    assert abs(traj.iterates[-1].exit_mass - ref) <= 2.0 / n
+
+
 def _grid_fields_reference(geom, tau, q_prev, q_next, m, exit_mass):
     """``jko._grid_fields`` as it read with ``np.where`` extrapolation,
     ``np.clip`` and concatenated running sums, kept as the bitwise
@@ -454,6 +488,25 @@ def test_geodesic_can_leave_the_constraint_set():
     # the door atom fans out over half the target block: density 1.6
     assert not mid.in_K
     assert mid.max_density == pytest.approx(1.6, abs=0.05)
+
+
+@pytest.mark.parametrize("order", ["m0-m1", "m1-m0"])
+def test_geodesic_ends_are_the_measures(order):
+    """At ``t = 0`` and ``t = 1`` the interpolant is its end measure,
+    exit atom included, in either argument order."""
+    dom = Domain1D(1.0, 3.0, "flat", None, True)
+    edges = np.linspace(1.0, 3.0, 21)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ends = [Measure1D.uniform(dom, 0.2, 20, exit_mass=0.6),
+            Measure1D(dom, edges, np.where(mids < 2.0, 0.8, 0.2))]
+    if order == "m1-m0":
+        ends.reverse()
+    for t, end in zip((0.0, 1.0), ends):
+        got = geodesic_interpolant(*ends, t, n_samples=4096, n_cells=40)
+        want = density_of(quantile_of(end, 4096), 40)
+        assert got.exit_mass == want.exit_mass
+        assert np.array_equal(got.rho, want.rho)
+        assert got.in_K
 
 
 def test_geodesic_guards():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crowdflow1d.corridor import saturated_exit_preset
 from crowdflow1d.errors import (
     DomainMismatchError,
     FeasibilityError,
@@ -238,20 +239,40 @@ def test_exit_atom_enters_cdf_and_quantiles():
     assert plateau.size == qf.exit_plateau == 32  # 0.25 * 128
 
 
-def test_one_free_sample_lands_in_one_cell():
+def test_one_free_sample_bins_as_a_saturated_slice():
     """With every sample but the last pinned on the door, the exit holds
-    all but ``1/n`` of the mass and the free sample's ``1/n`` lands in
-    the one cell that holds it."""
+    all but ``1/n`` of the mass and the free sample's ``1/n`` fills the
+    slice ``[z - ds/2, z + ds/2]`` at density one, as if its neighbours
+    were saturated: here the two cells that the slice covers, at
+    densities 0.1 and 0.9."""
     dom = Domain1D(1.0, 3.0, "flat", None, True)
     cells = CellGeometry(dom, 16)
     q = np.full(8, dom.a)
     q[-1] = 2.3
     edges, mass, exit_mass = bin_quantiles_to_cells(q, 7, cells)
     assert exit_mass == 7 / 8
-    k = int(np.searchsorted(edges, 2.3)) - 1
-    assert edges[k] < 2.3 <= edges[k + 1]
-    assert mass[k] == 1 / 8
-    assert np.count_nonzero(mass) == 1
+    assert edges[9] < 2.3 - 1 / 16 and 2.3 + 1 / 16 < edges[11]
+    assert mass[9] == pytest.approx(0.0125, abs=1e-15)
+    assert mass[10] == pytest.approx(0.1125, abs=1e-15)
+    assert np.count_nonzero(mass) == 2
+
+
+@pytest.mark.parametrize("n_cells", [16, 512, 4096])
+def test_lowest_lone_sample_fills_one_sample_of_capacity(n_cells):
+    """One interior sample at its lowest position ``z = ds/2`` on the
+    saturated corridor: its mass fills ``[0, ds]`` at density one,
+    however fine the cells, where the door's cells hold less than ``ds``."""
+    dom = saturated_exit_preset().domain()
+    n = 64
+    ds = 1.0 / n
+    q = np.full(n, dom.a)
+    q[-1] = float(dom.inv_cumweight(0.5 * ds))
+    m = density_of(QuantileFn(dom, q, n - 1), n_cells)
+    assert m.exit_mass == (n - 1) / n
+    assert m.total_mass() == pytest.approx(1.0, abs=1e-15)
+    assert m.rho.max() <= 1.0
+    z_lo = CellGeometry(dom, n_cells).z_edges[:-1]
+    assert np.all(m.cell_masses()[z_lo >= ds] == 0.0)
 
 
 def test_interface_estimate_block_edge():

@@ -1733,3 +1733,23 @@ def test_table_potentials_stop_on_a_fixed_point(monkeypatch):
         run_flow(rho0, D, tau, 4 * tau, n_samples=64, n_cells=64)
     assert not problems, problems
     assert sum(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize("curved", [False, True], ids=["affine", "curved"])
+def test_a_step_from_the_empty_room_keeps_it_empty(curved):
+    """With every sample on the door (``m_prev = n``) the step's one
+    candidate is the projection's with all ``n`` samples pinned: every
+    sample stays on the door, and the objective is the one of that
+    configuration, bit for bit."""
+    p = fig4_preset()
+    dom = p.domain()
+    D = (PotentialD.from_table([1.0, 10.0, 20.0], [0.0, 9.0, 30.0]) if curved
+         else PotentialD.distance_to_exit(dom))
+    assert D.affine != curved
+    n, tau = 128, 0.1
+    projector = ChainProjector(dom, n)
+    q_prev = np.full(n, dom.a)
+    q, m, val, after, _ = solve_step(projector, q_prev, n, D, tau)
+    assert m == n and after is None
+    assert np.array_equal(q, np.full(n, dom.a))
+    assert val == step_objective(np.full(n, dom.a), q_prev, D, tau, projector.ds)
